@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="exact s-independence number or free-subset count")
     p.add_argument("--graph", required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--exact", action="store_true", default=False)
     p.add_argument("--count", action="store_true", default=False)
     p.add_argument("--min-size", dest="min_size", type=int, default=0)
     p.set_defaults(func=_cmd_alpha)

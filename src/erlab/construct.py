@@ -48,6 +48,32 @@ def _default_sample_budget(n: int, R: int) -> int:
     return max(30_000, 25 * math.ceil(n * n / (R * R)))
 
 
+def _sample_draws(rng, n: int, R: int, budget: int):
+    """Yield what ``budget`` successive ``rng.sample(range(n), R)`` calls would return."""
+    getrandbits = rng.getrandbits
+    setsize = 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
+    if n <= setsize:
+        for _ in range(budget):
+            pool = list(range(n))
+            for m in range(n, n - R, -1):
+                k = m.bit_length()
+                j = getrandbits(k)
+                while j >= m:
+                    j = getrandbits(k)
+                pool[j], pool[m - 1] = pool[m - 1], pool[j]
+            yield pool[n - R:][::-1]
+    else:
+        k = n.bit_length()
+        for _ in range(budget):
+            draw = []
+            for _ in range(R):
+                j = getrandbits(k)
+                while j >= n or j in draw:
+                    j = getrandbits(k)
+                draw.append(j)
+            yield draw
+
+
 def build_linear_tf_hypergraph(
     n: int,
     R: int,
@@ -58,10 +84,16 @@ def build_linear_tf_hypergraph(
     hypergraph triangles; desk-scale substitute for the cited existence
     result (the asymptotic edge count is reported, never asserted).
 
-    Candidate R-sets are drawn from the seeded stream (the full shuffled
-    candidate list for tiny instances) and accepted whenever both
-    properties are preserved.  Returns the hypergraph plus a report with
-    the achieved edge count and its ratio to the n^2/R^2 packing ceiling.
+    Candidates are all R-sets shuffled when C(n, R) <= 10 000, else
+    ``sample_budget`` lazy draws equal, in order, to ``rng.sample(range(n),
+    R)`` calls under CPython >= 3.10.  Let N[x] hold x and the vertices
+    sharing an accepted edge with it (empty while x is in none).  Candidate
+    vertices x != y share an edge iff y is in N[x]; accepted edges f ∋ x,
+    g ∋ y meeting in z make a triangle, where z in {x, y} or f = g means a
+    shared edge and else z is in N[x] ∩ N[y], which conversely yields one of
+    the two.  So a candidate is accepted iff its vertices' N[x] are pairwise
+    disjoint.  Returns the hypergraph and a report of its edge count against
+    the n^2/R^2 ceiling.
     """
     if R < 3:
         raise GraphError(f"uniformity must be at least 3, got {R}")
@@ -69,62 +101,30 @@ def build_linear_tf_hypergraph(
         raise GraphError(f"uniformity {R} exceeds ground-set size {n}")
     rng = make_rng(seed, "packing")
 
-    total = math.comb(n, R)
-    if total <= 10_000:
+    tried = math.comb(n, R)
+    enumerated = tried <= 10_000
+    if enumerated:
         candidates = list(itertools.combinations(range(n), R))
         rng.shuffle(candidates)
-        enumerated = True
     else:
-        budget = sample_budget if sample_budget is not None else _default_sample_budget(n, R)
-        candidates = [tuple(sorted(rng.sample(range(n), R))) for _ in range(budget)]
-        enumerated = False
+        tried = max(0, _default_sample_budget(n, R) if sample_budget is None else sample_budget)
+        candidates = _sample_draws(rng, n, R, tried)
 
     edges: list[tuple[int, ...]] = []
-    through = [0] * n        # E_x: bitmask of accepted edge indices containing x
-    reach = [0] * n          # OR of inter[f] over accepted edges f containing x
-    inter: list[int] = []    # per accepted edge: bitmask of accepted edges meeting it
-
+    closed = [0] * n  # N[x] as a bitmask
     for cand in candidates:
-        ok = True
-        # linearity: no accepted edge may contain two vertices of the candidate
-        for a in range(R):
-            ea = through[cand[a]]
-            for bidx in range(a + 1, R):
-                if ea & through[cand[bidx]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # hypergraph triangle: edges f ∋ x, g ∋ y (x≠y in the candidate) with f∩g ≠ ∅
-        for a in range(R):
-            ra = reach[cand[a]]
-            if not ra:
-                continue
-            for bidx in range(R):
-                if bidx != a and ra & through[cand[bidx]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-
-        j = len(edges)
-        bit = 1 << j
-        meet = 0
+        seen = 0
         for x in cand:
-            meet |= through[x]
-        inter.append(meet)
-        for f in iter_bits(meet):
-            inter[f] |= bit
-            for w in edges[f]:
-                reach[w] |= bit
-        for x in cand:
-            through[x] |= bit
-            reach[x] |= meet
-        edges.append(cand)
+            if seen & closed[x]:
+                break
+            seen |= closed[x]
+        else:
+            mask = 0
+            for x in cand:
+                mask |= 1 << x
+            for x in cand:
+                closed[x] |= mask
+            edges.append(tuple(sorted(cand)))
 
     edges.sort()
     H = LinearHypergraph(n, R, edges)
@@ -134,7 +134,7 @@ def build_linear_tf_hypergraph(
         "ceiling_n2_R2": ceiling,
         "ratio_to_ceiling": len(edges) / ceiling if ceiling else 0.0,
         "pair_ceiling": n * (n - 1) // (R * (R - 1)),
-        "candidates_tried": len(candidates),
+        "candidates_tried": tried,
         "enumerated": enumerated,
     }
     return H, report

@@ -285,14 +285,9 @@ class HypergraphReport:
     witness: tuple[int, ...] | None  # edge index pair (linearity) or triple (triangle)
 
 
-def validate_hypergraph(H: LinearHypergraph) -> HypergraphReport:
-    """Certify linearity and hypergraph-triangle-freeness of H.
-
-    A hypergraph triangle is three distinct edges pairwise intersecting in
-    exactly one vertex with empty common intersection.  The witness is the
-    first violation in lexicographic order on edge indices; linearity
-    violations take precedence in the report's ``witness`` field.
-    """
+def check_hypergraph_shape(H: LinearHypergraph) -> None:
+    """Raise MalformedHypergraphError for the first edge that is not R distinct
+    vertices of 0..n-1."""
     for idx, e in enumerate(H.edges):
         if len(e) != H.R:
             raise MalformedHypergraphError(idx, f"has {len(e)} vertices, expected {H.R}")
@@ -301,6 +296,16 @@ def validate_hypergraph(H: LinearHypergraph) -> HypergraphReport:
         if e and (e[0] < 0 or e[-1] >= H.n):
             raise MalformedHypergraphError(idx, f"vertex out of range for n={H.n}")
 
+
+def validate_hypergraph(H: LinearHypergraph) -> HypergraphReport:
+    """Certify linearity and hypergraph-triangle-freeness of H.
+
+    A hypergraph triangle is three distinct edges pairwise intersecting in
+    exactly one vertex with empty common intersection.  The witness is the
+    first violation in lexicographic order on edge indices; linearity
+    violations take precedence in the report's ``witness`` field.
+    """
+    check_hypergraph_shape(H)
     masks = H.edge_masks()
     m = len(masks)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .graphs import EdgeColoring, Graph, GraphError, LinearHypergraph
+from .graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, check_hypergraph_shape
 
 
 class FormatError(ValueError):
@@ -28,21 +28,37 @@ def write_graph(path, graph: Graph) -> None:
     _write(path, lines)
 
 
-def read_graph(path) -> Graph:
+def _lines(path) -> list[tuple[int, str]]:
+    """Non-blank lines of the file with their 1-based line numbers."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _fields(path, lineno: int, line: str, form: str) -> list[int]:
+    """Integers at the ``<field>`` places of ``form``; its other words must match."""
+    tokens, words = line.split(), form.split()
+    if len(tokens) == len(words) and all(w[0] == "<" or w == t for w, t in zip(words, tokens)):
+        try:
+            return [int(t) for w, t in zip(words, tokens) if w[0] == "<"]
+        except ValueError:
+            pass
+    raise FormatError(f"{path}:{lineno}: expected '{form}', got {line!r}")
+
+
+def _header(path, lines, form: str) -> list[int]:
+    """Header fields; the last is the edge count, which the body must match."""
     if not lines:
-        raise FormatError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "graph":
-        raise FormatError(f"{path}: expected 'graph <n> <m>' header, got {lines[0]!r}")
-    n, m = int(head[1]), int(head[2])
-    if len(lines) - 1 != m:
-        raise FormatError(f"{path}: header promises {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        edges.append((u, v))
+        raise FormatError(f"{path}: empty {form.split()[0]} file")
+    fields = _fields(path, *lines[0], form)
+    if len(lines) - 1 != fields[-1]:
+        raise FormatError(f"{path}: header promises {fields[-1]} edges, found {len(lines) - 1}")
+    return fields
+
+
+def read_graph(path) -> Graph:
+    lines = _lines(path)
+    n, _ = _header(path, lines, "graph <n> <m>")
+    edges = [_fields(path, i, ln, "<u> <v>") for i, ln in lines[1:]]
     try:
         return Graph(n, edges)
     except GraphError as exc:
@@ -56,18 +72,15 @@ def write_hypergraph(path, H: LinearHypergraph) -> None:
 
 
 def read_hypergraph(path) -> LinearHypergraph:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty hypergraph file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "hypergraph":
-        raise FormatError(f"{path}: expected 'hypergraph <n> <R> <m>' header, got {lines[0]!r}")
-    n, R, m = int(head[1]), int(head[2]), int(head[3])
-    if len(lines) - 1 != m:
-        raise FormatError(f"{path}: header promises {m} edges, found {len(lines) - 1}")
-    edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    return LinearHypergraph(n, R, edges)
+    lines = _lines(path)
+    n, R, _ = _header(path, lines, "hypergraph <n> <R> <m>")
+    form = " ".join(["<v>"] * R)
+    H = LinearHypergraph(n, R, [_fields(path, i, ln, form) for i, ln in lines[1:]])
+    try:
+        check_hypergraph_shape(H)
+    except GraphError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return H
 
 
 def write_coloring(path, coloring: EdgeColoring) -> None:
@@ -76,16 +89,15 @@ def write_coloring(path, coloring: EdgeColoring) -> None:
 
 
 def read_coloring(path, t: int | None = None) -> EdgeColoring:
-    text = Path(path).read_text(encoding="utf-8")
     colors = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"{path}: expected 'u v c' lines, got {ln!r}")
-        u, v, c = map(int, parts)
+    for i, ln in _lines(path):
+        u, v, c = _fields(path, i, ln, "<u> <v> <c>")
+        if c < 1 or (t is not None and c > t):
+            raise FormatError(f"{path}:{i}: color {c} out of range 1..t (t={t})")
         colors[(u, v)] = c
     if t is None:
         t = max(colors.values(), default=0)
-    return EdgeColoring(t, colors)
+    try:
+        return EdgeColoring(t, colors)
+    except GraphError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

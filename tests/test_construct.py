@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from erlab.construct import (
     CertificationError,
     ConstructionParams,
+    _sample_draws,
     blow_up,
     build_linear_tf_hypergraph,
     certificate_passes,
@@ -30,7 +31,9 @@ from erlab.graphs import (
     validate_hypergraph,
 )
 
-from oracles import random_graph
+from erlab.util import make_rng
+
+from oracles import random_graph, reference_linear_tf_hypergraph
 
 
 def sunflower(petals, center=0):
@@ -71,6 +74,38 @@ class TestBuilder:
         _, report = build_linear_tf_hypergraph(20, 3, seed=2)
         assert report["edges"] >= 1
         assert 0 < report["ratio_to_ceiling"] <= 1.5
+
+
+# random.sample keeps a pool when n <= setsize = 21 + (4**ceil(log4(3R)) if R > 5),
+# i.e. n <= 21 for R <= 5 and n <= 85 for R in {6, 7}; above it, a set of picks.
+POOL_SHAPES = [(6, 6), (19, 5), (21, 5), (32, 6), (64, 6), (85, 7)]
+SET_SHAPES = [(22, 5), (37, 5), (38, 5), (41, 3), (86, 7), (100, 4), (128, 7), (256, 8)]
+
+
+class TestPackingStream:
+    @pytest.mark.parametrize("n,R", POOL_SHAPES + SET_SHAPES)
+    def test_draws_match_random_sample(self, n, R):
+        for seed in (0, 3):
+            rng, twin = make_rng(seed, "draws"), make_rng(seed, "draws")
+            for draw in _sample_draws(rng, n, R, 300):
+                assert draw == twin.sample(range(n), R)
+            assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize(
+        "n,R,seed,budget",
+        # enumerate branch (C(n, R) <= 10 000), then both sample branches at the
+        # default budget, at a short budget, and at budgets of zero and below
+        [(n, R, 1, None) for n, R in [(7, 3), (16, 4), (20, 3), (40, 3)]]
+        + [(n, R, seed, None) for n, R in [(21, 5), (64, 6), (85, 7)] for seed in (0, 7)]
+        + [(n, R, seed, None) for n, R in [(38, 5), (86, 7), (100, 4), (128, 7)] for seed in (0, 7)]
+        + [(n, R, 4, 3000) for n, R in POOL_SHAPES[1:] + SET_SHAPES + [(1024, 10)]]
+        + [(64, 5, 1, 0), (64, 5, 1, -2)],
+    )
+    def test_matches_reference_packer(self, n, R, seed, budget):
+        H, report = build_linear_tf_hypergraph(n, R, seed, sample_budget=budget)
+        H_ref, report_ref = reference_linear_tf_hypergraph(n, R, seed, sample_budget=budget)
+        assert H.edges == H_ref.edges
+        assert report == report_ref
 
 
 class TestEvenPartition:

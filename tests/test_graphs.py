@@ -190,6 +190,39 @@ class TestFileFormats:
         with pytest.raises(eio.FormatError):
             eio.read_graph(path)
 
+    @pytest.mark.parametrize(
+        "reader,text,where",
+        [
+            ("read_graph", "graph 3 1\n0 1 2\n", ":2:"),          # 3-token edge line
+            ("read_graph", "graph 3 1\n0 x\n", ":2:"),            # non-integer edge token
+            ("read_graph", "graph three 1\n0 1\n", ":1:"),        # non-integer header token
+            ("read_graph", "graph 3 1 1\n0 1\n", ":1:"),          # header token count
+            ("read_graph", "graph 3 1\n0 3\n", "out of range"),   # GraphError, wrapped
+            ("read_hypergraph", "hypergraph 7 3 1\n0 1\n", ":2:"),
+            ("read_hypergraph", "hypergraph 7 3 1\n0 1 2.0\n", ":2:"),
+            ("read_hypergraph", "hypergraph 7 3.5 1\n0 1 2\n", ":1:"),
+            ("read_hypergraph", "hypergraph 7 3 1\n0 1 7\n", "out of range"),
+            ("read_hypergraph", "hypergraph 7 3 1\n0 1 1\n", "repeated vertex"),
+            ("read_coloring", "0 1 1\n1 2\n", ":2:"),
+            ("read_coloring", "0 1 one\n", ":1:"),
+            ("read_coloring", "0 1 1\n\n1 2 0\n", ":3: color 0"),  # colors start at 1
+            ("read_coloring", "0 1 1\n1 1 1\n", "loop"),
+        ],
+    )
+    def test_malformed_input_raises_format_error(self, tmp_path, reader, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(eio.FormatError) as err:
+            getattr(eio, reader)(path)
+        assert str(path) in str(err.value) and where in str(err.value)
+
+    def test_coloring_above_t_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("0 1 1\n1 2 3\n")
+        assert eio.read_coloring(path).t == 3
+        with pytest.raises(eio.FormatError, match=":2: color 3"):
+            eio.read_coloring(path, t=2)
+
     @given(st.integers(0, 8), st.data())
     @settings(max_examples=25, deadline=None)
     def test_graph_round_trip_property(self, n, data):
