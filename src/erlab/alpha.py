@@ -48,6 +48,25 @@ def _has_clique_in_mask(rows: list[int], mask: int, size: int) -> bool:
     return size <= 0 or first_clique(rows, mask, size) is not None
 
 
+class _JoinableMemo(dict):
+    """``memo[mask]`` is True iff ``mask`` holds no K_size of ``rows``.
+
+    A mask not seen before is asked of ``first_clique`` once; the answer is
+    kept.  One memo serves one search: while ``rows`` and ``size`` are fixed
+    the answer depends on the mask alone, so a kept answer is the one a fresh
+    query would give.
+    """
+
+    def __init__(self, rows: list[int], size: int):
+        super().__init__()
+        self.rows = rows
+        self.size = size
+
+    def __missing__(self, mask: int) -> bool:
+        free = self[mask] = not _has_clique_in_mask(self.rows, mask, self.size)
+        return free
+
+
 def alpha_exact(
     graph: Graph,
     s: int,
@@ -61,12 +80,21 @@ def alpha_exact(
     lexicographically least one, so the witness is canonical.  With a node
     budget the search may stop early; ``upper_bound`` then caps the true
     value (equal to ``size`` iff ``complete``).
+
+    Vertex ``idx`` may join ``chosen`` iff ``chosen & N(idx)`` holds no
+    K_{s-1}.  The search asks this of few distinct masks many times over,
+    since backtracking over non-neighbours of ``idx`` leaves the mask as it
+    was, so each answer is kept in a memo that lives for this call only.
+    The graph is fixed during the call, so the memo returns exactly what
+    the clique query would: the search tree, ``nodes`` and the witness are
+    those of the unmemoised search.
     """
     if s < 2:
         raise GraphError("s must be at least 2")
     n = graph.n
     ensure_recursion_depth(n)
     rows = graph._rows
+    joinable = _JoinableMemo(rows, s - 1)
     best: list[int] = []
     chosen: list[int] = []
     chosen_mask = 0
@@ -87,8 +115,7 @@ def alpha_exact(
             aborted_bounds.append(len(chosen) + (n - idx))
             return
         nodes += 1
-        joinable = not _has_clique_in_mask(rows, chosen_mask & rows[idx], s - 1)
-        if joinable:
+        if joinable[chosen_mask & rows[idx]]:
             chosen.append(idx)
             chosen_mask |= 1 << idx
             walk(idx + 1)
@@ -110,7 +137,12 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0, limit: int = 24)
     by depth-first enumeration with feasibility pruning.
 
     Refuses graphs above ``limit`` vertices; use alpha_exact for a single
-    extremal witness instead."""
+    extremal witness instead.
+
+    As in alpha_exact, whether vertex ``idx`` may join is asked of the
+    mask ``chosen & N(idx)`` alone, and the answers are kept in a memo that
+    lives for this call only; the graph is fixed during the call, so the
+    count is the one the unmemoised enumeration gives."""
     if s < 2:
         raise GraphError("s must be at least 2")
     if graph.n > limit:
@@ -121,6 +153,7 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0, limit: int = 24)
     n = graph.n
     ensure_recursion_depth(n)
     rows = graph._rows
+    joinable = _JoinableMemo(rows, s - 1)
     count = 0
 
     def walk(idx: int, chosen_mask: int, size: int):
@@ -131,7 +164,7 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0, limit: int = 24)
             count += 1
             return
         walk(idx + 1, chosen_mask, size)
-        if not _has_clique_in_mask(rows, chosen_mask & rows[idx], s - 1):
+        if joinable[chosen_mask & rows[idx]]:
             walk(idx + 1, chosen_mask | (1 << idx), size + 1)
 
     walk(0, 0, 0)
@@ -285,7 +318,8 @@ def recursive_free_subset(
     alteration sampler on the K_s-copy hypergraph.
 
     Thresholds are n^(a_t / a_{t-g(i)}) from the exact exponent table,
-    scaled by ``threshold_scale``.
+    scaled by ``threshold_scale``.  ``scan_cap`` bounds the tuples scanned
+    by the whole extraction, over every size i and recursion depth.
     """
     if s < 2:
         raise GraphError("s must be at least 2")
@@ -314,7 +348,6 @@ def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap
 
     g_table = GTable.from_table(table, max_i=min(s, 6))
     alpha_t = exponent_lower(s, t, table=table, g_table=g_table).value
-    rows = graph._rows
     scanned = 0
 
     for i in range(2, s + 1):
@@ -324,7 +357,8 @@ def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap
         a_prev = exponent_lower(s, t - gi, table=table, g_table=g_table).value
         threshold = threshold_scale * n ** float(alpha_t / a_prev)
         need = max(1, math.ceil(threshold))
-        hit = _scan_tuples(graph, coloring, i, gi, need, scan_cap - scanned)
+        hit, used = _scan_tuples(graph, coloring, i, gi, need, scan_cap - scanned)
+        scanned += used
         if hit is None:
             continue
         anchors, candidates = hit
@@ -339,7 +373,7 @@ def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap
             {v: idx for idx, v in enumerate(old_ids)}
         )
         inner = _recursive_step(
-            sub, sub_coloring, s, t - gi, threshold_scale, scan_cap, clique_cap,
+            sub, sub_coloring, s, t - gi, threshold_scale, scan_cap - scanned, clique_cap,
             seed, table, depth + 1
         )
         verts = tuple(sorted(old_ids[v] for v in inner.vertices))
@@ -358,7 +392,9 @@ def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap
 
 def _scan_tuples(graph, coloring, i, gi, need, scan_budget):
     """First (i-1)-tuple (lexicographic) whose qualified common neighborhood
-    reaches ``need``; the qualification asks >= gi distinct edge colors."""
+    reaches ``need``; the qualification asks >= gi distinct edge colors.
+
+    Returns ``((anchors, qualified) or None, tuples scanned)``."""
     n = graph.n
     rows = graph._rows
     full = (1 << n) - 1
@@ -380,8 +416,8 @@ def _scan_tuples(graph, coloring, i, gi, need, scan_budget):
             if len(colors) >= gi:
                 qualified.append(u)
         if len(qualified) >= need:
-            return anchors, qualified
-    return None
+            return (anchors, qualified), scanned
+    return None, scanned
 
 
 @dataclass(frozen=True)

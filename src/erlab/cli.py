@@ -120,9 +120,12 @@ def _cmd_density(args) -> int:
     samples = []
     feasible_alpha = None
     feasible_lambda = 0.0
-    for _ in range(args.samples):
-        if threshold > graph.n:
-            break
+    draws = args.samples
+    if threshold > graph.n:
+        print(f"erlab density: threshold {threshold} exceeds the {graph.n} vertices of the "
+              "sparsified graph; no sets sampled", file=sys.stderr)
+        draws = 0
+    for _ in range(draws):
         size = rng.randint(threshold, graph.n)
         X = sorted(rng.sample(range(graph.n), size))
         profile, witness = density_witness(sparsified, X)

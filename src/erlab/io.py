@@ -55,10 +55,28 @@ def _header(path, lines, form: str) -> list[int]:
     return fields
 
 
+def _edge_lines(path, lines, form: str, width: int) -> list[list[int]]:
+    """Fields of each edge line; its first ``width`` fields name the edge,
+    which may appear only once, in any vertex order."""
+    first: dict[tuple[int, ...], int] = {}
+    rows = []
+    for i, ln in lines:
+        fields = _fields(path, i, ln, form)
+        edge = tuple(sorted(fields[:width]))
+        if edge in first:
+            raise FormatError(
+                f"{path}:{i}: duplicate edge {' '.join(map(str, edge))} "
+                f"(first on line {first[edge]})"
+            )
+        first[edge] = i
+        rows.append(fields)
+    return rows
+
+
 def read_graph(path) -> Graph:
     lines = _lines(path)
     n, _ = _header(path, lines, "graph <n> <m>")
-    edges = [_fields(path, i, ln, "<u> <v>") for i, ln in lines[1:]]
+    edges = _edge_lines(path, lines[1:], "<u> <v>", 2)
     try:
         return Graph(n, edges)
     except GraphError as exc:
@@ -74,8 +92,7 @@ def write_hypergraph(path, H: LinearHypergraph) -> None:
 def read_hypergraph(path) -> LinearHypergraph:
     lines = _lines(path)
     n, R, _ = _header(path, lines, "hypergraph <n> <R> <m>")
-    form = " ".join(["<v>"] * R)
-    H = LinearHypergraph(n, R, [_fields(path, i, ln, form) for i, ln in lines[1:]])
+    H = LinearHypergraph(n, R, _edge_lines(path, lines[1:], " ".join(["<v>"] * R), R))
     try:
         check_hypergraph_shape(H)
     except GraphError as exc:
@@ -90,8 +107,8 @@ def write_coloring(path, coloring: EdgeColoring) -> None:
 
 def read_coloring(path, t: int | None = None) -> EdgeColoring:
     colors = {}
-    for i, ln in _lines(path):
-        u, v, c = _fields(path, i, ln, "<u> <v> <c>")
+    lines = _lines(path)
+    for (i, _), (u, v, c) in zip(lines, _edge_lines(path, lines, "<u> <v> <c>", 2)):
         if c < 1 or (t is not None and c > t):
             raise FormatError(f"{path}:{i}: color {c} out of range 1..t (t={t})")
         colors[(u, v)] = c

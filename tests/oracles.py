@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks use itertools, the
 instance generators only rely on adjacency bookkeeping, and the reference
-packer draws through ``rng.sample`` and tests edge-indexed bitmasks.
+packer draws through ``rng.sample`` and tests edge-indexed bitmasks.  The
+reference alpha searches are the package's branch and bound and counting
+enumeration as they were before their clique tests were memoised: they ask
+``first_clique`` afresh at every node.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import math
 
 import numpy as np
 
+from erlab.alpha import AlphaResult
 from erlab.construct import _default_sample_budget
-from erlab.graphs import EdgeColoring, Graph, LinearHypergraph
-from erlab.util import iter_bits, make_rng
+from erlab.graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, first_clique
+from erlab.util import ensure_recursion_depth, iter_bits, make_rng
 
 
 def dp_clique_tables(graph: Graph, smax: int) -> dict[int, np.ndarray]:
@@ -219,3 +223,74 @@ def reference_linear_tf_hypergraph(n: int, R: int, seed: int, sample_budget: int
         "enumerated": enumerated,
     }
     return LinearHypergraph(n, R, edges), report
+
+
+def _has_clique_in_mask(rows: list[int], mask: int, size: int) -> bool:
+    return size <= 0 or first_clique(rows, mask, size) is not None
+
+
+def reference_alpha_exact(graph: Graph, s: int, node_budget: int | None = None) -> AlphaResult:
+    """Reference include-first branch and bound: one clique query per node."""
+    if s < 2:
+        raise GraphError("s must be at least 2")
+    n = graph.n
+    ensure_recursion_depth(n)
+    rows = graph._rows
+    best: list[int] = []
+    chosen: list[int] = []
+    chosen_mask = 0
+    nodes = 0
+    aborted_bounds: list[int] = []
+    out_of_budget = False
+
+    def walk(idx: int):
+        nonlocal chosen_mask, nodes, best, out_of_budget
+        if idx == n:
+            if len(chosen) > len(best):
+                best = chosen.copy()
+            return
+        if len(chosen) + (n - idx) <= len(best):
+            return
+        if node_budget is not None and nodes >= node_budget:
+            out_of_budget = True
+            aborted_bounds.append(len(chosen) + (n - idx))
+            return
+        nodes += 1
+        joinable = not _has_clique_in_mask(rows, chosen_mask & rows[idx], s - 1)
+        if joinable:
+            chosen.append(idx)
+            chosen_mask |= 1 << idx
+            walk(idx + 1)
+            chosen.pop()
+            chosen_mask ^= 1 << idx
+        if out_of_budget:
+            aborted_bounds.append(len(chosen) + (n - idx) - 1)
+            return
+        walk(idx + 1)
+
+    walk(0)
+    complete = not out_of_budget
+    upper = len(best) if complete else max([len(best)] + aborted_bounds)
+    return AlphaResult(len(best), tuple(best), complete, upper, nodes)
+
+
+def reference_count_free_subsets(graph: Graph, s: int, min_size: int = 0) -> int:
+    """Reference counting enumeration: one clique query per node."""
+    n = graph.n
+    ensure_recursion_depth(n)
+    rows = graph._rows
+    count = 0
+
+    def walk(idx: int, chosen_mask: int, size: int):
+        nonlocal count
+        if size + (n - idx) < min_size:
+            return
+        if idx == n:
+            count += 1
+            return
+        walk(idx + 1, chosen_mask, size)
+        if not _has_clique_in_mask(rows, chosen_mask & rows[idx], s - 1):
+            walk(idx + 1, chosen_mask | (1 << idx), size + 1)
+
+    walk(0, 0, 0)
+    return count

@@ -22,7 +22,8 @@ from erlab.alpha import (
     lay3_free_subset,
     recursive_free_subset,
 )
-from erlab.graphs import EdgeColoring, Graph, GraphError, enumerate_cliques
+from erlab.construct import ConstructionParams, construct_upper_bound_instance
+from erlab.graphs import EdgeColoring, Graph, GraphError, enumerate_cliques, first_clique
 
 from oracles import (
     dp_alpha,
@@ -32,6 +33,8 @@ from oracles import (
     mono_free_colored_graph,
     naive_is_free,
     random_graph,
+    reference_alpha_exact,
+    reference_count_free_subsets,
 )
 
 
@@ -108,6 +111,47 @@ class TestCountFreeSubsets:
         with pytest.raises(GraphError) as err:
             count_free_subsets(Graph(25), 3)
         assert "alpha_exact" in str(err.value)
+
+
+class TestJoinableMemo:
+    """The memoised searches equal the unmemoised reference searches."""
+
+    def test_alpha_matches_reference(self):
+        incomplete = 0
+        for seed in range(12):
+            g = random_graph(14 + seed % 10, 0.35 + 0.05 * (seed % 5), seed=seed)
+            for s in (3, 4, 5):
+                for budget in (None, 0, 1, 20, 500):
+                    res = alpha_exact(g, s, node_budget=budget)
+                    assert res == reference_alpha_exact(g, s, node_budget=budget)
+                    incomplete += not res.complete
+        assert incomplete > 0  # the budgeted stops and their bounds are compared too
+
+    def test_alpha_matches_reference_on_k4_instance(self):
+        params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=1)
+        g = construct_upper_bound_instance(params, 64).final
+        assert first_clique(g._rows, (1 << g.n) - 1, 5) is not None
+        res = alpha_exact(g, 5, node_budget=5000)
+        assert res == reference_alpha_exact(g, 5, node_budget=5000)
+        assert res.nodes == 5000 and not res.complete
+
+    def test_count_matches_reference(self):
+        for seed in range(8):
+            g = random_graph(12 + seed % 4, 0.4, seed=seed)
+            for s in (3, 4):
+                for min_size in (0, 5):
+                    assert count_free_subsets(g, s, min_size) == reference_count_free_subsets(
+                        g, s, min_size
+                    )
+
+    def test_back_to_back_calls_on_different_graphs(self):
+        # one vertex count, different edges: an answer kept from the first
+        # call would be wrong for the second graph's masks
+        g1, g2 = random_graph(16, 0.5, seed=1), random_graph(16, 0.5, seed=2)
+        assert reference_alpha_exact(g1, 3) != reference_alpha_exact(g2, 3)
+        for g in (g1, g2, g1):
+            assert alpha_exact(g, 3) == reference_alpha_exact(g, 3)
+            assert count_free_subsets(g, 3) == reference_count_free_subsets(g, 3)
 
 
 class TestAlteration:
@@ -213,6 +257,15 @@ class TestRecursiveExtractor:
         with pytest.raises(BudgetError):
             recursive_free_subset(g, col, 5, scan_cap=0, threshold_scale=1e9,
                                   clique_cap=0)
+
+    def test_scan_cap_is_cumulative(self):
+        # no tuple reaches the threshold, so sizes i = 2, 3, 4 scan all
+        # C(16, 1) + C(16, 2) + C(16, 3) = 16 + 120 + 560 = 696 tuples
+        g, col = mono_free_colored_graph(16, 2, 0.3, seed=9)
+        res = recursive_free_subset(g, col, 4, scan_cap=696, threshold_scale=1e9)
+        assert res.path[0].startswith("depth 0: alteration")
+        with pytest.raises(BudgetError):
+            recursive_free_subset(g, col, 4, scan_cap=695, threshold_scale=1e9)
 
 
 class TestLay3Extractor:

@@ -153,6 +153,24 @@ class TestCli:
         witness = (tmp_path / "witness.txt").read_text().split()
         assert len(witness) == payload["size"]
 
+    def test_density_says_when_threshold_exceeds_vertices(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        assert main(["construct", "--s", "5", "--b", "3", "--t", "2", "--n", "48",
+                     "--R", "4", "--seed", "7", "--out-dir", str(inst)]) == 0
+        capsys.readouterr()
+        v = int((inst / "sparsified.txt").read_text().split()[1])
+        assert main(["density", "--instance", str(inst), "--samples", "3"]) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["threshold"] == 48 > v  # the default threshold is the ground-set size
+        assert payload["samples"] == [] and payload["fitted"]["alpha"] is None
+        assert err.count("\n") == 1 and f"threshold 48 exceeds the {v} vertices" in err
+
+        assert main(["density", "--instance", str(inst), "--samples", "1",
+                     "--threshold", str(v)]) == 0
+        out, err = capsys.readouterr()
+        assert len(json.loads(out)["samples"]) == 1 and err == ""
+
     def test_exponents_json(self, capsys):
         assert main(["exponents", "--s", "5", "--t", "4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

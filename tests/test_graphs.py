@@ -207,6 +207,9 @@ class TestFileFormats:
             ("read_coloring", "0 1 one\n", ":1:"),
             ("read_coloring", "0 1 1\n\n1 2 0\n", ":3: color 0"),  # colors start at 1
             ("read_coloring", "0 1 1\n1 1 1\n", "loop"),
+            ("read_graph", "graph 3 2\n0 1\n1 0\n", ":3: duplicate edge 0 1 (first on line 2)"),
+            ("read_hypergraph", "hypergraph 7 3 2\n0 1 2\n2 0 1\n", ":3: duplicate edge 0 1 2"),
+            ("read_coloring", "0 1 1\n1 0 2\n", ":2: duplicate edge 0 1 (first on line 1)"),
         ],
     )
     def test_malformed_input_raises_format_error(self, tmp_path, reader, text, where):
