@@ -44,10 +44,6 @@ class AlphaResult:
     nodes: int
 
 
-def _has_clique_in_mask(rows: list[int], mask: int, size: int) -> bool:
-    return size <= 0 or first_clique(rows, mask, size) is not None
-
-
 class _JoinableMemo(dict):
     """``memo[mask]`` is True iff ``mask`` holds no K_size of ``rows``.
 
@@ -63,14 +59,13 @@ class _JoinableMemo(dict):
         self.size = size
 
     def __missing__(self, mask: int) -> bool:
-        free = self[mask] = not _has_clique_in_mask(self.rows, mask, self.size)
+        free = self[mask] = first_clique(self.rows, mask, self.size) is None
         return free
 
 
 def alpha_exact(
     graph: Graph,
     s: int,
-    deterministic: bool = True,
     node_budget: int | None = None,
 ) -> AlphaResult:
     """Maximum vertex set inducing no K_s, by include-first branch and bound
@@ -178,7 +173,7 @@ def greedy_free_subset(graph: Graph, s: int) -> tuple[int, ...]:
     chosen_mask = 0
     out = []
     for v in range(graph.n):
-        if not _has_clique_in_mask(rows, chosen_mask & rows[v], s - 1):
+        if first_clique(rows, chosen_mask & rows[v], s - 1) is None:
             out.append(v)
             chosen_mask |= 1 << v
     return tuple(out)

@@ -128,11 +128,7 @@ def exponent_upper(
     if s < 2 or b < 3 or t < 1:
         raise GraphError(f"require s >= 2, b >= 3, t >= 1, got {(s, b, t)}")
     table = table or default_table()
-    ell = None
-    for cand in range(1, t + 2):
-        if not table.r_le(cand, b, s):
-            ell = cand
-            break
+    ell = table.min_ell(b, s, t)
     if ell is None:
         raise UnresolvedRamseyError(f"minimum ell with r_ell({b}) > {s} beyond t+1")
     value = Fraction(1, t // ell + 1)

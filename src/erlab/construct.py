@@ -453,11 +453,7 @@ class ConstructionParams:
         if s < 2 or b < 3 or t < 1:
             raise UnsupportedParametersError(f"require s >= 2, b >= 3, t >= 1, got {(s, b, t)}")
         table = table or default_table()
-        ell = None
-        for cand in range(1, t + 2):
-            if not table.r_le(cand, b, s):
-                ell = cand
-                break
+        ell = table.min_ell(b, s, t)
         if ell is None:
             raise UnsupportedParametersError(
                 f"could not find ell <= {t + 1} with r_ell({b}) > {s}"

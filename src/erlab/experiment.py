@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -208,16 +206,9 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """One row per (n, seed) grid point; rows are computed independently
-    (ERLAB_WORKERS caps the pool) and sorted canonically, so parallel and
-    serial runs emit identical reports."""
-    tasks = [(n, seed) for n in config.n_list for seed in config.seeds]
-    workers = int(os.environ.get("ERLAB_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda args: _measure_row(config, *args), tasks))
-    else:
-        rows = [_measure_row(config, n, seed) for n, seed in tasks]
+    """One row per (n, seed) grid point; each row is seeded independently
+    and rows are sorted canonically."""
+    rows = [_measure_row(config, n, seed) for n in config.n_list for seed in config.seeds]
     rows.sort(key=lambda r: (r.n, r.seed))
 
     by_n: dict[int, list[float]] = {}

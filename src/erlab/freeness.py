@@ -255,6 +255,13 @@ class RamseyTable:
                 return False
         raise UnresolvedRamseyError(f"r_{t}({b}) vs {s}")
 
+    def min_ell(self, b: int, s: int, t: int) -> int | None:
+        """Minimum ell <= t+1 with r_ell(b) > s, or None if there is none."""
+        for ell in range(1, t + 2):
+            if not self.r_le(ell, b, s):
+                return ell
+        return None
+
     def local_greater(self, k: int, i: int) -> bool:
         entry = self.local_entries.get(k)
         if entry is not None:

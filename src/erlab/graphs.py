@@ -8,7 +8,9 @@ sorted vertex ids) so witnesses and tests are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .util import iter_bits
@@ -229,53 +231,34 @@ def coloring_covers(graph: Graph, coloring: EdgeColoring):
     return None
 
 
+def _cliques(rows: list[int], cand: int, need: int, prefix: tuple[int, ...]):
+    """Every ``need``-clique inside ``cand`` (adjacency ``rows``), each
+    extending ``prefix``, in lexicographic order; ``prefix`` once when
+    ``need <= 0``."""
+    if need <= 0:
+        yield prefix
+        return
+    while cand.bit_count() >= need:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if need == 1:
+            yield prefix + (v,)
+        else:
+            yield from _cliques(rows, cand & rows[v], need - 1, prefix + (v,))
+
+
 def enumerate_cliques(graph: Graph, s: int) -> list[tuple[int, ...]]:
     """All s-element vertex sets inducing a complete subgraph, in lexicographic order."""
     if s < 2:
         raise GraphError("clique order must be at least 2")
-    rows = graph._rows
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(cand: int, need: int):
-        if need == 0:
-            out.append(tuple(prefix))
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            prefix.append(v)
-            extend(cand & rows[v], need - 1)
-            prefix.pop()
-
-    extend(graph.full_mask(), s)
-    return out
+    return list(_cliques(graph._rows, graph.full_mask(), s, ()))
 
 
 def first_clique(rows: list[int], mask: int, s: int):
-    """Lexicographically first s-clique inside ``mask`` (adjacency ``rows``), or None."""
-    prefix: list[int] = []
-
-    def extend(cand: int, need: int):
-        if need == 0:
-            return tuple(prefix)
-        while cand:
-            if cand.bit_count() < need:
-                return None
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            prefix.append(v)
-            got = extend(cand & rows[v], need - 1)
-            if got is not None:
-                return got
-            prefix.pop()
-        return None
-
-    return extend(mask, s)
+    """Lexicographically first s-clique inside ``mask`` (adjacency ``rows``),
+    or None; ``()`` when ``s <= 0``."""
+    return next(_cliques(rows, mask, s, ()), None)
 
 
 @dataclass(frozen=True)
@@ -408,29 +391,14 @@ def cover_partitions_edges(graph: Graph, cover: CliqueCover):
 def uncovered_clique(graph: Graph, cover: CliqueCover, b: int):
     """First b-clique of ``graph`` (lexicographic) not contained in any K_v, or None.
 
-    Exhaustive: enumerates every b-clique, intersecting the ground-vertex
-    membership masks along the way.
+    Exhaustive: enumerates every b-clique and intersects the ground-vertex
+    membership masks of its vertices.
     """
     if b < 2:
         raise GraphError("clique order must be at least 2")
-    rows = graph._rows
     owner = cover.vertex_to_cliques(graph.n)
-    prefix: list[int] = []
-
-    def extend(cand: int, common: int, need: int):
-        if need == 0:
-            return tuple(prefix) if common == 0 else None
-        while cand:
-            if cand.bit_count() < need:
-                return None
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            prefix.append(v)
-            got = extend(cand & rows[v], common & owner[v], need - 1)
-            if got is not None:
-                return got
-            prefix.pop()
-        return None
-
-    return extend(graph.full_mask(), (1 << cover.n_ground) - 1, b)
+    ground = (1 << cover.n_ground) - 1
+    for clique in _cliques(graph._rows, graph.full_mask(), b, ()):
+        if not functools.reduce(operator.and_, [owner[v] for v in clique], ground):
+            return clique
+    return None

@@ -11,6 +11,7 @@ enumeration as they were before their clique tests were memoised: they ask
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -49,11 +50,15 @@ def dp_clique_tables(graph: Graph, smax: int) -> dict[int, np.ndarray]:
     return tables
 
 
+@functools.lru_cache(maxsize=2)
 def popcounts(n: int) -> np.ndarray:
+    """Read-only table of popcount(mask) for every mask < 2^n, kept for the
+    two most recent n."""
     size = 1 << n
     pops = np.zeros(size, dtype=np.int16)
     for v in range(n):
         pops[(np.arange(size) & (1 << v)) != 0] += 1
+    pops.flags.writeable = False
     return pops
 
 

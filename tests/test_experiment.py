@@ -1,7 +1,6 @@
 """Experiment harness, report writers, verify suite, and the CLI."""
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -67,16 +66,6 @@ class TestRunExperiment:
             (r.n, r.seed, r.alpha_lo, r.alpha_hi, r.exact, r.cert_ok) for r in rows
         ]
         assert strip(a.rows) == strip(b.rows)
-
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        seq = run_experiment(tiny_config(tmp_path))
-        os.environ["ERLAB_WORKERS"] = "3"
-        try:
-            par = run_experiment(tiny_config(tmp_path))
-        finally:
-            del os.environ["ERLAB_WORKERS"]
-        strip = lambda rows: [(r.n, r.seed, r.alpha_lo, r.alpha_hi) for r in rows]
-        assert strip(seq.rows) == strip(par.rows)
 
     def test_report_files(self, tmp_path):
         config = tiny_config(tmp_path)

@@ -17,6 +17,7 @@ from erlab.graphs import (
     NonLinearError,
     cover_partitions_edges,
     enumerate_cliques,
+    first_clique,
     incidence_graph,
     uncovered_clique,
     validate_hypergraph,
@@ -72,13 +73,35 @@ class TestEnumerateCliques:
         with pytest.raises(GraphError):
             enumerate_cliques(Graph.complete(3), 1)
 
-    @given(st.integers(0, 9), st.integers(2, 4), st.data())
-    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, 4), st.data())
+    @settings(max_examples=80, deadline=None)
     def test_matches_naive_oracle(self, n, s, data):
         pairs = list(itertools.combinations(range(n), 2))
         flags = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         g = Graph(n, [e for e, keep in zip(pairs, flags) if keep])
-        assert enumerate_cliques(g, s) == naive_cliques(g, s)
+        naive = naive_cliques(g, s)
+
+        mask = data.draw(st.integers(0, g.full_mask()))
+        inside = [c for c in naive if all((mask >> v) & 1 for v in c)]
+        assert first_clique(g._rows, mask, s) == (inside[0] if inside else None)
+
+        members = st.sets(st.integers(0, max(n - 1, 0)), max_size=n).map(
+            lambda vs: tuple(sorted(vs))
+        )
+        n_ground = data.draw(st.integers(0, 4))
+        cover = CliqueCover(n_ground, {v: data.draw(members) for v in range(n_ground)})
+        uncovered = [
+            c for c in naive
+            if not any(set(c) <= set(cover.members(v)) for v in range(n_ground))
+        ]
+        if s < 2:
+            with pytest.raises(GraphError):
+                enumerate_cliques(g, s)
+            with pytest.raises(GraphError):
+                uncovered_clique(g, cover, s)
+        else:
+            assert enumerate_cliques(g, s) == naive
+            assert uncovered_clique(g, cover, s) == (uncovered[0] if uncovered else None)
 
 
 class TestValidateHypergraph:
