@@ -12,6 +12,7 @@ from erlab.freeness import (
     INCONCLUSIVE,
     LITERATURE,
     NONE,
+    UnresolvedRamseyError,
     UnsupportedParametersError,
     VERIFIED,
     default_table,
@@ -150,6 +151,19 @@ class TestDefaultTable:
         assert table.r_le(3, 3, 20)  # literature value 17 resolves <= 20
         with pytest.raises(Exception):
             table.r_le(4, 3, 20)  # no entry and no bound exceeding 20
+
+    def test_min_ell(self):
+        table = default_table()
+        # r_1(3) = 3, r_2(3) = 6, r_3(3) = 17
+        assert table.min_ell(3, 2, 1) == 1
+        assert table.min_ell(3, 5, 1) == 2
+        assert table.min_ell(3, 6, 2) == 3
+        assert table.min_ell(3, 16, 3) == 3
+        # every r_ell(3) with ell <= t+1 is at most s
+        assert table.min_ell(3, 6, 1) is None
+        assert table.min_ell(3, 16, 1) is None
+        with pytest.raises(UnresolvedRamseyError):
+            table.min_ell(3, 20, 3)  # r_4(3) vs 20 is unknown
 
 
 class TestMonoFreePattern:
