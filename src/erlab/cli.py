@@ -30,7 +30,7 @@ from .construct import (
 from .density import check_uniform_density, density_witness
 from .experiment import ExperimentConfig, run_experiment, verify_suite, write_report
 from .freeness import ramsey_oracle
-from .graphs import CliqueCover
+from .graphs import CliqueCover, GraphError
 from .util import make_rng
 
 
@@ -158,16 +158,21 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
-    if args.kind == "multicolor":
-        parts = [int(x) for x in args.param.split(",")]
-        if len(parts) != 2:
-            raise SystemExit("multicolor parameter must be 't,b'")
-        parameter = tuple(parts)
-    else:
-        parameter = int(args.param)
-    entry = ramsey_oracle(args.kind, parameter, args.nmax,
-                          node_budget=args.budget_nodes,
-                          time_budget_ms=args.budget_ms)
+    try:
+        if args.kind == "multicolor":
+            t, b = (int(x) for x in args.param.split(","))
+            parameter = (t, b)
+        else:
+            parameter = int(args.param)
+    except ValueError:
+        form = "integers 't,b'" if args.kind == "multicolor" else "an integer 'k'"
+        args.parser.exit(2, f"erlab ramsey: error: --param {args.param!r} is not {form}\n")
+    try:
+        entry = ramsey_oracle(args.kind, parameter, args.nmax,
+                              node_budget=args.budget_nodes,
+                              time_budget_ms=args.budget_ms)
+    except GraphError as exc:
+        args.parser.exit(2, f"erlab ramsey: error: --param {args.param!r}: {exc}\n")
     import hashlib
 
     digest = hashlib.sha256(
@@ -184,10 +189,10 @@ def _cmd_ramsey(args) -> int:
         "transcript_digest": digest,
     }
     if args.out and entry.witness is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        eio.write_coloring(out / f"witness-{args.kind}-{args.param}.txt", entry.witness)
-        payload["witness_file"] = str(out / f"witness-{args.kind}-{args.param}.txt")
+        path = Path(args.out) / f"witness-{args.kind}-{args.param}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        eio.write_coloring(path, entry.witness)
+        payload["witness_file"] = str(path)
     _print_json(payload)
     return 0
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-ms", dest="budget_ms", type=int, default=None)
     p.add_argument("--budget-nodes", dest="budget_nodes", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ramsey)
+    p.set_defaults(func=_cmd_ramsey, parser=p)
 
     p = sub.add_parser("alpha", help="exact s-independence number or free-subset count")
     p.add_argument("--graph", required=True)

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .graphs import EdgeColoring, Graph, GraphError, coloring_covers, first_clique
-from .util import ensure_recursion_depth
 
 FOUND = "found"
 NONE = "none"
@@ -73,14 +72,6 @@ def _edge_order(graph: Graph) -> list[tuple[int, int]]:
     return edges
 
 
-def _has_clique_through_edge(rows: list[int], u: int, v: int, b: int) -> bool:
-    """Does the graph given by ``rows`` contain a K_b through edge (u,v)?"""
-    common = rows[u] & rows[v]
-    if b == 3:
-        return common != 0
-    return first_clique(rows, common, b - 2) is not None
-
-
 def search_free_coloring(
     graph: Graph,
     t: int | None,
@@ -96,6 +87,10 @@ def search_free_coloring(
 
     Symmetry breaking: the first edge is fixed to color 1 and new colors are
     introduced in increasing order.  Deterministic.
+
+    Every color tried is a node.  The search stops as inconclusive on
+    entering a depth with ``nodes >= node_budget``, on trying a color past
+    it, or on reading a clock past the deadline, which it does every 1024 nodes.
     """
     if b < 3:
         raise GraphError("forbidden clique order must be at least 3")
@@ -106,88 +101,94 @@ def search_free_coloring(
 
     edges = _edge_order(graph)
     n_edges = len(edges)
-    ensure_recursion_depth(n_edges)
     palette_cap = t if local_bound is None else max(n_edges, 1)
 
     if n_edges == 0:
-        result = EdgeColoring(t or 1, {})
-        return SearchResult(FOUND, result, 0, {"edges": 0})
+        return SearchResult(FOUND, EdgeColoring(t or 1, {}), 0, {"edges": 0})
     if local_bound == 0:
         # an edge must receive a color, so its endpoints see one color each
         return SearchResult(NONE, None, 0, {"edges": n_edges, "reason": "zero local bound"})
 
+    steps = [(u, v, 1 << u, 1 << v) for u, v in edges]
     rows_by_color: list[list[int]] = []
-    vertex_colors: list[set[int]] = [set() for _ in range(graph.n)]
-    assignment: list[int] = [0] * n_edges
-    nodes = 0
-    exhausted = False
-    deadline = None
+    seen = [0] * graph.n  # per vertex, bit c is set when an edge of color c meets it
+    # per depth: (its color, colors in play on entry, seen[u] and seen[v] before)
+    undo: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * n_edges
+    # more nodes than any search visits stand in for no budget and no clock
+    unbounded = 1 << 62
+    budget = node_budget if node_budget is not None else unbounded
+    next_check = unbounded
     if time_budget_ms is not None:
         import time
 
         deadline = time.monotonic() + time_budget_ms / 1000.0
+        next_check = 1024
 
-    def over_time() -> bool:
-        if deadline is None or nodes % 1024:
-            return False
-        import time
-
-        return time.monotonic() > deadline
-
-    def assign(idx: int) -> bool:
-        nonlocal nodes, exhausted
-        if idx == n_edges:
-            return True
-        if node_budget is not None and nodes >= node_budget:
-            exhausted = True
-            return False
-        if over_time():
-            exhausted = True
-            return False
-        u, v = edges[idx]
-        used = len(rows_by_color)
-        max_c = min(used + 1, palette_cap)
-        for c in range(1, max_c + 1):
+    nodes = 0
+    status = INCONCLUSIVE if budget <= 0 else None
+    idx = 0
+    c = 0
+    used = 0
+    while status is None:
+        u, v, bu, bv = steps[idx]
+        su = seen[u]
+        sv = seen[v]
+        top = used + 1 if used < palette_cap else palette_cap
+        while c < top:
+            c += 1
             nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                exhausted = True
-                return False
-            new_u = c not in vertex_colors[u]
-            new_v = c not in vertex_colors[v]
-            if local_bound is not None:
-                if new_u and len(vertex_colors[u]) >= local_bound:
+            if nodes > budget:
+                status = INCONCLUSIVE
+                break
+            if nodes >= next_check:
+                next_check += 1024
+                if time.monotonic() > deadline:
+                    status = INCONCLUSIVE
+                    break
+            bit = 1 << c
+            if local_bound:  # None, or at least 1 after the return above
+                if not su & bit and su.bit_count() >= local_bound:
                     continue
-                if new_v and len(vertex_colors[v]) >= local_bound:
+                if not sv & bit and sv.bit_count() >= local_bound:
                     continue
             if c <= used:
                 rows = rows_by_color[c - 1]
-                if _has_clique_through_edge(rows, u, v, b):
+                common = rows[u] & rows[v]
+                if common and (b == 3 or first_clique(rows, common, b - 2) is not None):
                     continue
             else:
-                rows_by_color.append([0] * graph.n)
-                rows = rows_by_color[-1]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            if new_u:
-                vertex_colors[u].add(c)
-            if new_v:
-                vertex_colors[v].add(c)
-            assignment[idx] = c
-            if assign(idx + 1):
-                return True
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            if new_u:
-                vertex_colors[u].discard(c)
-            if new_v:
-                vertex_colors[v].discard(c)
+                rows = [0] * graph.n
+                rows_by_color.append(rows)
+            break
+        else:
+            # no color fits at this depth: take back the one before it
+            if idx == 0:
+                status = NONE
+                break
+            idx -= 1
+            u, v, bu, bv = steps[idx]
+            c, used, seen[u], seen[v] = undo[idx]
+            rows = rows_by_color[c - 1]
+            rows[u] &= ~bv
+            rows[v] &= ~bu
             if c > used:
                 rows_by_color.pop()
-            if exhausted:
-                return False
-        return False
+            continue
+        if status:
+            break
+        rows[u] |= bv
+        rows[v] |= bu
+        seen[u] = su | bit
+        seen[v] = sv | bit
+        undo[idx] = (c, used, su, sv)
+        idx += 1
+        if idx == n_edges:
+            status = FOUND
+        elif nodes >= budget:
+            status = INCONCLUSIVE
+        used = len(rows_by_color)
+        c = 0
 
-    ok = assign(0)
     transcript = {
         "edges": n_edges,
         "nodes": nodes,
@@ -196,18 +197,15 @@ def search_free_coloring(
         "b": b,
         "t": t,
     }
-    if ok:
-        coloring = EdgeColoring(
-            t if t is not None else max(assignment), dict(zip(edges, assignment))
-        )
-        # round-trip soundness: a returned witness is always re-checked
-        assert find_mono_clique(graph, coloring, b) is None
-        if local_bound is not None:
-            assert all(len(cs) <= local_bound for cs in vertex_colors)
-        return SearchResult(FOUND, coloring, nodes, transcript)
-    if exhausted:
-        return SearchResult(INCONCLUSIVE, None, nodes, transcript)
-    return SearchResult(NONE, None, nodes, transcript)
+    if status != FOUND:
+        return SearchResult(status, None, nodes, transcript)
+    assignment = [step[0] for step in undo]
+    coloring = EdgeColoring(t if t is not None else max(assignment), dict(zip(edges, assignment)))
+    # round-trip soundness: a returned witness is always re-checked
+    assert find_mono_clique(graph, coloring, b) is None
+    if local_bound is not None:
+        assert all(cs.bit_count() <= local_bound for cs in seen)
+    return SearchResult(FOUND, coloring, nodes, transcript)
 
 
 @dataclass
@@ -274,9 +272,6 @@ class RamseyTable:
             prev = self.local_entries.get(kk)
             if prev is not None and prev.value is not None and prev.value > i:
                 return True
-        entry = self.local_entries.get(k)
-        if entry is not None and entry.value is not None:
-            return entry.value > i
         raise UnresolvedRamseyError(f"r_loc_{k}(3) vs {i}")
 
 

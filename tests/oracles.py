@@ -6,7 +6,9 @@ instance generators only rely on adjacency bookkeeping, and the reference
 packer draws through ``rng.sample`` and tests edge-indexed bitmasks.  The
 reference alpha searches are the package's branch and bound and counting
 enumeration as they were before their clique tests were memoised: they ask
-``first_clique`` afresh at every node.
+``first_clique`` afresh at every node.  The reference coloring search is the
+package's recursive backtrack over per-vertex color sets, as it was before it
+became one loop over bitmask state.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from erlab.alpha import AlphaResult
 from erlab.construct import _default_sample_budget
+from erlab.freeness import FOUND, INCONCLUSIVE, NONE, SearchResult, _edge_order, find_mono_clique
 from erlab.graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, first_clique
 from erlab.util import ensure_recursion_depth, iter_bits, make_rng
 
@@ -299,3 +302,133 @@ def reference_count_free_subsets(graph: Graph, s: int, min_size: int = 0) -> int
 
     walk(0, 0, 0)
     return count
+
+
+def _has_clique_through_edge(rows: list[int], u: int, v: int, b: int) -> bool:
+    """Does the graph given by ``rows`` contain a K_b through edge (u,v)?"""
+    common = rows[u] & rows[v]
+    if b == 3:
+        return common != 0
+    return first_clique(rows, common, b - 2) is not None
+
+
+def reference_search_free_coloring(
+    graph: Graph,
+    t: int | None,
+    b: int,
+    local_bound: int | None = None,
+    node_budget: int | None = None,
+    time_budget_ms: int | None = None,
+) -> SearchResult:
+    """Reference recursive coloring search: one call per depth, color sets per
+    vertex, and the clock read only on entering a depth at a multiple of 1024
+    nodes."""
+    if b < 3:
+        raise GraphError("forbidden clique order must be at least 3")
+    if t is not None and t < 1:
+        raise GraphError("number of colors must be at least 1")
+    if local_bound is not None and local_bound < 0:
+        raise GraphError("local bound must be non-negative")
+
+    edges = _edge_order(graph)
+    n_edges = len(edges)
+    ensure_recursion_depth(n_edges)
+    palette_cap = t if local_bound is None else max(n_edges, 1)
+
+    if n_edges == 0:
+        result = EdgeColoring(t or 1, {})
+        return SearchResult(FOUND, result, 0, {"edges": 0})
+    if local_bound == 0:
+        return SearchResult(NONE, None, 0, {"edges": n_edges, "reason": "zero local bound"})
+
+    rows_by_color: list[list[int]] = []
+    vertex_colors: list[set[int]] = [set() for _ in range(graph.n)]
+    assignment: list[int] = [0] * n_edges
+    nodes = 0
+    exhausted = False
+    deadline = None
+    if time_budget_ms is not None:
+        import time
+
+        deadline = time.monotonic() + time_budget_ms / 1000.0
+
+    def over_time() -> bool:
+        if deadline is None or nodes % 1024:
+            return False
+        import time
+
+        return time.monotonic() > deadline
+
+    def assign(idx: int) -> bool:
+        nonlocal nodes, exhausted
+        if idx == n_edges:
+            return True
+        if node_budget is not None and nodes >= node_budget:
+            exhausted = True
+            return False
+        if over_time():
+            exhausted = True
+            return False
+        u, v = edges[idx]
+        used = len(rows_by_color)
+        max_c = min(used + 1, palette_cap)
+        for c in range(1, max_c + 1):
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                exhausted = True
+                return False
+            new_u = c not in vertex_colors[u]
+            new_v = c not in vertex_colors[v]
+            if local_bound is not None:
+                if new_u and len(vertex_colors[u]) >= local_bound:
+                    continue
+                if new_v and len(vertex_colors[v]) >= local_bound:
+                    continue
+            if c <= used:
+                rows = rows_by_color[c - 1]
+                if _has_clique_through_edge(rows, u, v, b):
+                    continue
+            else:
+                rows_by_color.append([0] * graph.n)
+                rows = rows_by_color[-1]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            if new_u:
+                vertex_colors[u].add(c)
+            if new_v:
+                vertex_colors[v].add(c)
+            assignment[idx] = c
+            if assign(idx + 1):
+                return True
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+            if new_u:
+                vertex_colors[u].discard(c)
+            if new_v:
+                vertex_colors[v].discard(c)
+            if c > used:
+                rows_by_color.pop()
+            if exhausted:
+                return False
+        return False
+
+    ok = assign(0)
+    transcript = {
+        "edges": n_edges,
+        "nodes": nodes,
+        "palette_cap": palette_cap,
+        "local_bound": local_bound,
+        "b": b,
+        "t": t,
+    }
+    if ok:
+        coloring = EdgeColoring(
+            t if t is not None else max(assignment), dict(zip(edges, assignment))
+        )
+        assert find_mono_clique(graph, coloring, b) is None
+        if local_bound is not None:
+            assert all(len(cs) <= local_bound for cs in vertex_colors)
+        return SearchResult(FOUND, coloring, nodes, transcript)
+    if exhausted:
+        return SearchResult(INCONCLUSIVE, None, nodes, transcript)
+    return SearchResult(NONE, None, nodes, transcript)

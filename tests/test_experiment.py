@@ -189,6 +189,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 6
 
+    @pytest.mark.parametrize("kind, param, reason", [
+        ("multicolor", "3,x", "'3,x' is not integers 't,b'"),
+        ("multicolor", "3", "'3' is not integers 't,b'"),
+        ("multicolor", "1,2,3", "'1,2,3' is not integers 't,b'"),
+        ("multicolor", "3,2", "'3,2': forbidden clique order must be at least 3"),
+        ("multicolor", "0,3", "'0,3': number of colors must be at least 1"),
+        ("local", "x", "'x' is not an integer 'k'"),
+        ("local", "1.5", "'1.5' is not an integer 'k'"),
+        ("local", "-1", "'-1': local bound must be non-negative"),
+    ])
+    def test_ramsey_rejects_bad_param(self, capsys, kind, param, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey", "--kind", kind, "--param", param, "--nmax", "4"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"erlab ramsey: error: --param {reason}\n"  # one line
+
     def test_extract_alteration_writes_certificate(self, tmp_path, capsys):
         from erlab import io as eio
         from oracles import mono_free_colored_graph

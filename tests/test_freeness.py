@@ -2,11 +2,14 @@
 symmetry breaking, Ramsey oracles, and the shipped witnesses."""
 
 import itertools
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erlab import freeness
 from erlab.freeness import (
     FOUND,
     INCONCLUSIVE,
@@ -25,7 +28,7 @@ from erlab.freeness import (
 )
 from erlab.graphs import EdgeColoring, Graph, GraphError
 
-from oracles import random_graph, sample_mono_free_coloring
+from oracles import random_graph, reference_search_free_coloring, sample_mono_free_coloring
 
 
 class TestFindMonoClique:
@@ -77,6 +80,40 @@ class TestSearchFreeColoring:
         res = search_free_coloring(Graph.complete(6), 2, 3, node_budget=10)
         assert res.status == INCONCLUSIVE
 
+    @pytest.mark.parametrize("budget, status, nodes", [
+        (-2, INCONCLUSIVE, 0),  # a budget <= 0 stops before the first node
+        (0, INCONCLUSIVE, 0),
+        (1, INCONCLUSIVE, 1),  # stops on entering depth 1 with nodes == budget
+        (10, INCONCLUSIVE, 10),
+        (57, INCONCLUSIVE, 58),  # runs out while trying colors: budget + 1
+        (324, INCONCLUSIVE, 325),
+        (325, NONE, 325),  # exactly the full search of K_6
+        (None, NONE, 325),
+    ])
+    def test_node_budget_semantics(self, budget, status, nodes):
+        res = search_free_coloring(Graph.complete(6), 2, 3, node_budget=budget)
+        assert (res.status, res.nodes) == (status, nodes)
+        assert res.transcript["nodes"] == nodes
+
+    @pytest.mark.parametrize("t, local_bound, deadline_node", [
+        (3, None, 441_000),
+        (None, 3, 151_000),
+    ])
+    def test_clock_read_every_1024_nodes(self, monkeypatch, t, local_bound, deadline_node):
+        # The fake clock reads the search's node counter from the calling
+        # frame and advances 1 us per node, so a budget of deadline_node / 1000
+        # ms runs out at node deadline_node.  Both deadlines fall inside the
+        # longest stretch in which the search once read no clock (16 384 and
+        # 24 576 nodes on K_11).
+        def clock():
+            return sys._getframe(1).f_locals.get("nodes", 0) / 1_000_000
+
+        monkeypatch.setattr(time, "monotonic", clock)
+        res = search_free_coloring(Graph.complete(11), t, 3, local_bound,
+                                   time_budget_ms=deadline_node // 1000)
+        assert res.status == INCONCLUSIVE
+        assert deadline_node < res.nodes <= deadline_node + 1024
+
     def test_first_edge_symmetry_breaking(self):
         res = search_free_coloring(Graph.complete(4), 3, 3)
         assert res.status == FOUND
@@ -96,6 +133,34 @@ class TestSearchFreeColoring:
         res = search_free_coloring(g, 2, 3)
         swapped = EdgeColoring(2, {e: 3 - c for e, c in res.coloring.colors.items()})
         assert find_mono_clique(g, swapped, 3) is None
+
+
+class TestSearchEquivalence:
+    """The loop search visits the same nodes in the same order as the
+    recursive reference, so every field of the result agrees."""
+
+    GRAPHS = [Graph.complete(n) for n in range(2, 10)] + [
+        random_graph(n, 0.6, seed=n) for n in range(7, 11)
+    ]
+    CONFIGS = [(t, b, None) for t in (1, 2, 3) for b in (3, 4)] + [
+        (None, b, bound) for bound in (0, 1, 2, 3) for b in (3, 4)
+    ]
+
+    @pytest.mark.parametrize("budget", [None, -2, 0, 1, 10, 57])
+    def test_matches_reference(self, budget):
+        for g in self.GRAPHS:
+            for t, b, bound in self.CONFIGS:
+                got = search_free_coloring(g, t, b, bound, budget)
+                want = reference_search_free_coloring(g, t, b, bound, budget)
+                assert got == want, (g.n, g.edges(), t, b, bound, budget)
+
+    @pytest.mark.parametrize("kind, parameter", [("multicolor", (3, 3)), ("local", 3)])
+    def test_oracle_transcripts_match(self, monkeypatch, kind, parameter):
+        got = ramsey_oracle(kind, parameter, 10)
+        monkeypatch.setattr(freeness, "search_free_coloring", reference_search_free_coloring)
+        want = ramsey_oracle(kind, parameter, 10)
+        assert got.transcript == want.transcript
+        assert got.witness == want.witness
 
 
 class TestRamseyOracle:
