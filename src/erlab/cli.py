@@ -292,10 +292,12 @@ def _cmd_experiment(args) -> int:
     bad = [r for r in report.rows if not r.cert_ok]
     print(f"{len(report.rows)} rows written to {config.out_dir} "
           f"({len(bad)} flagged)")
-    if report.fit:
-        print(f"fitted slope {report.fit['slope']:.4f} "
-              f"[{report.fit['ci_low']:.4f}, {report.fit['ci_high']:.4f}] "
-              f"({report.fit['label']})")
+    fit = report.fit
+    if fit:
+        print(f"fitted slope {fit['slope']:.4f} [{fit['ci_low']:.4f}, {fit['ci_high']:.4f}] "
+              f"r2={fit['r2']:.4f} ({fit['label']})")
+        print(f"theoretical exponents: lower {fit.get('theoretical_lower')}, "
+              f"upper {fit.get('theoretical_upper')}")
     return 0 if not bad else 1
 
 

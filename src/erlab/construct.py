@@ -333,72 +333,55 @@ def blow_up(graph: Graph, k: int) -> Graph:
 
 @dataclass
 class OverlayRecord:
-    """Permutations applied to each copy, the retained union vertices, and
-    enough state to answer which copies contributed a union edge."""
+    """The permutation applied to each copy of the overlaid graph and the
+    retained union vertices.  Copy i sends vertex u to union vertex
+    ``permutations[i][u]``, so with ``inv_i = inverses()[i]`` copy i holds
+    union edge (x, y) iff the overlaid graph (in the pipeline, the blown-up
+    graph) holds (inv_i[x], inv_i[y])."""
 
     permutations: tuple[tuple[int, ...], ...]
     retained: tuple[int, ...]
-    copy_rows: list[list[int]]
 
-    def provenance(self, u: int, v: int) -> tuple[int, ...]:
-        """Copy indices contributing union edge (u, v); union-vertex ids."""
-        return tuple(
-            i for i, rows in enumerate(self.copy_rows) if (rows[u] >> v) & 1
-        )
-
-    def provenance_map(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        union = 0
-        out = {}
-        n = len(self.copy_rows[0])
-        for u in range(n):
-            row = 0
-            for rows in self.copy_rows:
-                row |= rows[u]
-            for off in iter_bits(row >> (u + 1)):
-                v = u + 1 + off
-                out[(u, v)] = self.provenance(u, v)
+    def inverses(self) -> list[list[int]]:
+        out = []
+        for perm in self.permutations:
+            inv = [0] * len(perm)
+            for u, x in enumerate(perm):
+                inv[x] = u
+            out.append(inv)
         return out
 
 
 def overlay_and_retain(
-    copies: list[Graph],
+    graph: Graph,
+    copies: int,
     retention_p: float,
     seed: int,
 ) -> tuple[Graph, OverlayRecord]:
-    """Apply an independent uniform random permutation to each copy, union
-    the edge sets, then keep each vertex independently with probability
-    ``retention_p`` and return the induced subgraph (vertices relabeled in
-    increasing union-id order)."""
-    if not copies:
+    """Apply an independent uniform random permutation to each of ``copies``
+    copies of ``graph``, union the edge sets, then keep each vertex
+    independently with probability ``retention_p`` and return the induced
+    subgraph (vertices relabeled in increasing union-id order)."""
+    if copies < 1:
         raise GraphError("need at least one copy")
-    N = copies[0].n
-    if any(g.n != N for g in copies):
-        raise GraphError("copies must share one vertex count")
     if not 0.0 <= retention_p <= 1.0:
         raise GraphError("retention probability must lie in [0,1]")
 
+    N = graph.n
     perms = []
-    copy_rows = []
-    for i, g in enumerate(copies):
+    union_rows = [0] * N
+    for i in range(copies):
         rng = make_rng(seed, "overlay", i)
         perm = list(range(N))
         rng.shuffle(perm)
-        rows = [0] * N
+        # a permuted symmetric relation stays symmetric: row perm[u] of the
+        # copy is row u of the graph with every bit v moved to perm[v]
         for u in range(N):
-            pu = perm[u]
             mask = 0
-            for v in iter_bits(g.row(u)):
+            for v in iter_bits(graph.row(u)):
                 mask |= 1 << perm[v]
-            rows[pu] = mask
-        # make rows symmetric-by-construction: permutation of a symmetric
-        # relation stays symmetric, rows[perm[u]] collects perm of row(u)
+            union_rows[perm[u]] |= mask
         perms.append(tuple(perm))
-        copy_rows.append(rows)
-
-    union_rows = [0] * N
-    for rows in copy_rows:
-        for u in range(N):
-            union_rows[u] |= rows[u]
 
     keep_rng = make_rng(seed, "retain")
     retained = tuple(u for u in range(N) if keep_rng.random() < retention_p)
@@ -414,7 +397,7 @@ def overlay_and_retain(
             mask |= 1 << index[v]
         final_rows.append(mask)
     final = Graph.from_rows(final_rows)
-    return final, OverlayRecord(tuple(perms), retained, copy_rows)
+    return final, OverlayRecord(tuple(perms), retained)
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +512,10 @@ def construct_upper_bound_instance(
     g_star = sparsified.graph
 
     blown = blow_up(g_star, k)
-    copies = [blown] * (params.beta + 1)
-    final, overlay = overlay_and_retain(copies, params.retention_p, derive_seed(params.seed, "overlay"))
-
-    inverse_perms = []
-    for perm in overlay.permutations:
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        inverse_perms.append(inv)
+    final, overlay = overlay_and_retain(
+        blown, params.beta + 1, params.retention_p, derive_seed(params.seed, "overlay")
+    )
+    inverses = overlay.inverses()
 
     edge_owner = sparsified.clique_of_edge()
     parts = sparsified.partition.parts
@@ -547,16 +525,15 @@ def construct_upper_bound_instance(
     palette_witness = None
     for a, bb in final.edges():
         x, y = overlay.retained[a], overlay.retained[bb]
-        copy_idx = None
-        for i, rows in enumerate(overlay.copy_rows):
-            if (rows[x] >> y) & 1:
-                copy_idx = i
+        # the lowest copy holding (x, y) colors it
+        for copy_idx, inv in enumerate(inverses):
+            u_b, v_b = inv[x], inv[y]
+            if blown.has_edge(u_b, v_b):
                 break
-        if copy_idx is None:
+        else:
             palette_ok = False
             palette_witness = (a, bb)
             continue
-        u_b, v_b = inverse_perms[copy_idx][x], inverse_perms[copy_idx][y]
         p, q = u_b // k, v_b // k
         v_ground = edge_owner[(min(p, q), max(p, q))]
         pp, pq = parts[v_ground][p], parts[v_ground][q]

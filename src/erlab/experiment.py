@@ -63,6 +63,10 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
+        for name in ("k_policy", "r_policy", "retention_policy"):
+            kind = getattr(self, name).get("kind")
+            if kind not in ("fixed", "default"):
+                raise ValueError(f"{name} kind must be 'fixed' or 'default', got {kind!r}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -403,13 +407,23 @@ def verify_suite(level: str = "fast") -> list[CheckOutcome]:
     out.append(CheckOutcome("alpha-oracle-equivalence", ok, "; ".join(details)))
 
     if level == "full":
-        for (s, b, t, n, k) in [(5, 3, 2, 64, 1), (5, 3, 4, 64, 4), (5, 3, 2, 256, 1)]:
-            params = ConstructionParams.derive(s, b, t, n, k=k, seed=7)
+        # (s, b, t, n, k, R) at seed 7; R=None takes the default max(3, ceil(log2 n))
+        points = [
+            (5, 3, 2, 64, 1, 5), (5, 3, 2, 128, 1, 5), (5, 3, 2, 256, 1, 7),
+            (5, 3, 4, 64, 4, 5), (5, 3, 4, 128, 4, 5), (5, 3, 4, 256, 4, 7),
+            (5, 3, 2, 64, 1, None), (5, 3, 4, 64, 4, None), (5, 3, 2, 256, 1, None),
+        ]
+        for (s, b, t, n, k, R) in points:
+            params = ConstructionParams.derive(s, b, t, n, k=k, R=R, seed=7)
             bundle = construct_upper_bound_instance(params, n)
+            failed = [name for name, check in bundle.certificate["checks"].items()
+                      if not check["pass"]]
             out.append(CheckOutcome(
-                f"pipeline({s},{b},{t})@n={n}",
-                certificate_passes(bundle.certificate),
-                json.dumps({k2: v["pass"] for k2, v in bundle.certificate["checks"].items()}),
+                f"pipeline({s},{b},{t})@n={n},k={k},R={params.R}",
+                not failed,
+                f"|H|={bundle.hypergraph.m} |V(G_*)|={bundle.sparsified.graph.n} "
+                f"final=({bundle.final.n} vertices, {bundle.final.m} edges)"
+                + (f" failed: {', '.join(failed)}" if failed else ""),
             ))
 
         g_values = default_g_table().g

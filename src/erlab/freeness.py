@@ -72,6 +72,15 @@ def _edge_order(graph: Graph) -> list[tuple[int, int]]:
     return edges
 
 
+def _check_search_parameters(t: int | None, b: int, local_bound: int | None) -> None:
+    if b < 3:
+        raise GraphError("forbidden clique order must be at least 3")
+    if t is not None and t < 1:
+        raise GraphError("number of colors must be at least 1")
+    if local_bound is not None and local_bound < 0:
+        raise GraphError("local bound must be non-negative")
+
+
 def search_free_coloring(
     graph: Graph,
     t: int | None,
@@ -92,13 +101,7 @@ def search_free_coloring(
     entering a depth with ``nodes >= node_budget``, on trying a color past
     it, or on reading a clock past the deadline, which it does every 1024 nodes.
     """
-    if b < 3:
-        raise GraphError("forbidden clique order must be at least 3")
-    if t is not None and t < 1:
-        raise GraphError("number of colors must be at least 1")
-    if local_bound is not None and local_bound < 0:
-        raise GraphError("local bound must be non-negative")
-
+    _check_search_parameters(t, b, local_bound)
     edges = _edge_order(graph)
     n_edges = len(edges)
     palette_cap = t if local_bound is None else max(n_edges, 1)
@@ -352,7 +355,8 @@ def ramsey_oracle(
     verified-exhaustively, or a lower bound with status unknown when
     colorings still exist at n_max.  The sweep continues past the threshold
     to n_max, asserting monotonicity (no coloring reappears).  A budget
-    overrun yields status inconclusive at the offending n.
+    overrun yields status inconclusive at the offending n.  Parameters the
+    search rejects raise ``GraphError`` before the sweep, whatever n_max.
     """
     if kind == "multicolor":
         t, b = parameter
@@ -362,6 +366,7 @@ def ramsey_oracle(
         local_bound = int(parameter)
     else:
         raise ValueError(f"unknown oracle kind: {kind}")
+    _check_search_parameters(t, b, local_bound)
 
     threshold = None
     witness = None

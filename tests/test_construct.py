@@ -202,36 +202,56 @@ class TestBlowUp:
             blow_up(Graph.complete(2), 0)
 
 
+def overlay_provenance(graph, permutations):
+    """Union edge (x, y), x < y, -> ascending indices of the copies holding
+    it, worked out from the permutations and the overlaid graph alone."""
+    prov = {}
+    for i, perm in enumerate(permutations):
+        for u, v in graph.edges():
+            x, y = sorted((perm[u], perm[v]))
+            prov.setdefault((x, y), []).append(i)
+    return prov
+
+
 class TestOverlay:
     def test_single_copy_full_retention_is_isomorphic(self):
         g = random_graph(12, 0.4, seed=2)
-        final, record = overlay_and_retain([g], 1.0, seed=3)
+        final, record = overlay_and_retain(g, 1, 1.0, seed=3)
         assert final.n == g.n and final.m == g.m
         perm = record.permutations[0]
         for u, v in g.edges():
             assert final.has_edge(perm[u], perm[v])
 
     def test_zero_retention(self):
-        final, _ = overlay_and_retain([Graph.complete(4)], 0.0, seed=0)
+        final, _ = overlay_and_retain(Graph.complete(4), 1, 0.0, seed=0)
         assert final.n == 0 and final.m == 0
 
     def test_union_bounds_and_provenance(self):
         g = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
-        final, record = overlay_and_retain([g, g], 1.0, seed=5)
+        final, record = overlay_and_retain(g, 2, 1.0, seed=5)
         assert 10 <= final.m <= 20
-        prov = record.provenance_map()
-        assert len(prov) == final.m
-        assert all(prov.values())
+        assert record.retained == tuple(range(10))
+        # every union edge has a contributing copy, and nothing else is in the union
+        prov = overlay_provenance(g, record.permutations)
+        assert sorted(prov) == final.edges()
+        # inverses() undoes each permutation, and finds the same copies
+        for perm, inv in zip(record.permutations, record.inverses()):
+            assert [inv[x] for x in perm] == list(range(10))
+        for (x, y), owners in prov.items():
+            assert owners == [
+                i for i, inv in enumerate(record.inverses()) if g.has_edge(inv[x], inv[y])
+            ]
 
-    def test_mismatched_sizes_rejected(self):
+    @pytest.mark.parametrize("copies, retention_p", [(0, 1.0), (1, -0.1), (1, 1.1)])
+    def test_bad_arguments_rejected(self, copies, retention_p):
         with pytest.raises(GraphError):
-            overlay_and_retain([Graph.complete(3), Graph.complete(4)], 1.0, seed=0)
+            overlay_and_retain(Graph.complete(3), copies, retention_p, seed=0)
 
     def test_deterministic(self):
         g = random_graph(9, 0.5, seed=4)
-        a, ra = overlay_and_retain([g, g], 0.7, seed=9)
-        b, rb = overlay_and_retain([g, g], 0.7, seed=9)
-        assert a.edges() == b.edges() and ra.retained == rb.retained
+        a, ra = overlay_and_retain(g, 2, 0.7, seed=9)
+        b, rb = overlay_and_retain(g, 2, 0.7, seed=9)
+        assert a.edges() == b.edges() and ra == rb
 
 
 class TestParams:
@@ -269,12 +289,17 @@ class TestPipeline:
         assert find_mono_clique(bundle.final, bundle.coloring, 3) is None
         # per-copy palettes are disjoint ranges; every edge takes the color of
         # its lowest contributing copy
-        prov = bundle.overlay.provenance_map()
+        prov = overlay_provenance(bundle.blown, bundle.overlay.permutations)
+        lowest_copies = set()
         for a, b in bundle.final.edges():
             x, y = bundle.overlay.retained[a], bundle.overlay.retained[b]
-            lowest = prov[(min(x, y), max(x, y))][0]
+            owners = prov.get((min(x, y), max(x, y)))
+            assert owners, f"final edge {(a, b)} has no contributing copy"
+            lowest = owners[0]
+            lowest_copies.add(lowest)
             color = bundle.coloring.color_of(a, b)
             assert lowest * params.ell < color <= (lowest + 1) * params.ell
+        assert lowest_copies == {0, 1}
 
     def test_s2_single_color(self):
         params = ConstructionParams.derive(2, 3, 1, 32, R=3, seed=5)

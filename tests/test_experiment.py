@@ -1,5 +1,6 @@
 """Experiment harness, report writers, verify suite, and the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -85,6 +86,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(s=5, b=3, t=2, n_list=[], seeds=[1])
 
+    @pytest.mark.parametrize("name", ["k_policy", "r_policy", "retention_policy"])
+    def test_config_rejects_unknown_policy_kind(self, name):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(s=5, b=3, t=2, n_list=[16], seeds=[1],
+                             **{name: {"kind": "fxed", "value": 4}})
+
+    def test_shipped_grid_config(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "configs" / "grid_5_3_2.json"
+        config = dataclasses.replace(ExperimentConfig.from_file(path),
+                                     out_dir=str(tmp_path / "grid"))
+        report = run_experiment(config)
+        assert len(report.rows) == 14
+        assert all(row.cert_ok for row in report.rows)
+        assert report.fit is not None
+
     def test_config_round_trip(self, tmp_path):
         config = tiny_config(tmp_path)
         path = tmp_path / "config.json"
@@ -102,6 +118,18 @@ class TestVerifySuite:
     def test_fast_level_passes(self):
         outcomes = verify_suite("fast")
         assert outcomes and all(oc.passed for oc in outcomes)
+
+    def test_full_level_passes(self):
+        outcomes = verify_suite("full")
+        assert all(oc.passed for oc in outcomes), [oc for oc in outcomes if not oc.passed]
+        pipeline = [oc.name for oc in outcomes if oc.name.startswith("pipeline")]
+        assert pipeline == [
+            "pipeline(5,3,2)@n=64,k=1,R=5", "pipeline(5,3,2)@n=128,k=1,R=5",
+            "pipeline(5,3,2)@n=256,k=1,R=7", "pipeline(5,3,4)@n=64,k=4,R=5",
+            "pipeline(5,3,4)@n=128,k=4,R=5", "pipeline(5,3,4)@n=256,k=4,R=7",
+            "pipeline(5,3,2)@n=64,k=1,R=6", "pipeline(5,3,4)@n=64,k=4,R=6",
+            "pipeline(5,3,2)@n=256,k=1,R=8",
+        ]
 
     def test_bad_level(self):
         with pytest.raises(ValueError):
@@ -189,19 +217,22 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 6
 
-    @pytest.mark.parametrize("kind, param, reason", [
-        ("multicolor", "3,x", "'3,x' is not integers 't,b'"),
-        ("multicolor", "3", "'3' is not integers 't,b'"),
-        ("multicolor", "1,2,3", "'1,2,3' is not integers 't,b'"),
-        ("multicolor", "3,2", "'3,2': forbidden clique order must be at least 3"),
-        ("multicolor", "0,3", "'0,3': number of colors must be at least 1"),
-        ("local", "x", "'x' is not an integer 'k'"),
-        ("local", "1.5", "'1.5' is not an integer 'k'"),
-        ("local", "-1", "'-1': local bound must be non-negative"),
+    @pytest.mark.parametrize("kind, param, nmax, reason", [
+        ("multicolor", "3,x", "4", "'3,x' is not integers 't,b'"),
+        ("multicolor", "3", "4", "'3' is not integers 't,b'"),
+        ("multicolor", "1,2,3", "4", "'1,2,3' is not integers 't,b'"),
+        ("multicolor", "3,2", "4", "'3,2': forbidden clique order must be at least 3"),
+        ("multicolor", "0,3", "4", "'0,3': number of colors must be at least 1"),
+        ("local", "x", "4", "'x' is not an integer 'k'"),
+        ("local", "1.5", "4", "'1.5' is not an integer 'k'"),
+        ("local", "-1", "4", "'-1': local bound must be non-negative"),
+        # checked before the sweep, which is empty below n = 2
+        ("multicolor", "3,2", "1", "'3,2': forbidden clique order must be at least 3"),
+        ("local", "-4", "1", "'-4': local bound must be non-negative"),
     ])
-    def test_ramsey_rejects_bad_param(self, capsys, kind, param, reason):
+    def test_ramsey_rejects_bad_param(self, capsys, kind, param, nmax, reason):
         with pytest.raises(SystemExit) as exc:
-            main(["ramsey", "--kind", kind, "--param", param, "--nmax", "4"])
+            main(["ramsey", "--kind", kind, "--param", param, "--nmax", nmax])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -234,4 +265,6 @@ class TestCli:
         }))
         assert main(["experiment", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "report.csv").exists()
-        capsys.readouterr()
+        lines = capsys.readouterr().out.splitlines()
+        assert " r2=" in lines[1]
+        assert lines[2] == "theoretical exponents: lower 1/2, upper 1/2"
