@@ -27,6 +27,7 @@ from .bounds import (
 )
 from .construct import (
     ConstructionParams,
+    DensityProfile,
     InstanceBundle,
     OverlayRecord,
     SPartition,
@@ -38,7 +39,6 @@ from .construct import (
     sparsify,
 )
 from .density import (
-    DensityProfile,
     WitnessSubgraph,
     blow_up_transfer_report,
     check_uniform_density,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import GTable, exponent_lower
-from .freeness import RamseyTable, default_table, find_mono_clique
+from .freeness import default_table, find_mono_clique
 from .graphs import EdgeColoring, Graph, GraphError, enumerate_cliques, first_clique
 from .util import ensure_recursion_depth, iter_bits, make_rng
 
@@ -303,8 +303,6 @@ def recursive_free_subset(
     scan_cap: int = 2_000_000,
     clique_cap: int = 500_000,
     seed: int = 0,
-    table: RamseyTable | None = None,
-    _check: bool = True,
 ) -> ExtractionResult:
     """K_s-free subset via the recursive dichotomy: look for an (i-1)-tuple
     whose common neighborhood (restricted to edge sets showing >= g(i)
@@ -318,14 +316,13 @@ def recursive_free_subset(
     """
     if s < 2:
         raise GraphError("s must be at least 2")
-    table = table or default_table()
     if t is None:
         t = coloring.t
-    if _check:
-        _check_precondition(graph, coloring)
+    _check_precondition(graph, coloring)
 
     result = _recursive_step(
-        graph, coloring, s, t, threshold_scale, scan_cap, clique_cap, seed, table, depth=0
+        graph, coloring, s, t, threshold_scale, scan_cap, clique_cap, seed, default_table(),
+        depth=0,
     )
     if not is_free_set(graph, result.vertices, s):
         raise ExtractionError("extractor produced a set containing a clique", result.vertices)
@@ -474,7 +471,6 @@ def lay3_free_subset(
     branch_on: str = "mean",
     seed: int = 0,
     clique_cap: int = 500_000,
-    _check: bool = True,
 ) -> ExtractionResult:
     """K_s-free subset via the two-branch argument: when the mean (or max)
     of d_st*d_nd is large, pigeonhole a color pair onto a common
@@ -486,8 +482,7 @@ def lay3_free_subset(
         raise GraphError("s must be at least 3")
     if branch_on not in ("mean", "max"):
         raise GraphError("branch_on must be 'mean' or 'max'")
-    if _check:
-        _check_precondition(graph, coloring)
+    _check_precondition(graph, coloring)
     n = graph.n
     t = coloring.t
     s_half = (s + 1) // 2

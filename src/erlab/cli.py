@@ -26,12 +26,13 @@ from .construct import (
     SPartition,
     SparsifiedIncidence,
     construct_upper_bound_instance,
+    sample_sets,
 )
 from .density import check_uniform_density, density_witness
 from .experiment import ExperimentConfig, run_experiment, verify_suite, write_report
 from .freeness import ramsey_oracle
 from .graphs import CliqueCover, GraphError
-from .util import make_rng
+from .util import iter_bits, make_rng
 
 
 def _json_safe(value):
@@ -113,25 +114,20 @@ def load_instance(instance_dir) -> SparsifiedIncidence:
 
 def _cmd_density(args) -> int:
     sparsified = load_instance(args.instance)
-    structure = json.loads((Path(args.instance) / "structure.json").read_text(encoding="utf-8"))
-    threshold = args.threshold if args.threshold is not None else structure["ground_n"]
-    graph = sparsified.graph
-    rng = make_rng(args.seed, "density-cli")
+    threshold = args.threshold if args.threshold is not None else sparsified.cover.n_ground
+    n = sparsified.graph.n
+    if threshold > n:
+        print(f"erlab density: threshold {threshold} exceeds the {n} vertices of the "
+              "sparsified graph; no sets sampled", file=sys.stderr)
     samples = []
     feasible_alpha = None
     feasible_lambda = 0.0
-    draws = args.samples
-    if threshold > graph.n:
-        print(f"erlab density: threshold {threshold} exceeds the {graph.n} vertices of the "
-              "sparsified graph; no sets sampled", file=sys.stderr)
-        draws = 0
-    for _ in range(draws):
-        size = rng.randint(threshold, graph.n)
-        X = sorted(rng.sample(range(graph.n), size))
+    for mask in sample_sets(make_rng(args.seed, "density-cli"), n, threshold, args.samples):
+        X = list(iter_bits(mask))
         profile, witness = density_witness(sparsified, X)
         report = check_uniform_density(witness, len(X))
         samples.append({
-            "size": size,
+            "size": len(X),
             "ell_dyadic": profile.ell_dyadic,
             "evenly_partitioned": len(profile.evenly_partitioned),
             "e_count": witness.e_count,
@@ -286,7 +282,10 @@ def _cmd_halfseq(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    try:
+        config = ExperimentConfig.from_file(args.config)
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        args.parser.exit(2, f"erlab experiment: error: {args.config}: {exc}\n")
     report = run_experiment(config)
     write_report(report, config.out_dir)
     bad = [r for r in report.rows if not r.cert_ok]
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a config-driven experiment grid")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, parser=p)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument("--level", choices=["fast", "full"], default="fast")

@@ -200,11 +200,59 @@ def dyadic_profile(a_values: dict[int, int]) -> tuple[dict[int, list[int]], int 
         sums[i] = sums.get(i, 0) + a
     if not sums:
         return {}, None
-    best = None
-    for i in sorted(sums):
-        if best is None or sums[i] > sums[best]:
-            best = i
-    return classes, best
+    return classes, max(sorted(sums), key=sums.get)  # max keeps the first of a tie
+
+
+@dataclass(frozen=True)
+class DensityProfile:
+    a: dict[int, int]                      # clique id -> |X ∩ K_v|, only a_v >= 1
+    dyadic_classes: dict[int, tuple[int, ...]]
+    ell_dyadic: int | None
+    evenly_partitioned: tuple[int, ...]    # I'_ell
+
+
+def density_profile(
+    member_masks: dict[int, int],
+    part_masks: dict[int, list[int]],
+    x_mask: int,
+    s: int,
+) -> DensityProfile:
+    """a_v = |X ∩ K_v| for every clique meeting X, the dyadic classes of those
+    a_v, and the cliques of the dominant class that X meets evenly: in every
+    one of the s parts, in at least a_v/(s+1) vertices."""
+    a_values = {}
+    for v, member in member_masks.items():
+        a = (x_mask & member).bit_count()
+        if a:
+            a_values[v] = a
+    classes, ell = dyadic_profile(a_values)
+    evenly = []
+    if ell is not None:
+        for v in classes[ell]:
+            counts = [(x_mask & pm).bit_count() for pm in part_masks[v]]
+            if evenly_partitioned(a_values[v], counts, s):
+                evenly.append(v)
+    return DensityProfile(
+        a=a_values,
+        dyadic_classes={i: tuple(vs) for i, vs in classes.items()},
+        ell_dyadic=ell,
+        evenly_partitioned=tuple(evenly),
+    )
+
+
+def sample_sets(rng, n: int, threshold: int, count: int) -> list[int]:
+    """``count`` subsets of range(n) as bitmasks, each of a size drawn
+    uniformly from threshold..n; none when ``threshold`` exceeds n."""
+    if threshold > n:
+        return []
+    sets = []
+    for _ in range(count):
+        size = rng.randint(threshold, n)
+        mask = 0
+        for u in rng.sample(range(n), size):
+            mask |= 1 << u
+        sets.append(mask)
+    return sets
 
 
 def sparsify(
@@ -234,69 +282,50 @@ def sparsify(
 
     clique_ids = sorted(cover.cliques)
     member_masks = {v: cover.member_mask(v) for v in clique_ids}
-
-    sample_rng = make_rng(seed, "samples")
-    samples: list[int] = []
-    if threshold <= graph.n:
-        for _ in range(certification_samples):
-            size = sample_rng.randint(threshold, graph.n)
-            mask = 0
-            for u in sample_rng.sample(range(graph.n), size):
-                mask |= 1 << u
-            samples.append(mask)
+    samples = sample_sets(make_rng(seed, "samples"), graph.n, threshold, certification_samples)
 
     worst = None
     for attempt in range(retry_limit):
         rng = make_rng(seed, "partition", attempt)
-        parts: dict[int, dict[int, int]] = {}
-        part_masks: dict[int, list[int]] = {}
-        for v in clique_ids:
-            assign = {u: rng.randrange(s) for u in cover.cliques[v]}
-            parts[v] = assign
-            masks = [0] * s
-            for u, p in assign.items():
-                masks[p] |= 1 << u
-            part_masks[v] = masks
+        partition = SPartition(
+            s, {v: {u: rng.randrange(s) for u in cover.cliques[v]} for v in clique_ids}
+        )
+        part_masks = {v: partition.part_masks(v) for v in clique_ids}
 
         sample_records = []
         all_ok = True
         for mask in samples:
-            a_values = {v: (mask & member_masks[v]).bit_count() for v in clique_ids}
-            classes, ell = dyadic_profile(a_values)
+            profile = density_profile(member_masks, part_masks, mask, s)
+            ell = profile.ell_dyadic
             if ell is None:
                 sample_records.append({"size": mask.bit_count(), "ell": None, "ok": True})
                 continue
-            dominant = classes[ell]
-            even = 0
-            for v in dominant:
-                counts = [(mask & pm).bit_count() for pm in part_masks[v]]
-                if evenly_partitioned(a_values[v], counts, s):
-                    even += 1
-            ok = 2 * even >= len(dominant)
+            dominant = len(profile.dyadic_classes[ell])
+            even = len(profile.evenly_partitioned)
+            ok = 2 * even >= dominant
             sample_records.append(
                 {
                     "size": mask.bit_count(),
                     "ell": ell,
-                    "dominant": len(dominant),
+                    "dominant": dominant,
                     "evenly_partitioned": even,
                     "ok": ok,
                 }
             )
             if not ok:
                 all_ok = False
-                frac = even / len(dominant)
+                frac = even / dominant
                 if worst is None or frac < worst.get("fraction", 1.0):
                     worst = dict(sample_records[-1], fraction=frac, attempt=attempt)
 
         if all_ok:
+            # each member of K_v is joined to the members outside its part
             rows = [0] * graph.n
             for v in clique_ids:
-                masks = part_masks[v]
-                members = cover.cliques[v]
-                for u in members:
-                    others = member_masks[v] & ~masks[parts[v][u]]
-                    rows[u] |= others
-            sparse = Graph.from_rows(rows)
+                for pm in part_masks[v]:
+                    others = member_masks[v] & ~pm
+                    for u in iter_bits(pm):
+                        rows[u] |= others
             certificate = {
                 "attempt": attempt,
                 "samples": len(samples),
@@ -304,7 +333,7 @@ def sparsify(
                 "vacuous": not samples,
                 "sample_records": sample_records,
             }
-            return SparsifiedIncidence(sparse, cover, SPartition(s, parts), s, certificate)
+            return SparsifiedIncidence(Graph.from_rows(rows), cover, partition, s, certificate)
 
     raise CertificationError(
         f"even-partition certification failed after {retry_limit} attempts", worst or {}
@@ -403,6 +432,9 @@ def overlay_and_retain(
 # ---------------------------------------------------------------------------
 # full pipeline
 
+# the incidence graph's cliques of these orders must each lie in one K_v
+COVERED_CLIQUE_ORDERS = (3, 4)
+
 
 @dataclass(frozen=True)
 class ConstructionParams:
@@ -479,7 +511,6 @@ def construct_upper_bound_instance(
     n: int,
     certification_samples: int = 100,
     threshold: int | None = None,
-    covered_clique_orders: tuple[int, ...] = (3, 4),
 ) -> InstanceBundle:
     """Run the full pipeline (pack, incidence, sparsify, blow up, overlay and
     retain) and color each copy with its own disjoint ell-color palette via
@@ -552,10 +583,9 @@ def construct_upper_bound_instance(
     )
 
     s_partite = _check_complete_s_partite(sparsified)
-    uncovered = {}
-    for order in covered_clique_orders:
-        witness = uncovered_clique(incidence, cover, order)
-        uncovered[order] = witness
+    uncovered = {
+        order: uncovered_clique(incidence, cover, order) for order in COVERED_CLIQUE_ORDERS
+    }
 
     certificate = {
         "parameters": {

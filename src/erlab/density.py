@@ -11,33 +11,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import SparsifiedIncidence, blow_up, dyadic_profile, evenly_partitioned
+from .construct import DensityProfile, SparsifiedIncidence, blow_up, density_profile
 from .graphs import Graph, GraphError, enumerate_cliques
 from .util import iter_bits
 
-
-@dataclass(frozen=True)
-class DensityProfile:
-    a: dict[int, int]                      # clique id -> |X ∩ K_v|, only a_v >= 1
-    dyadic_classes: dict[int, tuple[int, ...]]
-    ell_dyadic: int | None
-    evenly_partitioned: tuple[int, ...]    # I'_ell
+# above this many transversals the witness keeps counts only
+MATERIALIZE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
 class WitnessSubgraph:
-    hyperedges: tuple[tuple[int, ...], ...] | None  # None when above the materialize limit
+    hyperedges: tuple[tuple[int, ...], ...] | None  # None when above MATERIALIZE_LIMIT
     e_count: int
     codegrees: dict[int, int]
     params: tuple  # (N, m, alpha, lam)
 
 
-def density_witness(
-    sparsified: SparsifiedIncidence,
-    X,
-    s: int | None = None,
-    materialize_limit: int = 200_000,
-) -> tuple[DensityProfile, WitnessSubgraph]:
+def density_witness(sparsified: SparsifiedIncidence, X) -> tuple[DensityProfile, WitnessSubgraph]:
     """Dyadic profile of X plus the witness sub-hypergraph made of the
     part-transversals of evenly partitioned dominant-class cliques.
 
@@ -45,12 +35,6 @@ def density_witness(
     i >= 2 a vertex set lies in at most one clique, so the maximum is a
     per-clique product over the untouched parts).
     """
-    if s is None:
-        s = sparsified.s
-    if s != sparsified.s:
-        raise GraphError(
-            f"requested s={s} does not match the partition's {sparsified.s} parts"
-        )
     X = sorted(set(X))
     if not X:
         raise GraphError("X must be non-empty")
@@ -58,50 +42,25 @@ def density_witness(
     for u in X:
         x_mask |= 1 << u
 
+    s = sparsified.s
     cover = sparsified.cover
-    partition = sparsified.partition
-    a_values = {}
-    for v in sorted(cover.cliques):
-        a = (x_mask & cover.member_mask(v)).bit_count()
-        if a:
-            a_values[v] = a
-    classes, ell = dyadic_profile(a_values)
-
-    evenly = []
-    part_lists: dict[int, list[list[int]]] = {}
-    if ell is not None:
-        for v in classes[ell]:
-            masks = partition.part_masks(v)
-            lists = [sorted(iter_bits(pm & x_mask)) for pm in masks]
-            a_v = a_values[v]
-            if evenly_partitioned(a_v, [len(lst) for lst in lists], s):
-                evenly.append(v)
-                part_lists[v] = lists
-
-    profile = DensityProfile(
-        a=a_values,
-        dyadic_classes={i: tuple(vs) for i, vs in classes.items()},
-        ell_dyadic=ell,
-        evenly_partitioned=tuple(evenly),
+    clique_ids = sorted(cover.cliques)
+    part_masks = {v: sparsified.partition.part_masks(v) for v in clique_ids}
+    profile = density_profile(
+        {v: cover.member_mask(v) for v in clique_ids}, part_masks, x_mask, s
     )
+    evenly = profile.evenly_partitioned
+    part_lists = {v: [list(iter_bits(pm & x_mask)) for pm in part_masks[v]] for v in evenly}
 
-    e_count = 0
-    for v in evenly:
-        prod = 1
-        for lst in part_lists[v]:
-            prod *= len(lst)
-        e_count += prod
+    e_count = sum(math.prod(len(lst) for lst in part_lists[v]) for v in evenly)
 
     hyperedges = None
-    if e_count <= materialize_limit:
-        edges = []
-        for v in evenly:
-            for combo in itertools.product(*part_lists[v]):
-                edges.append(tuple(sorted(combo)))
-        edges.sort()
-        hyperedges = tuple(edges)
+    if e_count <= MATERIALIZE_LIMIT:
+        hyperedges = tuple(sorted(
+            tuple(sorted(combo)) for v in evenly for combo in itertools.product(*part_lists[v])
+        ))
 
-    codegrees = _exact_codegrees(evenly, part_lists, X, s, e_count)
+    codegrees = _exact_codegrees(evenly, part_lists, s, e_count)
     m = len(X)
     alpha_min = Fraction(e_count, m ** s)
     lam_min = _minimal_lambda(codegrees, e_count, m, s)
@@ -114,37 +73,27 @@ def density_witness(
     return profile, witness
 
 
-def _exact_codegrees(evenly, part_lists, X, s, e_count) -> dict[int, int]:
+def _exact_codegrees(evenly, part_lists, s, e_count) -> dict[int, int]:
     codegrees = {i: 0 for i in range(1, s + 1)}
     if e_count == 0:
         return codegrees
 
+    # an evenly partitioned clique meets X in every part: (s+1)|part| >= a_v >= 1
     # i = 1: a vertex may lie in several cliques; sum its per-clique counts
     per_vertex: dict[int, int] = {}
     for v in evenly:
         lists = part_lists[v]
-        sizes = [len(lst) for lst in lists]
-        total = 1
-        for size in sizes:
-            total *= size
-        for p, lst in enumerate(lists):
-            if sizes[p] == 0:
-                continue
-            contribution = total // sizes[p]
+        total = math.prod(len(lst) for lst in lists)
+        for lst in lists:
             for x in lst:
-                per_vertex[x] = per_vertex.get(x, 0) + contribution
+                per_vertex[x] = per_vertex.get(x, 0) + total // len(lst)
     codegrees[1] = max(per_vertex.values(), default=0)
 
     # i >= 2: at most one common clique; hit the i smallest parts
     for v in evenly:
         sizes = sorted(len(lst) for lst in part_lists[v])
-        if any(size == 0 for size in sizes):
-            continue
         for i in range(2, s + 1):
-            remaining = 1
-            for size in sizes[i:]:
-                remaining *= size
-            codegrees[i] = max(codegrees[i], remaining)
+            codegrees[i] = max(codegrees[i], math.prod(sizes[i:]))
     return codegrees
 
 

@@ -63,30 +63,28 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
-        for name in ("k_policy", "r_policy", "retention_policy"):
-            kind = getattr(self, name).get("kind")
+        for name, types, what in (("k_policy", int, "an integer"),
+                                  ("r_policy", int, "an integer"),
+                                  ("retention_policy", (int, float), "a numeric")):
+            policy = getattr(self, name)
+            if not isinstance(policy, dict):
+                raise ValueError(f"{name} must be an object with a 'kind', got {policy!r}")
+            kind = policy.get("kind")
             if kind not in ("fixed", "default"):
                 raise ValueError(f"{name} kind must be 'fixed' or 'default', got {kind!r}")
+            value = policy.get("value")
+            if kind == "fixed" and (isinstance(value, bool) or not isinstance(value, types)):
+                raise ValueError(f"{name} of kind 'fixed' needs {what} 'value', got {value!r}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls(**data)
 
-    def resolve_k(self, n: int) -> int:
-        if self.k_policy.get("kind") == "fixed":
-            return int(self.k_policy.get("value", 1))
-        return 1
 
-    def resolve_r(self, n: int):
-        if self.r_policy.get("kind") == "fixed":
-            return int(self.r_policy["value"])
-        return None
-
-    def resolve_retention(self, n: int) -> float:
-        if self.retention_policy.get("kind") == "fixed":
-            return float(self.retention_policy.get("value", 1.0))
-        return 1.0
+def _policy_value(policy: dict, default):
+    """A ``fixed`` policy's value, else ``default``."""
+    return policy["value"] if policy["kind"] == "fixed" else default
 
 
 @dataclass
@@ -170,9 +168,9 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
     try:
         params = ConstructionParams.derive(
             config.s, config.b, config.t, n,
-            k=config.resolve_k(n),
-            R=config.resolve_r(n),
-            retention_p=config.resolve_retention(n),
+            k=_policy_value(config.k_policy, 1),
+            R=_policy_value(config.r_policy, None),
+            retention_p=_policy_value(config.retention_policy, 1.0),
             seed=derive_seed(seed, n, "experiment"),
         )
         bundle = construct_upper_bound_instance(params, n)
@@ -264,8 +262,9 @@ def write_report(report: RunReport, out_dir) -> None:
     (out / "plot.svg").write_text(render_loglog_svg(report), encoding="utf-8", newline="\n")
 
 
-def render_loglog_svg(report: RunReport, width=480, height=360) -> str:
-    """Minimal log-log scatter with the fitted line; no plotting dependency."""
+def render_loglog_svg(report: RunReport) -> str:
+    """Minimal 480x360 log-log scatter with the fitted line; no plotting dependency."""
+    width, height = 480, 360
     pts = []
     for row in report.rows:
         if row.cert_ok and row.alpha_lo >= 1:

@@ -1,7 +1,9 @@
 """Construction pipeline: packing, sparsification, blow-up, overlay, and the
 end-to-end certified instances."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,32 @@ class TestSparsify:
             sparsify(g, cover, 5, seed=1, certification_samples=10,
                      threshold=g.n // 2, retry_limit=3)
         assert err.value.worst_sample
+
+    @pytest.mark.parametrize("n,seed,samples,digest", [
+        # criterion 4's case, then test_nonvacuous_certificate_passes's case
+        (256, 11, 100, "e96de643d7cb23605af75ce5851baa7a7d5699ff11984f560f6f609030f63a19"),
+        (128, 8, 25, "00075b49564a7703fe0636c6c58ff834f4db635639f00ad31b12e4de269e9836"),
+    ])
+    def test_nonvacuous_certificate_golden(self, n, seed, samples, digest):
+        # the benchmark's certificates are all vacuous, so these pin the
+        # sample records and the sparsified rows byte for byte
+        H, _ = build_linear_tf_hypergraph(n, 3, seed=7)
+        g, cover = incidence_graph(H)
+        sp = sparsify(g, cover, 2, seed=seed, certification_samples=samples,
+                      threshold=(4 * g.n) // 5)
+        blob = json.dumps(sp.certificate, sort_keys=True) + json.dumps(sp.graph.edges())
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    def test_worst_sample_golden(self):
+        H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
+        g, cover = incidence_graph(H)
+        with pytest.raises(CertificationError) as err:
+            sparsify(g, cover, 5, seed=1, certification_samples=10,
+                     threshold=g.n // 2, retry_limit=3)
+        assert err.value.worst_sample == {
+            "size": 61, "ell": 3, "dominant": 24, "evenly_partitioned": 0,
+            "ok": False, "fraction": 0.0, "attempt": 0,
+        }
 
     def test_inconsistent_cover_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -53,11 +53,6 @@ class TestDensityWitness:
         assert witness.e_count == 0
         assert witness.codegrees == {1: 0, 2: 0}
 
-    def test_requires_matching_s(self):
-        sp = bipartite_2_3_witness()
-        with pytest.raises(GraphError):
-            density_witness(sp, range(5), s=3)
-
     def test_requires_nonempty_x(self):
         with pytest.raises(GraphError):
             density_witness(bipartite_2_3_witness(), [])

@@ -86,11 +86,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(s=5, b=3, t=2, n_list=[], seeds=[1])
 
-    @pytest.mark.parametrize("name", ["k_policy", "r_policy", "retention_policy"])
-    def test_config_rejects_unknown_policy_kind(self, name):
+    @pytest.mark.parametrize("name, policy", [
+        pytest.param(name, policy, id=name + suffix)
+        for name in ("k_policy", "r_policy", "retention_policy")
+        for suffix, policy in (("", {"kind": "fxed", "value": 4}), ("-not-a-dict", 4),
+                               ("-fixed-without-value", {"kind": "fixed"}))
+    ])
+    def test_config_rejects_unknown_policy_kind(self, name, policy):
         with pytest.raises(ValueError, match=name):
-            ExperimentConfig(s=5, b=3, t=2, n_list=[16], seeds=[1],
-                             **{name: {"kind": "fxed", "value": 4}})
+            ExperimentConfig(s=5, b=3, t=2, n_list=[16], seeds=[1], **{name: policy})
 
     def test_shipped_grid_config(self, tmp_path):
         path = Path(__file__).resolve().parents[1] / "configs" / "grid_5_3_2.json"
@@ -254,6 +258,25 @@ class TestCli:
         assert payload["valid"]
         cert = json.loads((tmp_path / "witness.txt.cert.json").read_text())
         assert cert["valid"] and cert["method"] == "alteration"
+
+    @pytest.mark.parametrize("extra, reason", [
+        pytest.param({"seed": [1]}, "unexpected keyword argument 'seed'", id="misspelled-key"),
+        pytest.param({"k_policy": 4}, "k_policy must be an object with a 'kind', got 4",
+                     id="policy-not-a-dict"),
+        pytest.param({"r_policy": {"kind": "fixed"}},
+                     "r_policy of kind 'fixed' needs an integer 'value', got None",
+                     id="fixed-without-value"),
+    ])
+    def test_experiment_rejects_bad_config(self, tmp_path, capsys, extra, reason):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"s": 5, "b": 3, "t": 2, "n_list": [24], **extra}))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(config)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"erlab experiment: error: {config}: ")
+        assert err.count("\n") == 1 and reason in err
 
     def test_experiment_command(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
