@@ -49,7 +49,14 @@ def _print_json(payload) -> None:
     print(json.dumps(_json_safe(payload), indent=2, sort_keys=True, default=str))
 
 
+def _reject_negative_threshold(args) -> None:
+    if args.threshold is not None and args.threshold < 0:
+        args.parser.exit(2, f"erlab {args.command}: error: --threshold must be non-negative, "
+                            f"got {args.threshold}\n")
+
+
 def _cmd_construct(args) -> int:
+    _reject_negative_threshold(args)
     params = ConstructionParams.derive(
         args.s, args.b, args.t, args.n,
         k=args.k, R=args.R, retention_p=args.retention_p, seed=args.seed,
@@ -113,6 +120,7 @@ def load_instance(instance_dir) -> SparsifiedIncidence:
 
 
 def _cmd_density(args) -> int:
+    _reject_negative_threshold(args)
     sparsified = load_instance(args.instance)
     threshold = args.threshold if args.threshold is not None else sparsified.cover.n_ground
     n = sparsified.graph.n
@@ -327,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default="erlab-instance")
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct, parser=p)
 
     p = sub.add_parser("density", help="sampled uniform-density report for an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=int, default=None)
-    p.set_defaults(func=_cmd_density)
+    p.set_defaults(func=_cmd_density, parser=p)
 
     p = sub.add_parser("ramsey", help="exhaustive small Ramsey / local-Ramsey oracle")
     p.add_argument("--kind", choices=["multicolor", "local"], required=True)

@@ -7,9 +7,12 @@ certificate material.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .freeness import (
     RamseyTable,
@@ -48,30 +51,190 @@ def _default_sample_budget(n: int, R: int) -> int:
     return max(30_000, 25 * math.ceil(n * n / (R * R)))
 
 
+# The set branch draws this many 32-bit words per getrandbits call and
+# tests the samples they hold in one pass; the other branches test this many
+# candidates per pass.  Rows left in a pass after an accepted edge are tested
+# again this many at a time.
+_BLOCK_WORDS = 1 << 14
+_CHUNK_ROWS = 1 << 10
+_RECHECK_ROWS = 64
+
+
 def _sample_draws(rng, n: int, R: int, budget: int):
-    """Yield what ``budget`` successive ``rng.sample(range(n), R)`` calls would return."""
-    getrandbits = rng.getrandbits
+    """Yield, as int arrays of R columns, what ``budget`` successive
+    ``rng.sample(range(n), R)`` calls would return, and leave ``rng`` in the
+    state those calls would.  An array holds at most ``_CHUNK_ROWS`` pool
+    samples or the set samples of one block of words."""
     setsize = 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
-    if n <= setsize:
-        for _ in range(budget):
-            pool = list(range(n))
-            for m in range(n, n - R, -1):
-                k = m.bit_length()
+    if n > setsize:
+        yield from _set_draws(rng, n, R, budget)
+        return
+    draws = _pool_draws(rng, n, R, budget)
+    for first in range(0, budget, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, budget - first)
+        flat = itertools.chain.from_iterable(itertools.islice(draws, rows))
+        yield np.fromiter(flat, np.intp, rows * R).reshape(rows, R)
+
+
+def _pool_draws(rng, n: int, R: int, budget: int):
+    """Pool-branch samples: a partial Fisher-Yates shuffle of range(n) from
+    its end, keeping only the moved slots in ``moved``."""
+    getrandbits = rng.getrandbits
+    steps = [(m, m.bit_length()) for m in range(n, n - R, -1)]
+    for _ in range(budget):
+        moved = {}
+        draw = []
+        for m, k in steps:
+            j = getrandbits(k)
+            while j >= m:
                 j = getrandbits(k)
-                while j >= m:
-                    j = getrandbits(k)
-                pool[j], pool[m - 1] = pool[m - 1], pool[j]
-            yield pool[n - R:][::-1]
-    else:
-        k = n.bit_length()
-        for _ in range(budget):
-            draw = []
-            for _ in range(R):
-                j = getrandbits(k)
-                while j >= n or j in draw:
-                    j = getrandbits(k)
-                draw.append(j)
-            yield draw
+            draw.append(moved.get(j, j))
+            moved[j] = moved.get(m - 1, m - 1)
+        yield draw
+
+
+def _set_draws(rng, n: int, R: int, budget: int):
+    """Set-branch samples, cut from ``_BLOCK_WORDS`` words at a time.
+
+    A sample draws ``getrandbits(k)``, k = n.bit_length(), until it holds R
+    distinct values below n.  ``getrandbits(k)`` is the next 32-bit word
+    shifted right by 32 - k, and ``getrandbits(32 * W)`` concatenates the
+    next W words little-endian, so the samples are cut from the values below
+    n of consecutive blocks.
+    """
+    shift = 32 - n.bit_length()
+    below = n << shift  # a word is below this iff its value is below n
+    carry = np.empty(0, np.uint32)  # the values of a sample cut by a block's end
+    left = budget
+    while left:
+        start = rng.getstate()
+        block = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
+        words = np.frombuffer(block, "<u4")
+        vals = np.concatenate((carry, words[np.flatnonzero(words < below)] >> shift))
+        chunk, end = _cut_samples(vals, R, left)
+        left -= len(chunk)
+        if left:
+            carry = vals[end:]
+        if len(chunk):
+            yield chunk
+    if budget:
+        # back to the last block's start, then draw only the words it used
+        rng.setstate(start)
+        used = np.flatnonzero(words < below)[end - 1 - len(carry)] + 1
+        rng.getrandbits(32 * int(used))
+
+
+def _cut_samples(vals, R: int, limit: int):
+    """The first samples, at most ``limit``, that lie wholly in ``vals``, as
+    an int array of R columns, and the index after the last one.
+
+    The samples from a start p are the windows p, p + R, ... of R values,
+    up to the first spoiled start: one whose window holds a repeat or runs
+    past the end.  That sample ends at its R-th distinct value, and the next
+    one starts there.
+    """
+    size = len(vals)
+    # a repeat vals[a] == vals[a + d], d < R, spoils the starts in
+    # [a + d - R + 1, a]; the end spoils size - R + 1 .. size, which holds a
+    # start of each residue mod R, so each lane has one at or after any p
+    first, last = [[max(size - R + 1, 0)]], [[size]]
+    for d in range(1, R):
+        a = np.flatnonzero(vals[:-d] == vals[d:])
+        first.append(np.maximum(a + d - R + 1, 0))
+        last.append(a)
+    first, last = np.concatenate(first), np.concatenate(last)
+    length = last - first + 1
+    spoiled = np.repeat(first - (np.cumsum(length) - length), length)
+    spoiled = np.sort(spoiled + np.arange(len(spoiled)))
+    residue = spoiled % R
+    spoiled = spoiled[np.argsort(residue, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(residue, minlength=R)).tolist()
+    lanes = [spoiled[a:b] for a, b in zip([0] + bounds, bounds)]  # by residue
+
+    run_starts, run_rows, cut = [], [], {}
+    rows = p = 0
+    while rows < limit:
+        lane = lanes[p % R]
+        h = lane[bisect.bisect_left(lane, p)]
+        run = min((h - p) // R, limit - rows)
+        if run:
+            run_starts.append(p)
+            run_rows.append(run)
+            rows += run
+            p += run * R
+            if rows == limit:
+                break
+        draw = _distinct_prefix(vals, h, R)
+        if draw is None:
+            break
+        cut[rows] = list(dict.fromkeys(draw))
+        run_starts.append(h)
+        run_rows.append(1)
+        rows += 1
+        p = h + len(draw)
+
+    if not rows:
+        return np.empty((0, R), np.intp), p
+    offset = np.repeat(np.cumsum(run_rows) - run_rows, run_rows)
+    starts = np.repeat(run_starts, run_rows) + R * (np.arange(rows) - offset)
+    chunk = vals.take(starts[:, None] + np.arange(R), mode="clip").astype(np.intp)
+    if cut:
+        chunk[list(cut)] = list(cut.values())
+    return chunk, p
+
+
+def _distinct_prefix(vals, h: int, R: int) -> list[int] | None:
+    """The shortest run vals[h:q] that holds R distinct values, or None if
+    vals[h:] holds fewer; vals[h:h + R] is known to hold fewer."""
+    width = 2 * R
+    while True:
+        values = vals[h:h + width].tolist()
+        q = R + 1
+        while q <= len(values) and len(set(values[:q])) < R:
+            q += 1
+        if q <= len(values):
+            return values[:q]
+        if h + width >= len(vals):
+            return None
+        width *= 2
+
+
+def _accept(chunk, conflict, closed: list[int], edges: list[tuple[int, ...]]) -> None:
+    """Append to ``edges``, in order, each row of ``chunk`` whose vertices'
+    N[x] are pairwise disjoint at its turn, updating ``closed`` (N[x]) and
+    ``conflict`` (x, y: N[x] ∩ N[y] ≠ ∅).  Conflicts only grow, so a row in
+    conflict before the chunk stays rejected; the rest are tested again,
+    ``_RECHECK_ROWS`` at a time, from the row after each accepted one.  An
+    accepted edge S adds S to N[x] for each x in S and changes no other N[y],
+    so the new conflicts are the pairs of x in S and y in the union of the
+    new N[x]."""
+    n, R = conflict.shape[0], chunk.shape[1]
+    flat = conflict.reshape(-1)
+    rows = chunk
+    for b in range(1, R):
+        # column b against the columns before it, on the rows still live
+        rows = rows[~flat[rows[:, :b] * n + rows[:, b:b + 1]].any(axis=1)]
+    left, right = np.triu_indices(R, 1)
+    at = 0
+    while at < len(rows):
+        batch = rows[at:at + _RECHECK_ROWS]
+        clear = ~flat[batch[:, left] * n + batch[:, right]].any(axis=1)
+        first = int(clear.argmax())
+        if not clear[first]:
+            at += len(batch)
+            continue
+        edge = batch[first].tolist()
+        edges.append(tuple(sorted(edge)))
+        mask = reach = 0
+        for x in edge:
+            mask |= 1 << x
+        for x in edge:
+            closed[x] |= mask
+            reach |= closed[x]
+        reach = list(iter_bits(reach))
+        conflict[np.ix_(edge, reach)] = True
+        conflict[np.ix_(reach, edge)] = True
+        at += first + 1
 
 
 def build_linear_tf_hypergraph(
@@ -92,8 +255,9 @@ def build_linear_tf_hypergraph(
     g ∋ y meeting in z make a triangle, where z in {x, y} or f = g means a
     shared edge and else z is in N[x] ∩ N[y], which conversely yields one of
     the two.  So a candidate is accepted iff its vertices' N[x] are pairwise
-    disjoint.  Returns the hypergraph and a report of its edge count against
-    the n^2/R^2 ceiling.
+    disjoint; candidates are tested in numpy passes against an n x n boolean
+    matrix of the pairs whose N[x] meet.  Returns the hypergraph and a report
+    of its edge count against the n^2/R^2 ceiling.
     """
     if R < 3:
         raise GraphError(f"uniformity must be at least 3, got {R}")
@@ -104,27 +268,20 @@ def build_linear_tf_hypergraph(
     tried = math.comb(n, R)
     enumerated = tried <= 10_000
     if enumerated:
-        candidates = list(itertools.combinations(range(n), R))
-        rng.shuffle(candidates)
+        combos = list(itertools.combinations(range(n), R))
+        rng.shuffle(combos)
+        candidates = (
+            np.array(combos[i:i + _CHUNK_ROWS], np.intp) for i in range(0, tried, _CHUNK_ROWS)
+        )
     else:
         tried = max(0, _default_sample_budget(n, R) if sample_budget is None else sample_budget)
         candidates = _sample_draws(rng, n, R, tried)
 
     edges: list[tuple[int, ...]] = []
+    conflict = np.zeros((n, n), dtype=bool)
     closed = [0] * n  # N[x] as a bitmask
-    for cand in candidates:
-        seen = 0
-        for x in cand:
-            if seen & closed[x]:
-                break
-            seen |= closed[x]
-        else:
-            mask = 0
-            for x in cand:
-                mask |= 1 << x
-            for x in cand:
-                closed[x] |= mask
-            edges.append(tuple(sorted(cand)))
+    for chunk in candidates:
+        _accept(chunk, conflict, closed, edges)
 
     edges.sort()
     H = LinearHypergraph(n, R, edges)

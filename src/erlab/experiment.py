@@ -43,6 +43,11 @@ from .graphs import EdgeColoring, Graph
 from .util import derive_seed
 
 ASYMPTOTIC_LABEL = "asymptotic — reported, not asserted"
+BUDGET_KEYS = ("exact_threshold", "alpha_nodes", "scan_cap", "clique_cap", "construct_ms")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -59,10 +64,17 @@ class ExperimentConfig:
     out_dir: str = "erlab-out"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
-        if not self.n_list:
-            raise ValueError("n_list must be non-empty")
+        for name in ("seeds", "n_list"):
+            value = getattr(self, name)
+            if not (isinstance(value, list) and value and all(map(_is_int, value))):
+                raise ValueError(f"{name} must be a non-empty list of integers, got {value!r}")
+        if not isinstance(self.budgets, dict):
+            raise ValueError(f"budgets must be an object, got {self.budgets!r}")
+        for key, value in self.budgets.items():
+            if key not in BUDGET_KEYS:
+                raise ValueError(f"budgets key {key!r} is not one of {', '.join(BUDGET_KEYS)}")
+            if not (_is_int(value) or (key == "construct_ms" and value is None)):
+                raise ValueError(f"budgets {key!r} must be an integer, got {value!r}")
         for name, types, what in (("k_policy", int, "an integer"),
                                   ("r_policy", int, "an integer"),
                                   ("retention_policy", (int, float), "a numeric")):
@@ -157,10 +169,10 @@ def _fit_with_ci(points):
 
 def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
     budgets = config.budgets
-    exact_threshold = int(budgets.get("exact_threshold", 24))
-    alpha_nodes = int(budgets.get("alpha_nodes", 2_000_000))
-    scan_cap = int(budgets.get("scan_cap", 2_000_000))
-    clique_cap = int(budgets.get("clique_cap", 500_000))
+    exact_threshold = budgets.get("exact_threshold", 24)
+    alpha_nodes = budgets.get("alpha_nodes", 2_000_000)
+    scan_cap = budgets.get("scan_cap", 2_000_000)
+    clique_cap = budgets.get("clique_cap", 500_000)
     construct_ms = budgets.get("construct_ms")
 
     t0 = time.monotonic()

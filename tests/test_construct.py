@@ -4,14 +4,18 @@ end-to-end certified instances."""
 import hashlib
 import itertools
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erlab import construct
 from erlab.construct import (
     CertificationError,
     ConstructionParams,
+    _BLOCK_WORDS,
     _sample_draws,
     blow_up,
     build_linear_tf_hypergraph,
@@ -33,7 +37,7 @@ from erlab.graphs import (
     validate_hypergraph,
 )
 
-from erlab.util import make_rng
+from erlab.util import derive_seed, make_rng
 
 from oracles import random_graph, reference_linear_tf_hypergraph
 
@@ -77,6 +81,19 @@ class TestBuilder:
         assert report["edges"] >= 1
         assert 0 < report["ratio_to_ceiling"] <= 1.5
 
+    @pytest.mark.parametrize("n,R,seed,edges,digest", [
+        # the battery's n=1024 and R=7 shapes at the default budget, then the
+        # (5,3,4) grid's pool-branch and set-branch shapes
+        (1024, 10, 7, 219, "e09ff2c82033f7d5ede87b6dfe5286ad342fa03b57e50049e4c2d244153dc46f"),
+        (256, 7, 7, 78, "fca8dd4cc9e5d71ba0de49420307f3151f9021a74c3bda4a42b81838cee69c89"),
+        (64, 6, 1, 17, "58b574f6bd660809019747ca8785483f535ac59a98e16c98e4f38ad749c647b5"),
+        (128, 7, 1, 29, "99d2fa9d68334afa4df95a8fba42ad0e903c27f7a4155d59518e6436abd4a3ff"),
+    ])
+    def test_golden_packing(self, n, R, seed, edges, digest):
+        H, report = build_linear_tf_hypergraph(n, R, derive_seed(seed, "hyper"))
+        assert report["edges"] == H.m == edges
+        assert hashlib.sha256(json.dumps(H.edges).encode()).hexdigest() == digest
+
 
 # random.sample keeps a pool when n <= setsize = 21 + (4**ceil(log4(3R)) if R > 5),
 # i.e. n <= 21 for R <= 5 and n <= 85 for R in {6, 7}; above it, a set of picks.
@@ -84,14 +101,71 @@ POOL_SHAPES = [(6, 6), (19, 5), (21, 5), (32, 6), (64, 6), (85, 7)]
 SET_SHAPES = [(22, 5), (37, 5), (38, 5), (41, 3), (86, 7), (100, 4), (128, 7), (256, 8)]
 
 
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts the 32-bit words its draws consume."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+def _counting_twin(seed):
+    twin = _CountingRandom()
+    twin.setstate(make_rng(seed, "draws").getstate())
+    return twin
+
+
+def _check_stream(n, R, seed, budget):
+    """_sample_draws, whose arrays are compared row by row, equals ``budget``
+    sample calls and ends in the same state; returns the words those calls
+    consumed."""
+    rng, twin = make_rng(seed, "draws"), _counting_twin(seed)
+    for chunk in _sample_draws(rng, n, R, budget):
+        for draw in chunk.tolist():
+            assert draw == twin.sample(range(n), R)
+    assert rng.getstate() == twin.getstate()
+    return twin.words
+
+
 class TestPackingStream:
     @pytest.mark.parametrize("n,R", POOL_SHAPES + SET_SHAPES)
     def test_draws_match_random_sample(self, n, R):
         for seed in (0, 3):
-            rng, twin = make_rng(seed, "draws"), make_rng(seed, "draws")
-            for draw in _sample_draws(rng, n, R, 300):
-                assert draw == twin.sample(range(n), R)
-            assert rng.getstate() == twin.getstate()
+            _check_stream(n, R, seed, 300)
+
+    @pytest.mark.parametrize("n,R,budget", [(22, 5, 12_000), (128, 7, 10_000), (1024, 10, 5_000)])
+    def test_draws_span_word_blocks(self, n, R, budget):
+        assert _check_stream(n, R, 1, budget) >= 3 * _BLOCK_WORDS
+
+    @pytest.mark.parametrize("n,R", [(128, 7), (1024, 10)])
+    def test_last_draw_ends_at_block_boundary(self, n, R):
+        twin, budget = _counting_twin(0), 0
+        while budget < 20_000:
+            twin.sample(range(n), R)
+            budget += 1
+            if twin.words % _BLOCK_WORDS == 0:
+                break
+        assert twin.words % _BLOCK_WORDS == 0
+        assert _check_stream(n, R, 0, budget) == twin.words
+
+    @pytest.mark.parametrize("words", [1, 3, 8])
+    def test_samples_longer_than_a_block(self, monkeypatch, words):
+        # blocks that end inside most samples, or hold none whole
+        monkeypatch.setattr(construct, "_BLOCK_WORDS", words)
+        for n, R in [(22, 5), (128, 7), (1024, 10)]:
+            _check_stream(n, R, 2, 200)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_set_branch_matches_random_sample(self, data):
+        R = data.draw(st.integers(3, 10), label="R")
+        setsize = 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
+        n = data.draw(st.integers(setsize + 1, setsize + 300), label="n")
+        budget = data.draw(st.integers(0, 3000), label="budget")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        _check_stream(n, R, seed, budget)
 
     @pytest.mark.parametrize(
         "n,R,seed,budget",
@@ -108,6 +182,16 @@ class TestPackingStream:
         H_ref, report_ref = reference_linear_tf_hypergraph(n, R, seed, sample_budget=budget)
         assert H.edges == H_ref.edges
         assert report == report_ref
+
+    def test_small_passes_match_reference_packer(self, monkeypatch):
+        # many accepted edges per pass, and passes cut at every size
+        monkeypatch.setattr(construct, "_BLOCK_WORDS", 37)
+        monkeypatch.setattr(construct, "_CHUNK_ROWS", 5)
+        monkeypatch.setattr(construct, "_RECHECK_ROWS", 2)
+        for n, R, budget in [(16, 4, None), (40, 3, None), (64, 6, 2000), (128, 5, 2000)]:
+            H, _ = build_linear_tf_hypergraph(n, R, 3, sample_budget=budget)
+            H_ref, _ = reference_linear_tf_hypergraph(n, R, 3, sample_budget=budget)
+            assert H.edges == H_ref.edges
 
 
 class TestEvenPartition:

@@ -85,6 +85,21 @@ class TestRunExperiment:
             ExperimentConfig(s=5, b=3, t=2, n_list=[16], seeds=[])
         with pytest.raises(ValueError):
             ExperimentConfig(s=5, b=3, t=2, n_list=[], seeds=[1])
+        for field_name, kwargs in [
+            ("seeds", {"seeds": 5}),
+            ("seeds", {"seeds": [1, "2"]}),
+            ("n_list", {"n_list": [16, True]}),
+            ("exact_threshold", {"budgets": {"exact_threshold": "x"}}),
+            ("alpha_nodes", {"budgets": {"alpha_nodes": 1.5}}),
+            ("alpha_node", {"budgets": {"alpha_node": 5}}),
+            ("budgets", {"budgets": [5]}),
+        ]:
+            base = {"n_list": [16], "seeds": [1], **kwargs}
+            with pytest.raises(ValueError, match=field_name):
+                ExperimentConfig(s=5, b=3, t=2, **base)
+        config = ExperimentConfig(s=5, b=3, t=2, n_list=[16], seeds=[1],
+                                  budgets={"construct_ms": None, "scan_cap": 10})
+        assert config.budgets["construct_ms"] is None
 
     @pytest.mark.parametrize("name, policy", [
         pytest.param(name, policy, id=name + suffix)
@@ -192,6 +207,24 @@ class TestCli:
         out, err = capsys.readouterr()
         assert len(json.loads(out)["samples"]) == 1 and err == ""
 
+    @pytest.mark.parametrize("command", ["construct", "density"])
+    def test_negative_threshold_rejected(self, tmp_path, capsys, command):
+        inst = tmp_path / "inst"
+        construct = ["construct", "--s", "5", "--b", "3", "--t", "2", "--n", "48",
+                     "--R", "4", "--seed", "7", "--out-dir", str(inst)]
+        if command == "construct":
+            argv, value = construct + ["--threshold", "-5"], -5
+        else:
+            assert main(construct) == 0
+            capsys.readouterr()
+            argv, value = ["density", "--instance", str(inst), "--threshold", "-50"], -50
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"erlab {command}: error: --threshold must be non-negative, got {value}\n"
+
     def test_exponents_json(self, capsys):
         assert main(["exponents", "--s", "5", "--t", "4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -266,6 +299,11 @@ class TestCli:
         pytest.param({"r_policy": {"kind": "fixed"}},
                      "r_policy of kind 'fixed' needs an integer 'value', got None",
                      id="fixed-without-value"),
+        pytest.param({"seeds": 5}, "seeds must be a non-empty list of integers, got 5",
+                     id="seeds-not-a-list"),
+        pytest.param({"budgets": {"exact_threshold": "x"}},
+                     "budgets 'exact_threshold' must be an integer, got 'x'",
+                     id="budget-not-an-integer"),
     ])
     def test_experiment_rejects_bad_config(self, tmp_path, capsys, extra, reason):
         config = tmp_path / "cfg.json"
