@@ -51,11 +51,12 @@ def _default_sample_budget(n: int, R: int) -> int:
     return max(30_000, 25 * math.ceil(n * n / (R * R)))
 
 
-# The set branch draws this many 32-bit words per getrandbits call and
-# tests the samples they hold in one pass; the other branches test this many
-# candidates per pass.  Rows left in a pass after an accepted edge are tested
-# again this many at a time.
+# Words drawn per getrandbits call by the set branch and by the pool branch;
+# the pool branch keeps R index arrays per word, so its blocks are smaller.
+# The enumerate branch tests this many candidates per pass.  Rows left in a
+# pass after an accepted edge are tested again this many at a time.
 _BLOCK_WORDS = 1 << 14
+_POOL_BLOCK_WORDS = 1 << 12
 _CHUNK_ROWS = 1 << 10
 _RECHECK_ROWS = 64
 
@@ -63,65 +64,98 @@ _RECHECK_ROWS = 64
 def _sample_draws(rng, n: int, R: int, budget: int):
     """Yield, as int arrays of R columns, what ``budget`` successive
     ``rng.sample(range(n), R)`` calls would return, and leave ``rng`` in the
-    state those calls would.  An array holds at most ``_CHUNK_ROWS`` pool
-    samples or the set samples of one block of words."""
-    setsize = 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
-    if n > setsize:
-        yield from _set_draws(rng, n, R, budget)
-        return
-    draws = _pool_draws(rng, n, R, budget)
-    for first in range(0, budget, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, budget - first)
-        flat = itertools.chain.from_iterable(itertools.islice(draws, rows))
-        yield np.fromiter(flat, np.intp, rows * R).reshape(rows, R)
+    state those calls would.
 
-
-def _pool_draws(rng, n: int, R: int, budget: int):
-    """Pool-branch samples: a partial Fisher-Yates shuffle of range(n) from
-    its end, keeping only the moved slots in ``moved``."""
-    getrandbits = rng.getrandbits
-    steps = [(m, m.bit_length()) for m in range(n, n - R, -1)]
-    for _ in range(budget):
-        moved = {}
-        draw = []
-        for m, k in steps:
-            j = getrandbits(k)
-            while j >= m:
-                j = getrandbits(k)
-            draw.append(moved.get(j, j))
-            moved[j] = moved.get(m - 1, m - 1)
-        yield draw
-
-
-def _set_draws(rng, n: int, R: int, budget: int):
-    """Set-branch samples, cut from ``_BLOCK_WORDS`` words at a time.
-
-    A sample draws ``getrandbits(k)``, k = n.bit_length(), until it holds R
-    distinct values below n.  ``getrandbits(k)`` is the next 32-bit word
-    shifted right by 32 - k, and ``getrandbits(32 * W)`` concatenates the
-    next W words little-endian, so the samples are cut from the values below
-    n of consecutive blocks.
+    ``random.sample`` keeps a pool of range(n) when n <= setsize and a set of
+    picks above it; both draw with ``getrandbits(k)``, k <= 32, which is the
+    next 32-bit word shifted right by 32 - k.  ``getrandbits(32 * W)``
+    concatenates the next W words little-endian, so the samples are cut from
+    blocks of words, one array per block; a sample cut by a block's end is
+    carried into the next.  At the end the generator goes back to the last
+    block's start and draws only the words used.
     """
-    shift = 32 - n.bit_length()
-    below = n << shift  # a word is below this iff its value is below n
-    carry = np.empty(0, np.uint32)  # the values of a sample cut by a block's end
+    setsize = 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
+    cut, size = (_cut_set, _BLOCK_WORDS) if n > setsize else (_cut_pool, _POOL_BLOCK_WORDS)
+    carry = np.empty(0, np.uint32)  # the words of a sample cut by a block's end
     left = budget
     while left:
         start = rng.getstate()
-        block = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
-        words = np.frombuffer(block, "<u4")
-        vals = np.concatenate((carry, words[np.flatnonzero(words < below)] >> shift))
-        chunk, end = _cut_samples(vals, R, left)
+        block = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        words = np.concatenate((carry, np.frombuffer(block, "<u4")))
+        del block  # the words hold a copy; free the bytes before cutting
+        chunk, end = cut(words, n, R, left)
         left -= len(chunk)
         if left:
-            carry = vals[end:]
+            carry = words[end:]
         if len(chunk):
             yield chunk
     if budget:
-        # back to the last block's start, then draw only the words it used
         rng.setstate(start)
-        used = np.flatnonzero(words < below)[end - 1 - len(carry)] + 1
-        rng.getrandbits(32 * int(used))
+        rng.getrandbits(32 * (end - len(carry)))
+
+
+def _cut_pool(words, n: int, R: int, limit: int):
+    """The first pool-branch samples, at most ``limit``, that lie wholly in
+    ``words``, as an int array of R columns, and the index after the last.
+
+    Step i of a sample draws words until one, shifted right by 32 - k with
+    m = n - i and k = m.bit_length(), is below m.  That value j indexes a
+    pool of range(n), and the pool's last live slot, m - 1, moves into slot j.
+    """
+    size = len(words)
+    steps = range(n, n - R, -1)
+    shifts = np.array([[32 - m.bit_length()] for m in steps], np.uint32)
+    # the columns run backwards: column c stands for index size + 1 - c, and
+    # every step accepts columns 0 and 1, past the end; a running maximum of
+    # c' (1 for c' = 0) over the accepted c' finds the nearest one
+    hits = np.ones((R, size + 2), bool)
+    np.less(words[::-1], np.array([[m] for m in steps], np.uint32) << shifts, out=hits[:, 2:])
+    last = hits * np.arange(size + 2, dtype=np.int32).clip(1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    # after[i, p]: the index after the first word at or after p that step i
+    # accepts, else size + 1, which maps to itself
+    after = np.subtract(size + 2, last[:, ::-1], dtype=np.int32)
+    ends = after[0]
+    for row in after[1:]:
+        ends = row.take(ends)  # ends[p]: the index after the sample from p
+
+    # the starts 0, ends[0], ends[ends[0]], ... by pointer doubling: each
+    # pass appends the starts one jump on and squares the jump
+    starts, jump = np.zeros(1, np.int32), ends
+    while ends[starts[-1]] <= size and len(starts) < limit:
+        starts = np.concatenate((starts, jump.take(starts)))
+        jump = jump.take(jump)
+    starts = starts[ends.take(starts) <= size][:limit]
+    if not len(starts):
+        return np.empty((0, R), np.intp), 0
+
+    taken, p = [], starts
+    for row in after:
+        p = row.take(p)
+        taken.append(p)  # the index after the word step i takes
+    # slots[2i] is the slot step i draws and slots[2i + 1] the last live slot,
+    # whose value moves there; found holds the values those slots have at
+    # step i: their own, unless an earlier step moved a value into them
+    slots = np.empty((2 * R, len(starts)), np.int32)
+    slots[0::2] = words.take(np.array(taken) - 1) >> shifts
+    slots[1::2] = np.array([[m - 1] for m in steps])
+    found = slots.copy()
+    for t in range(R - 1):
+        np.copyto(found[2 * t + 2:], found[2 * t + 1], where=slots[2 * t] == slots[2 * t + 2:])
+    return found[0::2].T.astype(np.intp), int(ends[starts[-1]])
+
+
+def _cut_set(words, n: int, R: int, limit: int):
+    """The first set-branch samples, at most ``limit``, that lie wholly in
+    ``words``, as an int array of R columns, and the index after the last.
+
+    A sample draws ``getrandbits(k)``, k = n.bit_length(), until it holds R
+    distinct values below n.
+    """
+    shift = 32 - n.bit_length()
+    kept = words < (n << shift)  # the words whose value is below n
+    chunk, end = _cut_samples(words[np.flatnonzero(kept)] >> shift, R, limit)
+    return chunk, int(np.flatnonzero(kept)[end - 1]) + 1 if end else 0
 
 
 def _cut_samples(vals, R: int, limit: int):

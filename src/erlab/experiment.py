@@ -64,6 +64,12 @@ class ExperimentConfig:
     out_dir: str = "erlab-out"
 
     def __post_init__(self):
+        for name in ("s", "b", "t"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for name in ("seeds", "n_list"):
             value = getattr(self, name)
             if not (isinstance(value, list) and value and all(map(_is_int, value))):

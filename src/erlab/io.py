@@ -30,7 +30,10 @@ def write_graph(path, graph: Graph) -> None:
 
 def _lines(path) -> list[tuple[int, str]]:
     """Non-blank lines of the file with their 1-based line numbers."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     return [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
 
 
@@ -92,6 +95,8 @@ def write_hypergraph(path, H: LinearHypergraph) -> None:
 def read_hypergraph(path) -> LinearHypergraph:
     lines = _lines(path)
     n, R, _ = _header(path, lines, "hypergraph <n> <R> <m>")
+    if n < 0 or R < 1:
+        raise FormatError(f"{path}:{lines[0][0]}: need n >= 0 and R >= 1, got n={n}, R={R}")
     H = LinearHypergraph(n, R, _edge_lines(path, lines[1:], " ".join(["<v>"] * R), R))
     try:
         check_hypergraph_shape(H)
@@ -109,6 +114,8 @@ def read_coloring(path, t: int | None = None) -> EdgeColoring:
     colors = {}
     lines = _lines(path)
     for (i, _), (u, v, c) in zip(lines, _edge_lines(path, lines, "<u> <v> <c>", 2)):
+        if u < 0 or v < 0:
+            raise FormatError(f"{path}:{i}: negative vertex in edge {u} {v}")
         if c < 1 or (t is not None and c > t):
             raise FormatError(f"{path}:{i}: color {c} out of range 1..t (t={t})")
         colors[(u, v)] = c

@@ -16,6 +16,7 @@ from erlab.construct import (
     CertificationError,
     ConstructionParams,
     _BLOCK_WORDS,
+    _POOL_BLOCK_WORDS,
     _sample_draws,
     blow_up,
     build_linear_tf_hypergraph,
@@ -83,11 +84,15 @@ class TestBuilder:
 
     @pytest.mark.parametrize("n,R,seed,edges,digest", [
         # the battery's n=1024 and R=7 shapes at the default budget, then the
-        # (5,3,4) grid's pool-branch and set-branch shapes
+        # (5,3,4) grid's pool-branch and set-branch shapes, then the largest
+        # pool-branch n at R=5 and R=7 and the (5,3,2) grid's n=48
         (1024, 10, 7, 219, "e09ff2c82033f7d5ede87b6dfe5286ad342fa03b57e50049e4c2d244153dc46f"),
         (256, 7, 7, 78, "fca8dd4cc9e5d71ba0de49420307f3151f9021a74c3bda4a42b81838cee69c89"),
         (64, 6, 1, 17, "58b574f6bd660809019747ca8785483f535ac59a98e16c98e4f38ad749c647b5"),
         (128, 7, 1, 29, "99d2fa9d68334afa4df95a8fba42ad0e903c27f7a4155d59518e6436abd4a3ff"),
+        (21, 5, 1, 5, "964ce6256863c7c89488aab00465e90e19f20e3de862159ae2b97b0930a2e0ca"),
+        (48, 6, 1, 11, "374da8e614bff808b68edb2ea50670f62be9d53ae39c02294eb56f7db0b0cba6"),
+        (85, 7, 1, 17, "23f7b1f2c9c5bbaced70463cafb7bb39175c01dee4446b4caec373c1db9bf1a8"),
     ])
     def test_golden_packing(self, n, R, seed, edges, digest):
         H, report = build_linear_tf_hypergraph(n, R, derive_seed(seed, "hyper"))
@@ -99,6 +104,14 @@ class TestBuilder:
 # i.e. n <= 21 for R <= 5 and n <= 85 for R in {6, 7}; above it, a set of picks.
 POOL_SHAPES = [(6, 6), (19, 5), (21, 5), (32, 6), (64, 6), (85, 7)]
 SET_SHAPES = [(22, 5), (37, 5), (38, 5), (41, 3), (86, 7), (100, 4), (128, 7), (256, 8)]
+
+
+def _setsize(R):
+    return 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
+
+
+def _block_words(n, R):
+    return _BLOCK_WORDS if n > _setsize(R) else _POOL_BLOCK_WORDS
 
 
 class _CountingRandom(random.Random):
@@ -135,34 +148,45 @@ class TestPackingStream:
         for seed in (0, 3):
             _check_stream(n, R, seed, 300)
 
-    @pytest.mark.parametrize("n,R,budget", [(22, 5, 12_000), (128, 7, 10_000), (1024, 10, 5_000)])
+    @pytest.mark.parametrize("n,R,budget", [
+        (22, 5, 12_000), (128, 7, 10_000), (1024, 10, 5_000), (21, 5, 3_000), (64, 6, 3_000),
+    ])
     def test_draws_span_word_blocks(self, n, R, budget):
-        assert _check_stream(n, R, 1, budget) >= 3 * _BLOCK_WORDS
+        assert _check_stream(n, R, 1, budget) >= 3 * _block_words(n, R)
 
-    @pytest.mark.parametrize("n,R", [(128, 7), (1024, 10)])
+    @pytest.mark.parametrize("n,R", [(128, 7), (1024, 10), (21, 5), (64, 6)])
     def test_last_draw_ends_at_block_boundary(self, n, R):
-        twin, budget = _counting_twin(0), 0
+        block, twin, budget = _block_words(n, R), _counting_twin(0), 0
         while budget < 20_000:
             twin.sample(range(n), R)
             budget += 1
-            if twin.words % _BLOCK_WORDS == 0:
+            if twin.words % block == 0:
                 break
-        assert twin.words % _BLOCK_WORDS == 0
+        assert twin.words % block == 0
         assert _check_stream(n, R, 0, budget) == twin.words
 
     @pytest.mark.parametrize("words", [1, 3, 8])
     def test_samples_longer_than_a_block(self, monkeypatch, words):
         # blocks that end inside most samples, or hold none whole
         monkeypatch.setattr(construct, "_BLOCK_WORDS", words)
-        for n, R in [(22, 5), (128, 7), (1024, 10)]:
+        monkeypatch.setattr(construct, "_POOL_BLOCK_WORDS", words)
+        for n, R in [(22, 5), (128, 7), (1024, 10), (21, 5), (64, 6), (85, 7)]:
             _check_stream(n, R, 2, 200)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_set_branch_matches_random_sample(self, data):
         R = data.draw(st.integers(3, 10), label="R")
-        setsize = 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
-        n = data.draw(st.integers(setsize + 1, setsize + 300), label="n")
+        n = data.draw(st.integers(_setsize(R) + 1, _setsize(R) + 300), label="n")
+        budget = data.draw(st.integers(0, 3000), label="budget")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        _check_stream(n, R, seed, budget)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pool_branch_matches_random_sample(self, data):
+        R = data.draw(st.integers(3, 10), label="R")
+        n = data.draw(st.integers(R, _setsize(R)), label="n")
         budget = data.draw(st.integers(0, 3000), label="budget")
         seed = data.draw(st.integers(0, 2**32), label="seed")
         _check_stream(n, R, seed, budget)
@@ -186,6 +210,7 @@ class TestPackingStream:
     def test_small_passes_match_reference_packer(self, monkeypatch):
         # many accepted edges per pass, and passes cut at every size
         monkeypatch.setattr(construct, "_BLOCK_WORDS", 37)
+        monkeypatch.setattr(construct, "_POOL_BLOCK_WORDS", 37)
         monkeypatch.setattr(construct, "_CHUNK_ROWS", 5)
         monkeypatch.setattr(construct, "_RECHECK_ROWS", 2)
         for n, R, budget in [(16, 4, None), (40, 3, None), (64, 6, 2000), (128, 5, 2000)]:

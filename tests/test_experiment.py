@@ -86,6 +86,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(s=5, b=3, t=2, n_list=[], seeds=[1])
         for field_name, kwargs in [
+            ("^s must be an integer", {"s": "5"}),
+            ("^b must be an integer", {"b": 3.0}),
+            ("^t must be an integer", {"t": True}),
+            ("^out_dir must be a string", {"out_dir": 7}),
             ("seeds", {"seeds": 5}),
             ("seeds", {"seeds": [1, "2"]}),
             ("n_list", {"n_list": [16, True]}),
@@ -94,9 +98,9 @@ class TestRunExperiment:
             ("alpha_node", {"budgets": {"alpha_node": 5}}),
             ("budgets", {"budgets": [5]}),
         ]:
-            base = {"n_list": [16], "seeds": [1], **kwargs}
+            base = {"s": 5, "b": 3, "t": 2, "n_list": [16], "seeds": [1], **kwargs}
             with pytest.raises(ValueError, match=field_name):
-                ExperimentConfig(s=5, b=3, t=2, **base)
+                ExperimentConfig(**base)
         config = ExperimentConfig(s=5, b=3, t=2, n_list=[16], seeds=[1],
                                   budgets={"construct_ms": None, "scan_cap": 10})
         assert config.budgets["construct_ms"] is None
@@ -304,6 +308,8 @@ class TestCli:
         pytest.param({"budgets": {"exact_threshold": "x"}},
                      "budgets 'exact_threshold' must be an integer, got 'x'",
                      id="budget-not-an-integer"),
+        pytest.param({"s": "5"}, "s must be an integer, got '5'", id="s-not-an-integer"),
+        pytest.param({"out_dir": 7}, "out_dir must be a string, got 7", id="out-dir-not-a-string"),
     ])
     def test_experiment_rejects_bad_config(self, tmp_path, capsys, extra, reason):
         config = tmp_path / "cfg.json"

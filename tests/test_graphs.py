@@ -226,10 +226,13 @@ class TestFileFormats:
             ("read_hypergraph", "hypergraph 7 3.5 1\n0 1 2\n", ":1:"),
             ("read_hypergraph", "hypergraph 7 3 1\n0 1 7\n", "out of range"),
             ("read_hypergraph", "hypergraph 7 3 1\n0 1 1\n", "repeated vertex"),
+            ("read_hypergraph", "hypergraph 3 -2 0\n", ":1: need n >= 0 and R >= 1"),
+            ("read_hypergraph", "hypergraph -1 3 0\n", ":1: need n >= 0 and R >= 1"),
             ("read_coloring", "0 1 1\n1 2\n", ":2:"),
             ("read_coloring", "0 1 one\n", ":1:"),
             ("read_coloring", "0 1 1\n\n1 2 0\n", ":3: color 0"),  # colors start at 1
             ("read_coloring", "0 1 1\n1 1 1\n", "loop"),
+            ("read_coloring", "0 1 1\n-1 1 1\n", ":2: negative vertex"),
             ("read_graph", "graph 3 2\n0 1\n1 0\n", ":3: duplicate edge 0 1 (first on line 2)"),
             ("read_hypergraph", "hypergraph 7 3 2\n0 1 2\n2 0 1\n", ":3: duplicate edge 0 1 2"),
             ("read_coloring", "0 1 1\n1 0 2\n", ":2: duplicate edge 0 1 (first on line 1)"),
@@ -241,6 +244,14 @@ class TestFileFormats:
         with pytest.raises(eio.FormatError) as err:
             getattr(eio, reader)(path)
         assert str(path) in str(err.value) and where in str(err.value)
+
+    @pytest.mark.parametrize("reader", ["read_graph", "read_hypergraph", "read_coloring"])
+    def test_non_utf8_raises_format_error(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"graph 2 1\n0 \xff\n")
+        with pytest.raises(eio.FormatError, match="not UTF-8") as err:
+            getattr(eio, reader)(path)
+        assert str(path) in str(err.value)
 
     def test_coloring_above_t_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
