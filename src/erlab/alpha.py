@@ -127,11 +127,14 @@ def alpha_exact(
     return AlphaResult(len(best), tuple(best), complete, upper, nodes)
 
 
-def count_free_subsets(graph: Graph, s: int, min_size: int = 0, limit: int = 24) -> int:
+COUNT_LIMIT = 24
+
+
+def count_free_subsets(graph: Graph, s: int, min_size: int = 0) -> int:
     """Exact number of vertex subsets of size >= min_size inducing no K_s,
     by depth-first enumeration with feasibility pruning.
 
-    Refuses graphs above ``limit`` vertices; use alpha_exact for a single
+    Refuses graphs above ``COUNT_LIMIT`` vertices; use alpha_exact for a single
     extremal witness instead.
 
     As in alpha_exact, whether vertex ``idx`` may join is asked of the
@@ -140,9 +143,9 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0, limit: int = 24)
     count is the one the unmemoised enumeration gives."""
     if s < 2:
         raise GraphError("s must be at least 2")
-    if graph.n > limit:
+    if graph.n > COUNT_LIMIT:
         raise GraphError(
-            f"count_free_subsets is exhaustive and limited to {limit} vertices "
+            f"count_free_subsets is exhaustive and limited to {COUNT_LIMIT} vertices "
             f"(got {graph.n}); use alpha_exact for larger graphs"
         )
     n = graph.n
@@ -468,20 +471,17 @@ def lay3_free_subset(
     coloring: EdgeColoring,
     s: int,
     threshold_scale: float = 1.0,
-    branch_on: str = "mean",
     seed: int = 0,
     clique_cap: int = 500_000,
 ) -> ExtractionResult:
-    """K_s-free subset via the two-branch argument: when the mean (or max)
-    of d_st*d_nd is large, pigeonhole a color pair onto a common
+    """K_s-free subset via the two-branch argument: when the mean of
+    d_st*d_nd is large, pigeonhole a color pair onto a common
     neighborhood (spanning at most t-2 colors); otherwise build the
     per-vertex s- and ceil(s/2)-uniform families of ordered cliques and run
     the two-family alteration sampler.
     """
     if s < 3:
         raise GraphError("s must be at least 3")
-    if branch_on not in ("mean", "max"):
-        raise GraphError("branch_on must be 'mean' or 'max'")
     _check_precondition(graph, coloring)
     n = graph.n
     t = coloring.t
@@ -491,7 +491,7 @@ def lay3_free_subset(
 
     stats = color_stats(graph, coloring)
     xis = [stats.xi(x) for x in range(n)]
-    driver = (sum(xis) / n if n else 0.0) if branch_on == "mean" else max(xis, default=0)
+    driver = sum(xis) / n if n else 0.0
     threshold = threshold_scale * n ** float(beta)
 
     if driver >= threshold and any(xis):

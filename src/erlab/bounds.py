@@ -60,8 +60,8 @@ class GTable:
         return self.g[i]
 
 
-def default_g_table(table: RamseyTable | None = None) -> GTable:
-    return GTable.from_table(table or default_table())
+def default_g_table() -> GTable:
+    return GTable.from_table(default_table())
 
 
 def exponent_lower(
@@ -121,14 +121,12 @@ def exponent_upper(
     s: int,
     b: int,
     t: int,
-    table: RamseyTable | None = None,
 ) -> ExponentResult:
     """Exact upper-bound exponent 1/(floor(t/ell)+1), where ell is the
     minimum number of colors whose Ramsey value for K_b exceeds s."""
     if s < 2 or b < 3 or t < 1:
         raise GraphError(f"require s >= 2, b >= 3, t >= 1, got {(s, b, t)}")
-    table = table or default_table()
-    ell = table.min_ell(b, s, t)
+    ell = default_table().min_ell(b, s, t)
     if ell is None:
         raise UnresolvedRamseyError(f"minimum ell with r_ell({b}) > {s} beyond t+1")
     value = Fraction(1, t // ell + 1)

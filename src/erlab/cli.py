@@ -11,7 +11,9 @@ from pathlib import Path
 from . import io as eio
 from .alpha import (
     AlterationParams,
+    BudgetError,
     CliqueHypergraph,
+    ExtractionError,
     alpha_exact,
     alteration_set,
     count_free_subsets,
@@ -22,6 +24,7 @@ from .alpha import (
 from .bounds import default_g_table, exponent_lower, exponent_upper, half_sequence, order_vertices
 from .checkers import check_half_sequence, check_ordering
 from .construct import (
+    CertificationError,
     ConstructionParams,
     SPartition,
     SparsifiedIncidence,
@@ -30,9 +33,17 @@ from .construct import (
 )
 from .density import check_uniform_density, density_witness
 from .experiment import ExperimentConfig, run_experiment, verify_suite, write_report
-from .freeness import ramsey_oracle
+from .freeness import UnresolvedRamseyError, UnsupportedParametersError, ramsey_oracle
 from .graphs import CliqueCover, GraphError
 from .util import iter_bits, make_rng
+
+# exit code of each failure a command may raise: 2 bad input or an
+# unreadable path, 3 inconclusive or over budget, 1 a failed check
+EXIT_CODES = {
+    GraphError: 2, eio.FormatError: 2, UnsupportedParametersError: 2, OSError: 2,
+    UnresolvedRamseyError: 3, BudgetError: 3,
+    ExtractionError: 1, CertificationError: 1,
+}
 
 
 def _json_safe(value):
@@ -51,8 +62,7 @@ def _print_json(payload) -> None:
 
 def _reject_negative_threshold(args) -> None:
     if args.threshold is not None and args.threshold < 0:
-        args.parser.exit(2, f"erlab {args.command}: error: --threshold must be non-negative, "
-                            f"got {args.threshold}\n")
+        raise GraphError(f"--threshold must be non-negative, got {args.threshold}")
 
 
 def _cmd_construct(args) -> int:
@@ -170,13 +180,13 @@ def _cmd_ramsey(args) -> int:
             parameter = int(args.param)
     except ValueError:
         form = "integers 't,b'" if args.kind == "multicolor" else "an integer 'k'"
-        args.parser.exit(2, f"erlab ramsey: error: --param {args.param!r} is not {form}\n")
+        raise GraphError(f"--param {args.param!r} is not {form}") from None
     try:
         entry = ramsey_oracle(args.kind, parameter, args.nmax,
                               node_budget=args.budget_nodes,
                               time_budget_ms=args.budget_ms)
     except GraphError as exc:
-        args.parser.exit(2, f"erlab ramsey: error: --param {args.param!r}: {exc}\n")
+        raise GraphError(f"--param {args.param!r}: {exc}") from exc
     import hashlib
 
     digest = hashlib.sha256(
@@ -290,10 +300,7 @@ def _cmd_halfseq(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        config = ExperimentConfig.from_file(args.config)
-    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        args.parser.exit(2, f"erlab experiment: error: {args.config}: {exc}\n")
+    config = ExperimentConfig.from_file(args.config)
     report = run_experiment(config)
     write_report(report, config.out_dir)
     bad = [r for r in report.rows if not r.cert_ok]
@@ -335,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default="erlab-instance")
-    p.set_defaults(func=_cmd_construct, parser=p)
+    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("density", help="sampled uniform-density report for an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=int, default=None)
-    p.set_defaults(func=_cmd_density, parser=p)
+    p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("ramsey", help="exhaustive small Ramsey / local-Ramsey oracle")
     p.add_argument("--kind", choices=["multicolor", "local"], required=True)
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-ms", dest="budget_ms", type=int, default=None)
     p.add_argument("--budget-nodes", dest="budget_nodes", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ramsey, parser=p)
+    p.set_defaults(func=_cmd_ramsey)
 
     p = sub.add_parser("alpha", help="exact s-independence number or free-subset count")
     p.add_argument("--graph", required=True)
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a config-driven experiment grid")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_experiment, parser=p)
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
@@ -401,7 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+        parser.exit(code, f"erlab {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

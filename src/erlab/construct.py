@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .freeness import (
-    RamseyTable,
     UnsupportedParametersError,
     default_table,
     find_mono_clique,
@@ -359,17 +358,6 @@ class SparsifiedIncidence:
     s: int
     certificate: dict = field(default_factory=dict)
 
-    def clique_of_edge(self) -> dict[tuple[int, int], int]:
-        """Map each sparsified edge to the unique ground vertex owning it."""
-        out = {}
-        for v in sorted(self.cover.cliques):
-            parts = self.partition.parts.get(v, {})
-            members = self.cover.cliques[v]
-            for a, b in itertools.combinations(sorted(members), 2):
-                if parts[a] != parts[b]:
-                    out[(a, b)] = v
-        return out
-
 
 def evenly_partitioned(a_v: int, part_counts: list[int], s: int) -> bool:
     # each part must meet X∩K_v in at least a_v/(s+1) vertices; the empty
@@ -454,7 +442,6 @@ def sparsify(
     certification_samples: int = 100,
     threshold: int | None = None,
     retry_limit: int = 32,
-    check_cover: bool = True,
 ) -> SparsifiedIncidence:
     """Replace each clique K_v by a complete s-partite graph via a random
     part assignment, certifying on sampled vertex sets X (|X| >= threshold)
@@ -464,10 +451,9 @@ def sparsify(
     """
     if s < 2:
         raise GraphError("sparsification order must be at least 2")
-    if check_cover:
-        bad = cover_partitions_edges(graph, cover)
-        if bad is not None:
-            raise GraphError(f"cover inconsistent with graph: {bad[0]} edge {bad[1]}")
+    bad = cover_partitions_edges(graph, cover)
+    if bad is not None:
+        raise GraphError(f"cover inconsistent with graph: {bad[0]} edge {bad[1]}")
     if threshold is None:
         threshold = cover.n_ground
 
@@ -651,15 +637,13 @@ class ConstructionParams:
         R: int | None = None,
         retention_p: float = 1.0,
         seed: int = 0,
-        table: RamseyTable | None = None,
     ) -> "ConstructionParams":
         """Fill ell from the verified Ramsey table (minimum ell with
         r_ell(b) > s) and beta = floor(t/ell) - 1; R defaults to
         max(3, ceil(log2 n))."""
         if s < 2 or b < 3 or t < 1:
             raise UnsupportedParametersError(f"require s >= 2, b >= 3, t >= 1, got {(s, b, t)}")
-        table = table or default_table()
-        ell = table.min_ell(b, s, t)
+        ell = default_table().min_ell(b, s, t)
         if ell is None:
             raise UnsupportedParametersError(
                 f"could not find ell <= {t + 1} with r_ell({b}) > {s}"
@@ -729,7 +713,6 @@ def construct_upper_bound_instance(
         derive_seed(params.seed, "sparsify"),
         certification_samples=certification_samples,
         threshold=threshold,
-        check_cover=False,
     )
     g_star = sparsified.graph
 
@@ -739,7 +722,7 @@ def construct_upper_bound_instance(
     )
     inverses = overlay.inverses()
 
-    edge_owner = sparsified.clique_of_edge()
+    masks = H.edge_masks()
     parts = sparsified.partition.parts
 
     colors: dict[tuple[int, int], int] = {}
@@ -757,7 +740,8 @@ def construct_upper_bound_instance(
             palette_witness = (a, bb)
             continue
         p, q = u_b // k, v_b // k
-        v_ground = edge_owner[(min(p, q), max(p, q))]
+        # H is certified linear, so hyperedges p and q share one ground vertex
+        v_ground = (masks[p] & masks[q]).bit_length() - 1
         pp, pq = parts[v_ground][p], parts[v_ground][q]
         base = pattern.color_of(pp, pq)
         colors[(a, bb)] = copy_idx * params.ell + base

@@ -40,6 +40,7 @@ from .freeness import (
     ramsey_oracle,
 )
 from .graphs import EdgeColoring, Graph
+from .io import FormatError
 from .util import derive_seed
 
 ASYMPTOTIC_LABEL = "asymptotic — reported, not asserted"
@@ -96,8 +97,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**data)
+        try:
+            return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def _policy_value(policy: dict, default):
@@ -128,9 +131,10 @@ class RunReport:
     label: str = ASYMPTOTIC_LABEL
 
 
-def fit_exponent(rows) -> tuple[float, float, float]:
+def _least_squares(rows) -> tuple[float, float, float, float, float]:
     """Ordinary least squares of log(alpha) on log(n); returns
-    (slope, intercept, r_squared).  Refuses fewer than 3 rows or repeated n."""
+    (slope, intercept, r_squared, ss_res, sxx).  Refuses fewer than 3 rows or
+    repeated n."""
     rows = list(rows)
     if len(rows) < 3:
         raise ValueError(f"need at least 3 rows to fit, got {len(rows)}")
@@ -149,19 +153,17 @@ def fit_exponent(rows) -> tuple[float, float, float]:
     ss_res = float((resid ** 2).sum())
     ss_tot = float(((ys - ybar) ** 2).sum())
     r2 = 1.0 if ss_res <= 1e-15 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
+    return slope, intercept, r2, ss_res, sxx
+
+
+def fit_exponent(rows) -> tuple[float, float, float]:
+    """(slope, intercept, r_squared) of the log-log least-squares fit."""
+    return _least_squares(rows)[:3]
 
 
 def _fit_with_ci(points):
-    slope, intercept, r2 = fit_exponent(points)
-    xs = np.log([float(n) for n, _ in points])
-    ys = np.log([float(a) for _, a in points])
-    resid = ys - (slope * xs + intercept)
-    dof = len(points) - 2
-    if dof > 0:
-        se = math.sqrt(float((resid ** 2).sum()) / dof / float(((xs - xs.mean()) ** 2).sum()))
-    else:
-        se = 0.0
+    slope, intercept, r2, ss_res, sxx = _least_squares(points)
+    se = math.sqrt(ss_res / (len(points) - 2) / sxx)  # _least_squares needs 3+ points
     return {
         "slope": slope,
         "intercept": intercept,

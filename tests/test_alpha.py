@@ -307,15 +307,6 @@ class TestLay3Extractor:
             res = lay3_free_subset(g, col, 5, seed=seed)
             assert is_free_set(g, res.vertices, 5)
 
-    def test_branch_flag(self):
-        g, col = mono_free_colored_graph(30, 3, 0.3, seed=2)
-        mean_res = lay3_free_subset(g, col, 5, branch_on="mean", seed=2)
-        max_res = lay3_free_subset(g, col, 5, branch_on="max", seed=2)
-        assert is_free_set(g, mean_res.vertices, 5)
-        assert is_free_set(g, max_res.vertices, 5)
-        with pytest.raises(GraphError):
-            lay3_free_subset(g, col, 5, branch_on="median")
-
     def test_s_below_3_rejected(self):
         g, col = mono_free_colored_graph(10, 2, 0.3, seed=1)
         with pytest.raises(GraphError):

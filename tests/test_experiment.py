@@ -279,6 +279,35 @@ class TestCli:
         assert out == ""
         assert err == f"erlab ramsey: error: --param {reason}\n"  # one line
 
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["alpha", "--graph", "edge-out-of-range.txt", "--s", "3"], 2,
+                     id="alpha-edge-out-of-range"),
+        pytest.param(["alpha", "--graph", "missing.txt", "--s", "3"], 2, id="alpha-missing-file"),
+        pytest.param(["alpha", "--graph", "k3.txt", "--s", "1"], 2, id="alpha-s-1"),
+        pytest.param(["construct", "--s", "1", "--b", "3", "--t", "2", "--n", "24"], 2,
+                     id="construct-s-1"),
+        pytest.param(["exponents", "--s", "1", "--t", "2"], 2, id="exponents-s-1"),
+        pytest.param(["order", "--k", "3", "--coloring", "k3.txt"], 2, id="order-not-a-coloring"),
+        pytest.param(["density", "--instance", "missing-dir"], 2, id="density-missing-instance"),
+        pytest.param(["exponents", "--s", "45", "--b", "5", "--t", "2", "--upper"], 3,
+                     id="exponents-unresolved"),
+        pytest.param(["extract", "--graph", "k3.txt", "--coloring", "k3-mono.txt", "--s", "3",
+                      "--t", "2", "--method", "recursive"], 1, id="extract-mono-triangle"),
+        pytest.param(["construct", "--s", "5", "--b", "3", "--t", "2", "--n", "128", "--R", "4",
+                      "--threshold", "20", "--seed", "7"], 1, id="construct-certification-fails"),
+    ])
+    def test_failure_exit_code(self, tmp_path, monkeypatch, capsys, argv, code):
+        monkeypatch.chdir(tmp_path)
+        Path("edge-out-of-range.txt").write_text("graph 3 1\n0 5\n")
+        Path("k3.txt").write_text("graph 3 3\n0 1\n0 2\n1 2\n")
+        Path("k3-mono.txt").write_text("0 1 1\n0 2 1\n1 2 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"erlab {argv[0]}: error: ") and err.count("\n") == 1
+
     def test_extract_alteration_writes_certificate(self, tmp_path, capsys):
         from erlab import io as eio
         from oracles import mono_free_colored_graph
