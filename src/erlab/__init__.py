@@ -3,10 +3,7 @@ colorings, sparsified incidence graphs, and s-independence exponents."""
 
 from .alpha import (
     AlphaResult,
-    AlterationParams,
-    CliqueHypergraph,
     ExtractionResult,
-    UniformFamily,
     alpha_exact,
     alteration_set,
     count_free_subsets,

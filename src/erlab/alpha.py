@@ -194,88 +194,44 @@ def is_free_set(graph: Graph, vertices, s: int) -> bool:
 # alteration
 
 
-@dataclass(frozen=True)
-class UniformFamily:
-    """A k-uniform set family on ground set 0..n-1 (not necessarily linear)."""
-
-    n: int
-    k: int
-    edges: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n, k, edges):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", tuple(tuple(sorted(e)) for e in edges))
-
-
-@dataclass(frozen=True)
-class AlterationParams:
-    families: tuple[UniformFamily, ...]
-    seed: int
-    p: float | None = None  # default: min(1, (1/3) min_f (n/|f|)^{1/(k_f-1)})
-
-    def __init__(self, families, seed, p=None):
-        object.__setattr__(self, "families", tuple(families))
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "p", p)
-
-
 def alteration_probability(families, n: int) -> float:
+    """min(1, (1/3) min_f (n/|f|)^{1/(k_f-1)}) over the non-empty families
+    f, where k_f is the length of a member of f; 1 when every family is
+    empty."""
     best = None
     for fam in families:
-        if not fam.edges:
+        if not fam:
             continue
-        if fam.k < 2:
+        k = len(fam[0])
+        if k < 2:
             raise GraphError("family uniformity must be at least 2")
-        ratio = (n / len(fam.edges)) ** (1.0 / (fam.k - 1))
+        ratio = (n / len(fam)) ** (1.0 / (k - 1))
         best = ratio if best is None else min(best, ratio)
     if best is None:
         return 1.0
     return min(1.0, best / 3.0)
 
 
-def alteration_set(params: AlterationParams) -> tuple[int, ...]:
-    """Sample each vertex independently, then delete the lowest-id vertex of
-    every fully selected hyperedge of every family.  The output is
-    independent in all families, unconditionally."""
-    if not params.families:
-        raise GraphError("need at least one family")
-    n = params.families[0].n
-    if any(f.n != n for f in params.families):
-        raise GraphError("families must share one ground set")
-    p = params.p if params.p is not None else alteration_probability(params.families, n)
-    rng = make_rng(params.seed, "alteration")
+def alteration_set(n: int, families, seed: int) -> tuple[int, ...]:
+    """Keep each vertex of 0..n-1 independently with probability
+    ``alteration_probability(families, n)``, then delete the lowest-id
+    vertex of every fully kept member of every family.  Each family is a
+    list of vertex tuples.  The output is independent in all families,
+    unconditionally."""
+    p = alteration_probability(families, n)
+    rng = make_rng(seed, "alteration")
     selected = set(u for u in range(n) if rng.random() < p)
     doomed = set()
-    for fam in params.families:
-        for edge in fam.edges:
+    for fam in families:
+        for edge in fam:
             if all(v in selected for v in edge):
                 doomed.add(min(edge))
     result = tuple(sorted(selected - doomed))
     kept = set(result)
-    for fam in params.families:
-        for edge in fam.edges:
+    for fam in families:
+        for edge in fam:
             assert not all(v in kept for v in edge), "alteration left a full hyperedge"
     return result
-
-
-@dataclass(frozen=True)
-class CliqueHypergraph:
-    """The s-uniform hypergraph whose hyperedges are the K_s copies of a graph."""
-
-    base: Graph
-    s: int
-    hyperedges: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_graph(cls, graph: Graph, s: int, cap: int | None = None) -> "CliqueHypergraph":
-        edges = enumerate_cliques(graph, s)
-        if cap is not None and len(edges) > cap:
-            raise BudgetError(f"{len(edges)} K_{s} copies exceed the cap {cap}")
-        return cls(graph, s, tuple(edges))
-
-    def as_family(self) -> UniformFamily:
-        return UniformFamily(self.base.n, self.s, self.hyperedges)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +334,11 @@ def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap
         ] + inner.path
         return ExtractionResult(verts, path)
 
-    hyper = CliqueHypergraph.from_graph(graph, s, cap=clique_cap)
-    verts = alteration_set(AlterationParams([hyper.as_family()], seed=seed))
-    return ExtractionResult(
-        tuple(verts), [f"depth {depth}: alteration over {len(hyper.hyperedges)} cliques"]
-    )
+    cliques = enumerate_cliques(graph, s)
+    if len(cliques) > clique_cap:
+        raise BudgetError(f"{len(cliques)} K_{s} copies exceed the cap {clique_cap}")
+    verts = alteration_set(n, [cliques], seed)
+    return ExtractionResult(verts, [f"depth {depth}: alteration over {len(cliques)} cliques"])
 
 
 def _scan_tuples(graph, coloring, i, gi, need, scan_budget):
@@ -539,14 +495,11 @@ def lay3_free_subset(
                 if _ordering_satisfies(coloring, x, rest, True, mf):
                     family_half.add(cl)
 
-    fam_s = UniformFamily(n, s, sorted(family_s))
-    fam_h = UniformFamily(n, s_half, sorted(family_half))
-    verts = alteration_set(AlterationParams([fam_s, fam_h], seed=seed))
+    verts = alteration_set(n, [sorted(family_s), sorted(family_half)], seed)
     if not is_free_set(graph, verts, s):
         raise ExtractionError("families branch output contains a clique", verts)
     return ExtractionResult(
-        tuple(verts),
-        [f"families |F|={len(fam_s.edges)} |G|={len(fam_h.edges)} s'={s_half}"],
+        verts, [f"families |F|={len(family_s)} |G|={len(family_half)} s'={s_half}"]
     )
 
 

@@ -10,9 +10,7 @@ from pathlib import Path
 
 from . import io as eio
 from .alpha import (
-    AlterationParams,
     BudgetError,
-    CliqueHypergraph,
     ExtractionError,
     alpha_exact,
     alteration_set,
@@ -28,13 +26,19 @@ from .construct import (
     ConstructionParams,
     SPartition,
     SparsifiedIncidence,
+    certificate_passes,
     construct_upper_bound_instance,
     sample_sets,
 )
 from .density import check_uniform_density, density_witness
 from .experiment import ExperimentConfig, run_experiment, verify_suite, write_report
-from .freeness import UnresolvedRamseyError, UnsupportedParametersError, ramsey_oracle
-from .graphs import CliqueCover, GraphError
+from .freeness import (
+    INCONCLUSIVE,
+    UnresolvedRamseyError,
+    UnsupportedParametersError,
+    ramsey_oracle,
+)
+from .graphs import CliqueCover, GraphError, enumerate_cliques
 from .util import iter_bits, make_rng
 
 # exit code of each failure a command may raise: 2 bad input or an
@@ -108,7 +112,7 @@ def _cmd_construct(args) -> int:
         json.dumps(bundle.certificate, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8", newline="\n",
     )
-    ok = all(c["pass"] for c in bundle.certificate["checks"].values())
+    ok = certificate_passes(bundle.certificate)
     print(f"instance written to {out} (certificate {'PASS' if ok else 'FAIL'})")
     return 0 if ok else 1
 
@@ -208,7 +212,7 @@ def _cmd_ramsey(args) -> int:
         eio.write_coloring(path, entry.witness)
         payload["witness_file"] = str(path)
     _print_json(payload)
-    return 0
+    return 3 if entry.status == INCONCLUSIVE else 0
 
 
 def _cmd_alpha(args) -> int:
@@ -237,9 +241,9 @@ def _cmd_extract(args) -> int:
         result = lay3_free_subset(graph, coloring, args.s, seed=args.seed)
         verts, path = result.vertices, result.path
     else:
-        hyper = CliqueHypergraph.from_graph(graph, args.s)
-        verts = alteration_set(AlterationParams([hyper.as_family()], seed=args.seed))
-        path = [f"alteration over {len(hyper.hyperedges)} cliques"]
+        cliques = enumerate_cliques(graph, args.s)
+        verts = alteration_set(graph.n, [cliques], args.seed)
+        path = [f"alteration over {len(cliques)} cliques"]
     valid = is_free_set(graph, verts, args.s)
     certificate = {
         "method": args.method,

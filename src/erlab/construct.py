@@ -541,21 +541,12 @@ def blow_up(graph: Graph, k: int) -> Graph:
 class OverlayRecord:
     """The permutation applied to each copy of the overlaid graph and the
     retained union vertices.  Copy i sends vertex u to union vertex
-    ``permutations[i][u]``, so with ``inv_i = inverses()[i]`` copy i holds
-    union edge (x, y) iff the overlaid graph (in the pipeline, the blown-up
-    graph) holds (inv_i[x], inv_i[y])."""
+    ``permutations[i][u]``, so copy i holds union edge
+    (permutations[i][u], permutations[i][v]) for each edge (u, v) of the
+    overlaid graph (in the pipeline, the blown-up graph)."""
 
     permutations: tuple[tuple[int, ...], ...]
     retained: tuple[int, ...]
-
-    def inverses(self) -> list[list[int]]:
-        out = []
-        for perm in self.permutations:
-            inv = [0] * len(perm)
-            for u, x in enumerate(perm):
-                inv[x] = u
-            out.append(inv)
-        return out
 
 
 def overlay_and_retain(
@@ -691,7 +682,8 @@ def construct_upper_bound_instance(
     retain) and color each copy with its own disjoint ell-color palette via
     a fixed monochromatic-K_b-free pattern on part indices; joint edges take
     the lowest contributing copy's color.  The certificate bundle carries the
-    per-color mono-clique search, the palette checks, and all stage reports.
+    per-color mono-clique search, the palette checks, the sparsification
+    record, and all stage reports.
     """
     if params.ell > params.t:
         raise UnsupportedParametersError(
@@ -720,42 +712,36 @@ def construct_upper_bound_instance(
     final, overlay = overlay_and_retain(
         blown, params.beta + 1, params.retention_p, derive_seed(params.seed, "overlay")
     )
-    inverses = overlay.inverses()
 
     masks = H.edge_masks()
     parts = sparsified.partition.parts
+    index = {x: a for a, x in enumerate(overlay.retained)}
+    blown_edges = blown.edges()
 
+    # copy by copy, so an edge that several copies hold keeps the lowest one's color
     colors: dict[tuple[int, int], int] = {}
-    palette_ok = True
-    palette_witness = None
-    for a, bb in final.edges():
-        x, y = overlay.retained[a], overlay.retained[bb]
-        # the lowest copy holding (x, y) colors it
-        for copy_idx, inv in enumerate(inverses):
-            u_b, v_b = inv[x], inv[y]
-            if blown.has_edge(u_b, v_b):
-                break
-        else:
-            palette_ok = False
-            palette_witness = (a, bb)
-            continue
-        p, q = u_b // k, v_b // k
-        # H is certified linear, so hyperedges p and q share one ground vertex
-        v_ground = (masks[p] & masks[q]).bit_length() - 1
-        pp, pq = parts[v_ground][p], parts[v_ground][q]
-        base = pattern.color_of(pp, pq)
-        colors[(a, bb)] = copy_idx * params.ell + base
-    coloring = EdgeColoring(t, colors)
+    for copy_idx, perm in enumerate(overlay.permutations):
+        for u_b, v_b in blown_edges:
+            a, bb = index.get(perm[u_b]), index.get(perm[v_b])
+            if a is None or bb is None:
+                continue
+            edge = (a, bb) if a < bb else (bb, a)
+            if edge in colors:
+                continue
+            p, q = u_b // k, v_b // k
+            # H is certified linear, so hyperedges p and q share one ground vertex
+            v_ground = (masks[p] & masks[q]).bit_length() - 1
+            base = pattern.color_of(parts[v_ground][p], parts[v_ground][q])
+            colors[edge] = copy_idx * params.ell + base
+    coloring = EdgeColoring(t, sorted(colors.items()))
 
     mono = find_mono_clique(final, coloring, b)
     palettes = {
         i: list(range(i * params.ell + 1, (i + 1) * params.ell + 1))
         for i in range(params.beta + 1)
     }
-    used = coloring.colors_used()
-    palette_disjoint = (params.beta + 1) * params.ell <= t and all(
-        c <= t for c in used
-    )
+    used = sorted(coloring.colors_used())
+    over = next((c for c in used if c > t), None)
 
     s_partite = _check_complete_s_partite(sparsified)
     uncovered = {
@@ -785,12 +771,13 @@ def construct_upper_bound_instance(
                 "witness": None if mono is None else {"color": mono[0], "clique": list(mono[1])},
             },
             "palette_disjoint": {
-                "pass": palette_disjoint and palette_ok,
+                "pass": (params.beta + 1) * params.ell <= t and over is None,
                 "palettes": {str(i): p for i, p in palettes.items()},
-                "colors_used": sorted(used),
-                "witness": palette_witness,
+                "colors_used": used,
+                "witness": over,
             },
         },
+        "sparsification": sparsified.certificate,
         "final": {"vertices": final.n, "edges": final.m},
     }
     return InstanceBundle(

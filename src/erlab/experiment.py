@@ -1,8 +1,8 @@
 """Experiment driver: runs the construction pipeline across an n-grid,
-measures the s-independence number (exact below a size threshold, a
-lower/upper sandwich above), fits the empirical log-log exponent, and emits
-CSV/JSON/SVG reports.  Also hosts the verification suite behind
-``erlab verify``.
+measures the s-independence number (exact when the node-budgeted search
+completes, a lower/upper sandwich otherwise), fits the empirical log-log
+exponent, and emits CSV/JSON/SVG reports.  Also hosts the verification
+suite behind ``erlab verify``.
 
 Asymptotic claims are reported, never asserted; every report row either has
 all certificates passing or is flagged and excluded from the fit.
@@ -44,7 +44,7 @@ from .io import FormatError
 from .util import derive_seed
 
 ASYMPTOTIC_LABEL = "asymptotic — reported, not asserted"
-BUDGET_KEYS = ("exact_threshold", "alpha_nodes", "scan_cap", "clique_cap", "construct_ms")
+BUDGET_KEYS = ("alpha_nodes", "scan_cap", "clique_cap", "construct_ms")
 
 
 def _is_int(value) -> bool:
@@ -177,7 +177,6 @@ def _fit_with_ci(points):
 
 def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
     budgets = config.budgets
-    exact_threshold = budgets.get("exact_threshold", 24)
     alpha_nodes = budgets.get("alpha_nodes", 2_000_000)
     scan_cap = budgets.get("scan_cap", 2_000_000)
     clique_cap = budgets.get("clique_cap", 500_000)
@@ -204,12 +203,10 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
         cert_ok = False
 
     g = bundle.final
-    exact = g.n <= exact_threshold
-    if exact:
-        res = alpha_exact(g, config.s)
-        lo = hi = res.size
-    else:
-        lo = len(greedy_free_subset(g, config.s))
+    res = alpha_exact(g, config.s, node_budget=alpha_nodes)
+    lo, hi, exact = res.size, res.upper_bound, res.complete
+    if not exact:
+        lo = max(lo, len(greedy_free_subset(g, config.s)))
         try:
             extraction = recursive_free_subset(
                 g, bundle.coloring, config.s, t=config.t,
@@ -218,11 +215,6 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
             lo = max(lo, len(extraction.vertices))
         except (BudgetError, ExtractionError) as exc:
             note = (note + "; " if note else "") + f"extractor: {exc}"
-        res = alpha_exact(g, config.s, node_budget=alpha_nodes)
-        hi = res.upper_bound
-        if res.complete:
-            lo = hi = res.size
-            exact = True
     ms = int((time.monotonic() - t0) * 1000)
     return RunRow(n, seed, config.s, config.b, config.t, lo, hi, exact, cert_ok, ms, note)
 

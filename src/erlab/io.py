@@ -18,6 +18,11 @@ class FormatError(ValueError):
     pass
 
 
+# largest n (and R) a header may declare; the readers size their
+# structures by it before any edge line is read
+HEADER_LIMIT = 1 << 20
+
+
 def _write(path, lines):
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
 
@@ -49,10 +54,13 @@ def _fields(path, lineno: int, line: str, form: str) -> list[int]:
 
 
 def _header(path, lines, form: str) -> list[int]:
-    """Header fields; the last is the edge count, which the body must match."""
+    """Header fields; the last is the edge count, which the body must match,
+    and the others may not exceed ``HEADER_LIMIT``."""
     if not lines:
         raise FormatError(f"{path}: empty {form.split()[0]} file")
     fields = _fields(path, *lines[0], form)
+    if max(fields[:-1]) > HEADER_LIMIT:
+        raise FormatError(f"{path}:{lines[0][0]}: header field above the limit {HEADER_LIMIT}")
     if len(lines) - 1 != fields[-1]:
         raise FormatError(f"{path}: header promises {fields[-1]} edges, found {len(lines) - 1}")
     return fields

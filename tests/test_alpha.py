@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlab.alpha import (
-    AlterationParams,
     BudgetError,
-    CliqueHypergraph,
     ExtractionError,
-    UniformFamily,
     alpha_exact,
     alteration_probability,
     alteration_set,
@@ -156,43 +153,32 @@ class TestJoinableMemo:
 
 class TestAlteration:
     def test_empty_families_keep_everything(self):
-        fam = UniformFamily(6, 2, [])
-        out = alteration_set(AlterationParams([fam], seed=4))
-        assert out == tuple(range(6))
-        assert alteration_probability([fam], 6) == 1.0
+        assert alteration_set(6, [[]], seed=4) == tuple(range(6))
+        assert alteration_set(6, [], seed=4) == tuple(range(6))
+        assert alteration_probability([[]], 6) == 1.0
 
     def test_matching_probability(self):
-        fam = UniformFamily(6, 2, [(0, 1), (2, 3), (4, 5)])
-        assert alteration_probability([fam], 6) == pytest.approx(2 / 3)
+        assert alteration_probability([[(0, 1), (2, 3), (4, 5)]], 6) == pytest.approx(2 / 3)
+
+    def test_uniformity_is_member_length(self):
+        # k = 3 from the members: (7 / 7)^(1/2) / 3
+        assert alteration_probability([fano_plane_edges()], 7) == pytest.approx(1 / 3)
+        with pytest.raises(GraphError):
+            alteration_probability([[(0,)]], 4)
 
     def test_output_always_independent(self):
-        fano = UniformFamily(7, 3, fano_plane_edges())
+        fano = fano_plane_edges()
         for seed in range(100):
-            out = alteration_set(AlterationParams([fano], seed=seed))
-            chosen = set(out)
-            assert not any(set(line) <= chosen for line in fano.edges)
+            chosen = set(alteration_set(7, [fano], seed=seed))
+            assert not any(set(line) <= chosen for line in fano)
 
     def test_two_families(self):
-        f1 = UniformFamily(9, 3, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-        f2 = UniformFamily(9, 2, [(0, 3), (1, 4)])
+        f1 = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        f2 = [(0, 3), (1, 4)]
         for seed in range(50):
-            out = alteration_set(AlterationParams([f1, f2], seed=seed))
-            chosen = set(out)
+            chosen = set(alteration_set(9, [f1, f2], seed=seed))
             for fam in (f1, f2):
-                assert not any(set(e) <= chosen for e in fam.edges)
-
-    def test_override_probability(self):
-        fam = UniformFamily(10, 2, [(0, 1)])
-        out = alteration_set(AlterationParams([fam], seed=1, p=0.0))
-        assert out == ()
-
-    def test_mismatched_ground_sets_rejected(self):
-        with pytest.raises(GraphError):
-            alteration_set(
-                AlterationParams(
-                    [UniformFamily(5, 2, []), UniformFamily(6, 2, [])], seed=0
-                )
-            )
+                assert not any(set(e) <= chosen for e in fam)
 
     @given(st.integers(0, 300), st.integers(4, 9))
     @settings(max_examples=40, deadline=None)
@@ -204,21 +190,8 @@ class TestAlteration:
             tuple(sorted(rng.sample(range(n), 3)))
             for _ in range(rng.randint(0, 2 * n))
         ]
-        fam = UniformFamily(n, 3, edges)
-        out = alteration_set(AlterationParams([fam], seed=seed))
-        chosen = set(out)
-        assert not any(set(e) <= chosen for e in fam.edges)
-
-
-class TestCliqueHypergraph:
-    def test_hyperedges_match_enumeration(self):
-        g = random_graph(10, 0.6, seed=2)
-        ch = CliqueHypergraph.from_graph(g, 3)
-        assert list(ch.hyperedges) == enumerate_cliques(g, 3)
-
-    def test_cap(self):
-        with pytest.raises(BudgetError):
-            CliqueHypergraph.from_graph(Graph.complete(10), 3, cap=5)
+        chosen = set(alteration_set(n, [edges], seed=seed))
+        assert not any(set(e) <= chosen for e in edges)
 
 
 class TestRecursiveExtractor:
@@ -266,6 +239,21 @@ class TestRecursiveExtractor:
         assert res.path[0].startswith("depth 0: alteration")
         with pytest.raises(BudgetError):
             recursive_free_subset(g, col, 4, scan_cap=695, threshold_scale=1e9)
+
+    def test_alteration_over_every_clique(self):
+        g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
+        count = len(enumerate_cliques(g, 4))
+        assert count > 0
+        res = recursive_free_subset(g, col, 4, threshold_scale=1e9, seed=3)
+        assert res.path == [f"depth 0: alteration over {count} cliques"]
+        assert res.vertices == alteration_set(16, [enumerate_cliques(g, 4)], seed=3)
+
+    def test_clique_cap(self):
+        g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
+        count = len(enumerate_cliques(g, 4))
+        recursive_free_subset(g, col, 4, threshold_scale=1e9, clique_cap=count)
+        with pytest.raises(BudgetError, match=f"^{count} K_4 copies exceed the cap {count - 1}$"):
+            recursive_free_subset(g, col, 4, threshold_scale=1e9, clique_cap=count - 1)
 
 
 class TestLay3Extractor:

@@ -371,13 +371,13 @@ class TestOverlay:
         # every union edge has a contributing copy, and nothing else is in the union
         prov = overlay_provenance(g, record.permutations)
         assert sorted(prov) == final.edges()
-        # inverses() undoes each permutation, and finds the same copies
-        for perm, inv in zip(record.permutations, record.inverses()):
-            assert [inv[x] for x in perm] == list(range(10))
-        for (x, y), owners in prov.items():
-            assert owners == [
-                i for i, inv in enumerate(record.inverses()) if g.has_edge(inv[x], inv[y])
-            ]
+        # each copy relabels g by a bijection, so it holds exactly g.m union
+        # edges, and the union loses one edge per edge both copies hold
+        for i, perm in enumerate(record.permutations):
+            assert sorted(perm) == list(range(10))
+            assert sum(i in owners for owners in prov.values()) == g.m
+        assert all(owners in ([0], [1], [0, 1]) for owners in prov.values())
+        assert final.m == 2 * g.m - sum(len(owners) == 2 for owners in prov.values())
 
     @pytest.mark.parametrize("copies, retention_p", [(0, 1.0), (1, -0.1), (1, 1.1)])
     def test_bad_arguments_rejected(self, copies, retention_p):
@@ -418,11 +418,21 @@ class TestPipeline:
         assert find_mono_clique(bundle.final, bundle.coloring, 3) is None
 
     def test_5_3_4_blowup_overlay(self):
-        params = ConstructionParams.derive(5, 3, 4, 32, k=4, R=4, seed=11)
+        self._check_lowest_copy_colors(1.0)
+
+    def test_5_3_4_partial_retention(self):
+        self._check_lowest_copy_colors(0.8)
+
+    @staticmethod
+    def _check_lowest_copy_colors(retention_p):
+        params = ConstructionParams.derive(5, 3, 4, 32, k=4, R=4, retention_p=retention_p,
+                                           seed=11)
         bundle = construct_upper_bound_instance(params, 32)
         assert params.beta == 1
+        assert (bundle.final.n < bundle.blown.n) == (retention_p < 1)
         used = bundle.coloring.colors_used()
         assert used <= {1, 2, 3, 4}
+        assert bundle.certificate["checks"]["palette_disjoint"]["witness"] is None
         assert find_mono_clique(bundle.final, bundle.coloring, 3) is None
         # per-copy palettes are disjoint ranges; every edge takes the color of
         # its lowest contributing copy

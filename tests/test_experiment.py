@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from erlab import experiment
+from erlab.alpha import BudgetError, alpha_exact
 from erlab.cli import main
 from erlab.experiment import (
     ASYMPTOTIC_LABEL,
@@ -43,7 +45,7 @@ def tiny_config(tmp_path, **overrides):
     base = dict(
         s=5, b=3, t=2, n_list=[24, 32, 40], seeds=[1, 2],
         r_policy={"kind": "fixed", "value": 4},
-        budgets={"exact_threshold": 64, "alpha_nodes": 50_000},
+        budgets={"alpha_nodes": 50_000},
         out_dir=str(tmp_path / "out"),
     )
     base.update(overrides)
@@ -59,6 +61,45 @@ class TestRunExperiment:
         assert report.fit["label"] == ASYMPTOTIC_LABEL
         assert "ci_low" in report.fit and "ci_high" in report.fit
         assert report.label == ASYMPTOTIC_LABEL
+
+    @staticmethod
+    def _k4_row(tmp_path, monkeypatch, alpha_nodes):
+        """The (5,3,4) k=4 n=24 seed-1 row, whose final graph holds K_5,
+        with the search's results recorded."""
+        searches = []
+
+        def search(g, s, node_budget):
+            searches.append(alpha_exact(g, s, node_budget=node_budget))
+            return searches[-1]
+
+        monkeypatch.setattr(experiment, "alpha_exact", search)
+        config = tiny_config(tmp_path, t=4, n_list=[24], seeds=[1],
+                             k_policy={"kind": "fixed", "value": 4},
+                             budgets={"alpha_nodes": alpha_nodes})
+        (row,) = run_experiment(config).rows
+        (res,) = searches
+        return row, res
+
+    def test_complete_search_skips_greedy_and_extractor(self, tmp_path, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("ran after a complete search")
+
+        monkeypatch.setattr(experiment, "greedy_free_subset", unused)
+        monkeypatch.setattr(experiment, "recursive_free_subset", unused)
+        row, res = self._k4_row(tmp_path, monkeypatch, 3000)
+        assert res.complete and row.exact and row.note == ""
+        assert row.alpha_lo == row.alpha_hi == res.size
+
+    def test_incomplete_search_keeps_its_best_set(self, tmp_path, monkeypatch):
+        def no_extraction(*args, **kwargs):
+            raise BudgetError("cap")
+
+        monkeypatch.setattr(experiment, "greedy_free_subset", lambda g, s: ())
+        monkeypatch.setattr(experiment, "recursive_free_subset", no_extraction)
+        row, res = self._k4_row(tmp_path, monkeypatch, 50)
+        assert not res.complete and not row.exact and row.note == "extractor: cap"
+        assert row.alpha_lo == res.size > 0
+        assert row.alpha_hi == res.upper_bound > res.size
 
     def test_deterministic_modulo_timing(self, tmp_path):
         a = run_experiment(tiny_config(tmp_path))
@@ -93,7 +134,8 @@ class TestRunExperiment:
             ("seeds", {"seeds": 5}),
             ("seeds", {"seeds": [1, "2"]}),
             ("n_list", {"n_list": [16, True]}),
-            ("exact_threshold", {"budgets": {"exact_threshold": "x"}}),
+            ("scan_cap", {"budgets": {"scan_cap": "x"}}),
+            ("'exact_threshold' is not one of", {"budgets": {"exact_threshold": 64}}),
             ("alpha_nodes", {"budgets": {"alpha_nodes": 1.5}}),
             ("alpha_node", {"budgets": {"alpha_node": 5}}),
             ("budgets", {"budgets": [5]}),
@@ -130,7 +172,7 @@ class TestRunExperiment:
         path.write_text(json.dumps({
             "s": 5, "b": 3, "t": 2, "n_list": [24, 32, 40], "seeds": [1, 2],
             "r_policy": {"kind": "fixed", "value": 4},
-            "budgets": {"exact_threshold": 64, "alpha_nodes": 50000},
+            "budgets": {"alpha_nodes": 50000},
             "out_dir": str(tmp_path / "out"),
         }))
         loaded = ExperimentConfig.from_file(path)
@@ -192,6 +234,25 @@ class TestCli:
         assert payload["valid"]
         witness = (tmp_path / "witness.txt").read_text().split()
         assert len(witness) == payload["size"]
+
+    # the sparsified graph has 49 vertices: the default threshold, the
+    # ground-set size 64, samples nothing, and 39 samples five sets
+    @pytest.mark.parametrize("threshold, vacuous", [(None, True), (39, False)])
+    def test_certificate_records_sparsification(self, tmp_path, capsys, threshold, vacuous):
+        inst = tmp_path / "inst"
+        extra = [] if threshold is None else ["--threshold", str(threshold)]
+        assert main(["construct", "--s", "2", "--b", "3", "--t", "2", "--n", "64",
+                     "--R", "4", "--seed", "7", "--samples", "5", "--out-dir", str(inst),
+                     *extra]) == 0
+        assert int((inst / "sparsified.txt").read_text().split()[1]) == 49
+        cert = json.loads((inst / "certificate.json").read_text())
+        record = cert["sparsification"]
+        assert set(record) == {"attempt", "samples", "threshold", "vacuous", "sample_records"}
+        assert record["vacuous"] is vacuous
+        assert record["threshold"] == (64 if vacuous else threshold)
+        assert record["samples"] == len(record["sample_records"]) == (0 if vacuous else 5)
+        assert all(r["ok"] and r["size"] >= 39 for r in record["sample_records"])
+        assert "sparsification" not in cert["checks"]
 
     def test_density_says_when_threshold_exceeds_vertices(self, tmp_path, capsys):
         inst = tmp_path / "inst"
@@ -257,6 +318,20 @@ class TestCli:
                      "--nmax", "6", "--budget-ms", "600000"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 6
+
+    def test_ramsey_inconclusive_exits_3_with_json(self, capsys):
+        rc = main(["ramsey", "--kind", "multicolor", "--param", "3,3", "--nmax", "8",
+                   "--budget-nodes", "50"])
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert rc == 3 and err == ""
+        assert payload["status"] == "inconclusive" and payload["value"] is None
+
+    def test_ramsey_unknown_exits_0(self, capsys):
+        # R(3,3,3) = 17 lies beyond n_max = 4: unknown, not inconclusive
+        assert main(["ramsey", "--kind", "multicolor", "--param", "3,3",
+                     "--nmax", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "unknown"
 
     @pytest.mark.parametrize("kind, param, nmax, reason", [
         ("multicolor", "3,x", "4", "'3,x' is not integers 't,b'"),
@@ -334,8 +409,8 @@ class TestCli:
                      id="fixed-without-value"),
         pytest.param({"seeds": 5}, "seeds must be a non-empty list of integers, got 5",
                      id="seeds-not-a-list"),
-        pytest.param({"budgets": {"exact_threshold": "x"}},
-                     "budgets 'exact_threshold' must be an integer, got 'x'",
+        pytest.param({"budgets": {"scan_cap": "x"}},
+                     "budgets 'scan_cap' must be an integer, got 'x'",
                      id="budget-not-an-integer"),
         pytest.param({"s": "5"}, "s must be an integer, got '5'", id="s-not-an-integer"),
         pytest.param({"out_dir": 7}, "out_dir must be a string, got 7", id="out-dir-not-a-string"),
@@ -356,7 +431,6 @@ class TestCli:
         config.write_text(json.dumps({
             "s": 5, "b": 3, "t": 2, "n_list": [24, 32, 40], "seeds": [1],
             "r_policy": {"kind": "fixed", "value": 4},
-            "budgets": {"exact_threshold": 64},
             "out_dir": str(tmp_path / "out"),
         }))
         assert main(["experiment", "--config", str(config)]) == 0

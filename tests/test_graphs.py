@@ -1,10 +1,11 @@
 """Graph/hypergraph core: predicates, incidence structure, file formats."""
 
 import itertools
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erlab.graphs import (
@@ -178,6 +179,31 @@ class TestColoring:
         assert back.color_of(4, 5) == 1
 
 
+# arbitrary files for the readers: short raw bytes, or a header (often with
+# the right edge count) over lines of small integers and junk.  Integers
+# stay small, so no header asks for a large allocation.
+_INT = st.integers(-2, 6).map(str)
+_LINE = st.one_of(
+    st.lists(_INT, min_size=1, max_size=3),
+    st.lists(st.one_of(_INT, st.sampled_from(["graph", "1.5", "x", "٣"]), st.text(max_size=3)),
+             max_size=4),
+).map(" ".join)
+
+
+@st.composite
+def _text_files(draw):
+    r = draw(st.integers(1, 3))
+    edge = st.lists(_INT, min_size=r, max_size=r).map(" ".join)  # r ids: a hyperedge line
+    body = draw(st.lists(st.one_of(_LINE, edge), max_size=6))
+    m = str(len(body)) if draw(st.booleans()) else draw(_INT)
+    header = draw(st.sampled_from([
+        f"graph {draw(_INT)} {m}",
+        f"hypergraph {draw(_INT)} {r} {m}",
+        draw(_LINE),
+    ]))
+    return "\n".join([header, *body]).encode("utf-8", "surrogatepass")
+
+
 class TestFileFormats:
     def test_graph_round_trip(self, tmp_path):
         g = random_graph(11, 0.4, seed=3)
@@ -236,6 +262,13 @@ class TestFileFormats:
             ("read_graph", "graph 3 2\n0 1\n1 0\n", ":3: duplicate edge 0 1 (first on line 2)"),
             ("read_hypergraph", "hypergraph 7 3 2\n0 1 2\n2 0 1\n", ":3: duplicate edge 0 1 2"),
             ("read_coloring", "0 1 1\n1 0 2\n", ":2: duplicate edge 0 1 (first on line 1)"),
+            # headers above the size limit, checked before anything is sized by them
+            ("read_graph", f"graph {eio.HEADER_LIMIT + 1} 0\n", ":1: header field above"),
+            ("read_graph", "graph 100000000000 0\n", ":1: header field above"),
+            ("read_hypergraph", f"hypergraph {eio.HEADER_LIMIT + 1} 3 0\n",
+             ":1: header field above"),
+            ("read_hypergraph", f"hypergraph 7 {eio.HEADER_LIMIT + 1} 0\n",
+             ":1: header field above"),
         ],
     )
     def test_malformed_input_raises_format_error(self, tmp_path, reader, text, where):
@@ -259,6 +292,31 @@ class TestFileFormats:
         assert eio.read_coloring(path).t == 3
         with pytest.raises(eio.FormatError, match=":2: color 3"):
             eio.read_coloring(path, t=2)
+
+    def test_header_at_limit_accepted(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"graph {eio.HEADER_LIMIT} 1\n0 {eio.HEADER_LIMIT - 1}\n")
+        g = eio.read_graph(path)
+        assert g.n == eio.HEADER_LIMIT and g.m == 1
+        path.write_text(f"hypergraph {eio.HEADER_LIMIT} {eio.HEADER_LIMIT} 0\n")
+        H = eio.read_hypergraph(path)
+        assert (H.n, H.R, H.m) == (eio.HEADER_LIMIT, eio.HEADER_LIMIT, 0)
+
+    @pytest.mark.parametrize("reader", ["read_graph", "read_hypergraph", "read_coloring"])
+    @given(st.one_of(st.binary(max_size=12), _text_files()))
+    # headers just past the size limit
+    @example(f"graph {eio.HEADER_LIMIT + 1} 0\n".encode())
+    @example(f"hypergraph {eio.HEADER_LIMIT + 1} 2 0\n".encode())
+    @example(f"hypergraph 4 {eio.HEADER_LIMIT + 1} 0\n".encode())
+    @settings(max_examples=150, deadline=None)
+    def test_readers_raise_only_format_error(self, reader, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(data)
+            try:
+                getattr(eio, reader)(path)
+            except eio.FormatError:
+                pass
 
     @given(st.integers(0, 8), st.data())
     @settings(max_examples=25, deadline=None)
