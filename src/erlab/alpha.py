@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bounds import GTable, exponent_lower
 from .freeness import default_table, find_mono_clique
 from .graphs import EdgeColoring, Graph, GraphError, enumerate_cliques, first_clique
-from .util import ensure_recursion_depth, iter_bits, make_rng
+from .util import iter_bits, make_rng
 
 
 class ExtractionError(RuntimeError):
@@ -76,6 +76,18 @@ def alpha_exact(
     budget the search may stop early; ``upper_bound`` then caps the true
     value (equal to ``size`` iff ``complete``).
 
+    The search is one loop with no recursion, so no recursion limit applies
+    at any graph size.  ``chosen`` is its stack of decisions: every vertex
+    in it was included and still owes its exclude branch, and every vertex
+    between two of them was excluded with nothing left to try.  Backtracking
+    pops the last included vertex ``v`` and goes on excluding it, at
+    ``v + 1``.  A node is a vertex decided at a position the bound
+    ``len(chosen) + (n - idx) > len(best)`` leaves open.
+
+    When the budget runs out at ``idx``, the open subtrees are the one at
+    ``idx`` and the exclude branch of each ``chosen[j]``; their sizes cap
+    the true value at ``len(chosen) + n - idx`` and ``j + n - chosen[j] - 1``.
+
     Vertex ``idx`` may join ``chosen`` iff ``chosen & N(idx)`` holds no
     K_{s-1}.  The search asks this of few distinct masks many times over,
     since backtracking over non-neighbours of ``idx`` leaves the mask as it
@@ -87,44 +99,34 @@ def alpha_exact(
     if s < 2:
         raise GraphError("s must be at least 2")
     n = graph.n
-    ensure_recursion_depth(n)
     rows = graph._rows
     joinable = _JoinableMemo(rows, s - 1)
+    limit = math.inf if node_budget is None else node_budget
     best: list[int] = []
     chosen: list[int] = []
     chosen_mask = 0
     nodes = 0
-    aborted_bounds: list[int] = []
-    out_of_budget = False
-
-    def walk(idx: int):
-        nonlocal chosen_mask, nodes, best, out_of_budget
+    idx = 0
+    while True:
         if idx == n:
             if len(chosen) > len(best):
                 best = chosen.copy()
-            return
-        if len(chosen) + (n - idx) <= len(best):
-            return
-        if node_budget is not None and nodes >= node_budget:
-            out_of_budget = True
-            aborted_bounds.append(len(chosen) + (n - idx))
-            return
-        nodes += 1
-        if joinable[chosen_mask & rows[idx]]:
-            chosen.append(idx)
-            chosen_mask |= 1 << idx
-            walk(idx + 1)
-            chosen.pop()
-            chosen_mask ^= 1 << idx
-        if out_of_budget:
-            aborted_bounds.append(len(chosen) + (n - idx) - 1)
-            return
-        walk(idx + 1)
-
-    walk(0)
-    complete = not out_of_budget
-    upper = len(best) if complete else max([len(best)] + aborted_bounds)
-    return AlphaResult(len(best), tuple(best), complete, upper, nodes)
+        elif len(chosen) + (n - idx) > len(best):
+            if nodes >= limit:
+                bounds = [len(best), len(chosen) + (n - idx)]
+                bounds += [j + (n - v) - 1 for j, v in enumerate(chosen)]
+                return AlphaResult(len(best), tuple(best), False, max(bounds), nodes)
+            nodes += 1
+            if joinable[chosen_mask & rows[idx]]:
+                chosen.append(idx)
+                chosen_mask |= 1 << idx
+            idx += 1
+            continue
+        if not chosen:
+            return AlphaResult(len(best), tuple(best), True, len(best), nodes)
+        v = chosen.pop()
+        chosen_mask ^= 1 << v
+        idx = v + 1
 
 
 COUNT_LIMIT = 24
@@ -149,7 +151,6 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0) -> int:
             f"(got {graph.n}); use alpha_exact for larger graphs"
         )
     n = graph.n
-    ensure_recursion_depth(n)
     rows = graph._rows
     joinable = _JoinableMemo(rows, s - 1)
     count = 0

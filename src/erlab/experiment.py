@@ -206,7 +206,10 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
     res = alpha_exact(g, config.s, node_budget=alpha_nodes)
     lo, hi, exact = res.size, res.upper_bound, res.complete
     if not exact:
-        lo = max(lo, len(greedy_free_subset(g, config.s)))
+        # the include-first search reaches the greedy set at its first leaf,
+        # after n nodes, so greedy can only help a smaller budget
+        if alpha_nodes < g.n:
+            lo = max(lo, len(greedy_free_subset(g, config.s)))
         try:
             extraction = recursive_free_subset(
                 g, bundle.coloring, config.s, t=config.t,

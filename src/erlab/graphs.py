@@ -258,7 +258,32 @@ def enumerate_cliques(graph: Graph, s: int) -> list[tuple[int, ...]]:
 def first_clique(rows: list[int], mask: int, s: int):
     """Lexicographically first s-clique inside ``mask`` (adjacency ``rows``),
     or None; ``()`` when ``s <= 0``."""
-    return next(_cliques(rows, mask, s, ()), None)
+    if s <= 0:
+        return ()
+    return _first_clique(rows, mask, s)
+
+
+def _first_clique(rows: list[int], cand: int, need: int):
+    """``first_clique`` for ``need >= 1``, by direct depth-first search.
+
+    Vertices of ``cand`` are tried in ascending order, and one whose
+    candidate set ``cand & N(v)`` (above it) has fewer than ``need - 1``
+    bits is skipped without a call.  The recursion stays on this private
+    name, so a wrapper rebound over ``first_clique`` sees one call per
+    query."""
+    if need == 1:
+        return ((cand & -cand).bit_length() - 1,) if cand else None
+    rest = need - 1
+    while cand.bit_count() >= need:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        sub = cand & rows[v]
+        if sub.bit_count() >= rest:
+            found = _first_clique(rows, sub, rest)
+            if found is not None:
+                return (v,) + found
+    return None
 
 
 @dataclass(frozen=True)

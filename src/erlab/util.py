@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
 
 
 def derive_seed(*parts) -> int:
@@ -28,9 +27,3 @@ def iter_bits(mask: int):
         yield low.bit_length() - 1
         mask ^= low
 
-
-def ensure_recursion_depth(depth: int) -> None:
-    """Raise the interpreter recursion limit to cover a DFS of the given depth."""
-    need = depth + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)

@@ -1,14 +1,16 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the package's own algorithms: the DP
-works over all 2^n subsets with numpy, the naive checks use itertools, the
-instance generators only rely on adjacency bookkeeping, and the reference
-packer draws through ``rng.sample`` and tests edge-indexed bitmasks.  The
-reference alpha searches are the package's branch and bound and counting
-enumeration as they were before their clique tests were memoised: they ask
-``first_clique`` afresh at every node.  The reference coloring search is the
-package's recursive backtrack over per-vertex color sets, as it was before it
-became one loop over bitmask state.
+works over all 2^n subsets with numpy, the naive checks (the first-clique
+query among them) use itertools, the instance generators only rely on
+adjacency bookkeeping, and the reference packer draws through ``rng.sample``
+and tests edge-indexed bitmasks.  The reference alpha searches are the
+package's branch and bound and counting enumeration as they were before
+their clique tests were memoised and the branch and bound became one loop:
+they recurse, and ask ``first_clique`` afresh at every node.  The reference
+coloring search is the package's recursive backtrack over per-vertex color
+sets, as it was before it became one loop over bitmask state.  The
+recursive searches raise the interpreter's recursion limit to their depth.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -23,7 +26,14 @@ from erlab.alpha import AlphaResult
 from erlab.construct import _default_sample_budget
 from erlab.freeness import FOUND, INCONCLUSIVE, NONE, SearchResult, _edge_order, find_mono_clique
 from erlab.graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, first_clique
-from erlab.util import ensure_recursion_depth, iter_bits, make_rng
+from erlab.util import iter_bits, make_rng
+
+
+def ensure_recursion_depth(depth: int) -> None:
+    """Raise the interpreter recursion limit to cover a DFS of the given depth."""
+    need = depth + 200
+    if sys.getrecursionlimit() < need:
+        sys.setrecursionlimit(need)
 
 
 def dp_clique_tables(graph: Graph, smax: int) -> dict[int, np.ndarray]:
@@ -83,6 +93,19 @@ def naive_cliques(graph: Graph, s: int) -> list[tuple[int, ...]]:
         if all(graph.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
             out.append(combo)
     return out
+
+
+def naive_first_clique(rows: list[int], mask: int, s: int):
+    """Lexicographically first s-clique inside ``mask``, or None; ``()`` when
+    ``s <= 0``: the first of ``itertools.combinations`` over the mask's
+    sorted vertices whose pairs are all adjacent in ``rows``."""
+    if s <= 0:
+        return ()
+    members = [v for v in range(len(rows)) if (mask >> v) & 1]
+    for combo in itertools.combinations(members, s):
+        if all((rows[a] >> b) & 1 for a, b in itertools.combinations(combo, 2)):
+            return combo
+    return None
 
 
 def naive_is_free(graph: Graph, vertices, s: int) -> bool:

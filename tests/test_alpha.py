@@ -2,6 +2,7 @@
 extractors."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,12 @@ class TestAlphaExact:
     def test_s_below_2_rejected(self):
         with pytest.raises(GraphError):
             alpha_exact(Graph.complete(3), 1)
+
+    def test_deeper_than_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        res = alpha_exact(Graph(limit + 500), 2)
+        assert res.size == res.nodes == limit + 500 and res.complete
+        assert sys.getrecursionlimit() == limit
 
 
 class TestCountFreeSubsets:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from erlab import experiment
-from erlab.alpha import BudgetError, alpha_exact
+from erlab.alpha import BudgetError, alpha_exact, greedy_free_subset
 from erlab.cli import main
 from erlab.experiment import (
     ASYMPTOTIC_LABEL,
@@ -69,16 +69,16 @@ class TestRunExperiment:
         searches = []
 
         def search(g, s, node_budget):
-            searches.append(alpha_exact(g, s, node_budget=node_budget))
-            return searches[-1]
+            searches.append((g, alpha_exact(g, s, node_budget=node_budget)))
+            return searches[-1][1]
 
         monkeypatch.setattr(experiment, "alpha_exact", search)
         config = tiny_config(tmp_path, t=4, n_list=[24], seeds=[1],
                              k_policy={"kind": "fixed", "value": 4},
                              budgets={"alpha_nodes": alpha_nodes})
         (row,) = run_experiment(config).rows
-        (res,) = searches
-        return row, res
+        ((g, res),) = searches
+        return row, res, g
 
     def test_complete_search_skips_greedy_and_extractor(self, tmp_path, monkeypatch):
         def unused(*args, **kwargs):
@@ -86,7 +86,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "greedy_free_subset", unused)
         monkeypatch.setattr(experiment, "recursive_free_subset", unused)
-        row, res = self._k4_row(tmp_path, monkeypatch, 3000)
+        row, res, _ = self._k4_row(tmp_path, monkeypatch, 3000)
         assert res.complete and row.exact and row.note == ""
         assert row.alpha_lo == row.alpha_hi == res.size
 
@@ -96,10 +96,32 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "greedy_free_subset", lambda g, s: ())
         monkeypatch.setattr(experiment, "recursive_free_subset", no_extraction)
-        row, res = self._k4_row(tmp_path, monkeypatch, 50)
+        row, res, _ = self._k4_row(tmp_path, monkeypatch, 50)
         assert not res.complete and not row.exact and row.note == "extractor: cap"
         assert row.alpha_lo == res.size > 0
         assert row.alpha_hi == res.upper_bound > res.size
+
+    def test_greedy_runs_only_below_n_nodes(self, tmp_path, monkeypatch):
+        greedy_sets = []
+
+        def greedy(g, s):
+            greedy_sets.append(greedy_free_subset(g, s))
+            return greedy_sets[-1]
+
+        def no_extraction(*args, **kwargs):
+            raise BudgetError("cap")
+
+        monkeypatch.setattr(experiment, "greedy_free_subset", greedy)
+        monkeypatch.setattr(experiment, "recursive_free_subset", no_extraction)
+        _, _, g = self._k4_row(tmp_path, monkeypatch, 0)
+        greedy_set = greedy_free_subset(g, 5)
+        for budget in (g.n - 1, g.n, g.n + 100):
+            greedy_sets.clear()
+            row, res, _ = self._k4_row(tmp_path, monkeypatch, budget)
+            assert not res.complete
+            assert greedy_sets == ([greedy_set] if budget < g.n else [])
+            # what greedy would have given is already in the row's lower bound
+            assert row.alpha_lo == max(res.size, len(greedy_set))
 
     def test_deterministic_modulo_timing(self, tmp_path):
         a = run_experiment(tiny_config(tmp_path))

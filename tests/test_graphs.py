@@ -23,9 +23,10 @@ from erlab.graphs import (
     uncovered_clique,
     validate_hypergraph,
 )
+from erlab import graphs
 from erlab import io as eio
 
-from oracles import naive_cliques, random_graph
+from oracles import naive_cliques, naive_first_clique, random_graph
 
 
 def cycle(n):
@@ -103,6 +104,44 @@ class TestEnumerateCliques:
         else:
             assert enumerate_cliques(g, s) == naive
             assert uncovered_clique(g, cover, s) == (uncovered[0] if uncovered else None)
+
+
+class TestFirstClique:
+    @given(st.integers(0, 10), st.integers(-1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_oracle(self, n, s, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        # the absent pairs: few of them give dense graphs, so K_5 and K_6 occur
+        absent = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        g = Graph(n, [e for e in pairs if e not in absent])
+        fewer_than_s = st.sets(st.integers(0, max(n - 1, 0)), max_size=max(s - 1, 0))
+        mask = data.draw(st.one_of(
+            st.integers(0, g.full_mask()),
+            fewer_than_s.map(lambda vs: sum(1 << v for v in vs) & g.full_mask()),
+        ))
+        assert first_clique(g._rows, mask, s) == naive_first_clique(g._rows, mask, s)
+
+    def test_mask_smaller_than_s(self):
+        rows = Graph.complete(6)._rows
+        assert first_clique(rows, 0b101101, 5) is None
+        assert first_clique(rows, 0b101101, 4) == (0, 2, 3, 5)
+        assert first_clique(rows, 0, 1) is None
+        assert first_clique(rows, 0, 0) == () == first_clique(rows, 0, -1)
+
+    def test_rebound_name_sees_one_call_per_query(self, monkeypatch):
+        # a tracer rebinds the module name to a wrapper; the search beneath
+        # it must not call back through that name
+        real = graphs.first_clique
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graphs, "first_clique", counting)
+        g = Graph(7, list(itertools.combinations(range(2, 6), 2)) + [(0, 2), (1, 6), (5, 6)])
+        assert graphs.first_clique(g._rows, g.full_mask(), 4) == (2, 3, 4, 5)
+        assert len(calls) == 1
 
 
 class TestValidateHypergraph:
