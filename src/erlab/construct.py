@@ -7,12 +7,9 @@ certificate material.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .freeness import (
     UnsupportedParametersError,
@@ -46,251 +43,41 @@ class CertificationError(RuntimeError):
 # linear triangle-free hypergraph packing
 
 
-def _default_sample_budget(n: int, R: int) -> int:
-    return max(30_000, 25 * math.ceil(n * n / (R * R)))
+# failed extensions in a row that end the packing
+_STALL_LIMIT = 200
 
 
-# Words drawn per getrandbits call by the set branch and by the pool branch;
-# the pool branch keeps R index arrays per word, so its blocks are smaller.
-# The enumerate branch tests this many candidates per pass.  Rows left in a
-# pass after an accepted edge are tested again this many at a time.
-_BLOCK_WORDS = 1 << 14
-_POOL_BLOCK_WORDS = 1 << 12
-_CHUNK_ROWS = 1 << 10
-_RECHECK_ROWS = 64
+def _random_member(rng, mask: int, n: int) -> int:
+    """A uniform random set bit of the non-empty ``mask`` over range(n): by
+    rejection while at least an eighth of range(n) is set, else by index."""
+    count = mask.bit_count()
+    if 8 * count >= n:
+        while True:
+            y = rng.randrange(n)
+            if mask >> y & 1:
+                return y
+    return next(itertools.islice(iter_bits(mask), rng.randrange(count), None))
 
 
-def _sample_draws(rng, n: int, R: int, budget: int):
-    """Yield, as int arrays of R columns, what ``budget`` successive
-    ``rng.sample(range(n), R)`` calls would return, and leave ``rng`` in the
-    state those calls would.
-
-    ``random.sample`` keeps a pool of range(n) when n <= setsize and a set of
-    picks above it; both draw with ``getrandbits(k)``, k <= 32, which is the
-    next 32-bit word shifted right by 32 - k.  ``getrandbits(32 * W)``
-    concatenates the next W words little-endian, so the samples are cut from
-    blocks of words, one array per block; a sample cut by a block's end is
-    carried into the next.  At the end the generator goes back to the last
-    block's start and draws only the words used.
-    """
-    setsize = 21 + (4 ** math.ceil(math.log(3 * R, 4)) if R > 5 else 0)
-    cut, size = (_cut_set, _BLOCK_WORDS) if n > setsize else (_cut_pool, _POOL_BLOCK_WORDS)
-    carry = np.empty(0, np.uint32)  # the words of a sample cut by a block's end
-    left = budget
-    while left:
-        start = rng.getstate()
-        block = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
-        words = np.concatenate((carry, np.frombuffer(block, "<u4")))
-        del block  # the words hold a copy; free the bytes before cutting
-        chunk, end = cut(words, n, R, left)
-        left -= len(chunk)
-        if left:
-            carry = words[end:]
-        if len(chunk):
-            yield chunk
-    if budget:
-        rng.setstate(start)
-        rng.getrandbits(32 * (end - len(carry)))
-
-
-def _cut_pool(words, n: int, R: int, limit: int):
-    """The first pool-branch samples, at most ``limit``, that lie wholly in
-    ``words``, as an int array of R columns, and the index after the last.
-
-    Step i of a sample draws words until one, shifted right by 32 - k with
-    m = n - i and k = m.bit_length(), is below m.  That value j indexes a
-    pool of range(n), and the pool's last live slot, m - 1, moves into slot j.
-    """
-    size = len(words)
-    steps = range(n, n - R, -1)
-    shifts = np.array([[32 - m.bit_length()] for m in steps], np.uint32)
-    # the columns run backwards: column c stands for index size + 1 - c, and
-    # every step accepts columns 0 and 1, past the end; a running maximum of
-    # c' (1 for c' = 0) over the accepted c' finds the nearest one
-    hits = np.ones((R, size + 2), bool)
-    np.less(words[::-1], np.array([[m] for m in steps], np.uint32) << shifts, out=hits[:, 2:])
-    last = hits * np.arange(size + 2, dtype=np.int32).clip(1)
-    np.maximum.accumulate(last, axis=1, out=last)
-    # after[i, p]: the index after the first word at or after p that step i
-    # accepts, else size + 1, which maps to itself
-    after = np.subtract(size + 2, last[:, ::-1], dtype=np.int32)
-    ends = after[0]
-    for row in after[1:]:
-        ends = row.take(ends)  # ends[p]: the index after the sample from p
-
-    # the starts 0, ends[0], ends[ends[0]], ... by pointer doubling: each
-    # pass appends the starts one jump on and squares the jump
-    starts, jump = np.zeros(1, np.int32), ends
-    while ends[starts[-1]] <= size and len(starts) < limit:
-        starts = np.concatenate((starts, jump.take(starts)))
-        jump = jump.take(jump)
-    starts = starts[ends.take(starts) <= size][:limit]
-    if not len(starts):
-        return np.empty((0, R), np.intp), 0
-
-    taken, p = [], starts
-    for row in after:
-        p = row.take(p)
-        taken.append(p)  # the index after the word step i takes
-    # slots[2i] is the slot step i draws and slots[2i + 1] the last live slot,
-    # whose value moves there; found holds the values those slots have at
-    # step i: their own, unless an earlier step moved a value into them
-    slots = np.empty((2 * R, len(starts)), np.int32)
-    slots[0::2] = words.take(np.array(taken) - 1) >> shifts
-    slots[1::2] = np.array([[m - 1] for m in steps])
-    found = slots.copy()
-    for t in range(R - 1):
-        np.copyto(found[2 * t + 2:], found[2 * t + 1], where=slots[2 * t] == slots[2 * t + 2:])
-    return found[0::2].T.astype(np.intp), int(ends[starts[-1]])
-
-
-def _cut_set(words, n: int, R: int, limit: int):
-    """The first set-branch samples, at most ``limit``, that lie wholly in
-    ``words``, as an int array of R columns, and the index after the last.
-
-    A sample draws ``getrandbits(k)``, k = n.bit_length(), until it holds R
-    distinct values below n.
-    """
-    shift = 32 - n.bit_length()
-    kept = words < (n << shift)  # the words whose value is below n
-    chunk, end = _cut_samples(words[np.flatnonzero(kept)] >> shift, R, limit)
-    return chunk, int(np.flatnonzero(kept)[end - 1]) + 1 if end else 0
-
-
-def _cut_samples(vals, R: int, limit: int):
-    """The first samples, at most ``limit``, that lie wholly in ``vals``, as
-    an int array of R columns, and the index after the last one.
-
-    The samples from a start p are the windows p, p + R, ... of R values,
-    up to the first spoiled start: one whose window holds a repeat or runs
-    past the end.  That sample ends at its R-th distinct value, and the next
-    one starts there.
-    """
-    size = len(vals)
-    # a repeat vals[a] == vals[a + d], d < R, spoils the starts in
-    # [a + d - R + 1, a]; the end spoils size - R + 1 .. size, which holds a
-    # start of each residue mod R, so each lane has one at or after any p
-    first, last = [[max(size - R + 1, 0)]], [[size]]
-    for d in range(1, R):
-        a = np.flatnonzero(vals[:-d] == vals[d:])
-        first.append(np.maximum(a + d - R + 1, 0))
-        last.append(a)
-    first, last = np.concatenate(first), np.concatenate(last)
-    length = last - first + 1
-    spoiled = np.repeat(first - (np.cumsum(length) - length), length)
-    spoiled = np.sort(spoiled + np.arange(len(spoiled)))
-    residue = spoiled % R
-    spoiled = spoiled[np.argsort(residue, kind="stable")].tolist()
-    bounds = np.cumsum(np.bincount(residue, minlength=R)).tolist()
-    lanes = [spoiled[a:b] for a, b in zip([0] + bounds, bounds)]  # by residue
-
-    run_starts, run_rows, cut = [], [], {}
-    rows = p = 0
-    while rows < limit:
-        lane = lanes[p % R]
-        h = lane[bisect.bisect_left(lane, p)]
-        run = min((h - p) // R, limit - rows)
-        if run:
-            run_starts.append(p)
-            run_rows.append(run)
-            rows += run
-            p += run * R
-            if rows == limit:
-                break
-        draw = _distinct_prefix(vals, h, R)
-        if draw is None:
-            break
-        cut[rows] = list(dict.fromkeys(draw))
-        run_starts.append(h)
-        run_rows.append(1)
-        rows += 1
-        p = h + len(draw)
-
-    if not rows:
-        return np.empty((0, R), np.intp), p
-    offset = np.repeat(np.cumsum(run_rows) - run_rows, run_rows)
-    starts = np.repeat(run_starts, run_rows) + R * (np.arange(rows) - offset)
-    chunk = vals.take(starts[:, None] + np.arange(R), mode="clip").astype(np.intp)
-    if cut:
-        chunk[list(cut)] = list(cut.values())
-    return chunk, p
-
-
-def _distinct_prefix(vals, h: int, R: int) -> list[int] | None:
-    """The shortest run vals[h:q] that holds R distinct values, or None if
-    vals[h:] holds fewer; vals[h:h + R] is known to hold fewer."""
-    width = 2 * R
-    while True:
-        values = vals[h:h + width].tolist()
-        q = R + 1
-        while q <= len(values) and len(set(values[:q])) < R:
-            q += 1
-        if q <= len(values):
-            return values[:q]
-        if h + width >= len(vals):
-            return None
-        width *= 2
-
-
-def _accept(chunk, conflict, closed: list[int], edges: list[tuple[int, ...]]) -> None:
-    """Append to ``edges``, in order, each row of ``chunk`` whose vertices'
-    N[x] are pairwise disjoint at its turn, updating ``closed`` (N[x]) and
-    ``conflict`` (x, y: N[x] ∩ N[y] ≠ ∅).  Conflicts only grow, so a row in
-    conflict before the chunk stays rejected; the rest are tested again,
-    ``_RECHECK_ROWS`` at a time, from the row after each accepted one.  An
-    accepted edge S adds S to N[x] for each x in S and changes no other N[y],
-    so the new conflicts are the pairs of x in S and y in the union of the
-    new N[x]."""
-    n, R = conflict.shape[0], chunk.shape[1]
-    flat = conflict.reshape(-1)
-    rows = chunk
-    for b in range(1, R):
-        # column b against the columns before it, on the rows still live
-        rows = rows[~flat[rows[:, :b] * n + rows[:, b:b + 1]].any(axis=1)]
-    left, right = np.triu_indices(R, 1)
-    at = 0
-    while at < len(rows):
-        batch = rows[at:at + _RECHECK_ROWS]
-        clear = ~flat[batch[:, left] * n + batch[:, right]].any(axis=1)
-        first = int(clear.argmax())
-        if not clear[first]:
-            at += len(batch)
-            continue
-        edge = batch[first].tolist()
-        edges.append(tuple(sorted(edge)))
-        mask = reach = 0
-        for x in edge:
-            mask |= 1 << x
-        for x in edge:
-            closed[x] |= mask
-            reach |= closed[x]
-        reach = list(iter_bits(reach))
-        conflict[np.ix_(edge, reach)] = True
-        conflict[np.ix_(reach, edge)] = True
-        at += first + 1
-
-
-def build_linear_tf_hypergraph(
-    n: int,
-    R: int,
-    seed: int,
-    sample_budget: int | None = None,
-) -> tuple[LinearHypergraph, dict]:
+def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergraph, dict]:
     """Random-greedy packing of R-sets that stays linear and free of
     hypergraph triangles; desk-scale substitute for the cited existence
     result (the asymptotic edge count is reported, never asserted).
 
-    Candidates are all R-sets shuffled when C(n, R) <= 10 000, else
-    ``sample_budget`` lazy draws equal, in order, to ``rng.sample(range(n),
-    R)`` calls under CPython >= 3.10.  Let N[x] hold x and the vertices
-    sharing an accepted edge with it (empty while x is in none).  Candidate
-    vertices x != y share an edge iff y is in N[x]; accepted edges f ∋ x,
-    g ∋ y meeting in z make a triangle, where z in {x, y} or f = g means a
-    shared edge and else z is in N[x] ∩ N[y], which conversely yields one of
-    the two.  So a candidate is accepted iff its vertices' N[x] are pairwise
-    disjoint; candidates are tested in numpy passes against an n x n boolean
-    matrix of the pairs whose N[x] meet.  Returns the hypergraph and a report
-    of its edge count against the n^2/R^2 ceiling.
+    Let N[x] hold x and the vertices sharing an accepted edge with it (empty
+    while x is in none).  Candidate vertices x != y share an edge iff y is in
+    N[x]; accepted edges f ∋ x, g ∋ y meeting in z make a triangle, where z
+    in {x, y} or f = g means a shared edge and else z is in N[x] ∩ N[y],
+    which conversely yields one of the two.  So an R-set is acceptable iff
+    its vertices' N[x] are pairwise disjoint: iff it is an R-clique of the
+    compatible graph C, x ~ y iff N[x] ∩ N[y] = ∅.
+
+    Each attempt draws a random start vertex and extends it by random members
+    of the running intersection of the compat rows until R vertices are
+    chosen, which is accepted, or the intersection is empty.  Packing stops
+    after ``_STALL_LIMIT`` failed attempts in a row (Spencer's random greedy
+    packing).  Returns the hypergraph and a report of its edge count against
+    the n^2/R^2 ceiling and of the attempts made.
     """
     if R < 3:
         raise GraphError(f"uniformity must be at least 3, got {R}")
@@ -298,23 +85,36 @@ def build_linear_tf_hypergraph(
         raise GraphError(f"uniformity {R} exceeds ground-set size {n}")
     rng = make_rng(seed, "packing")
 
-    tried = math.comb(n, R)
-    enumerated = tried <= 10_000
-    if enumerated:
-        combos = list(itertools.combinations(range(n), R))
-        rng.shuffle(combos)
-        candidates = (
-            np.array(combos[i:i + _CHUNK_ROWS], np.intp) for i in range(0, tried, _CHUNK_ROWS)
-        )
-    else:
-        tried = max(0, _default_sample_budget(n, R) if sample_budget is None else sample_budget)
-        candidates = _sample_draws(rng, n, R, tried)
-
-    edges: list[tuple[int, ...]] = []
-    conflict = np.zeros((n, n), dtype=bool)
+    full = (1 << n) - 1
+    compat = [full ^ (1 << x) for x in range(n)]  # C's rows, as bitmasks
     closed = [0] * n  # N[x] as a bitmask
-    for chunk in candidates:
-        _accept(chunk, conflict, closed, edges)
+    edges: list[tuple[int, ...]] = []
+    tried = stall = 0
+    while stall < _STALL_LIMIT:
+        tried += 1
+        x = rng.randrange(n)
+        chosen, common = [x], compat[x]
+        while common and len(chosen) < R:
+            y = _random_member(rng, common, n)
+            chosen.append(y)
+            common &= compat[y]
+        if len(chosen) < R:
+            stall += 1
+            continue
+        stall = 0
+        edges.append(tuple(sorted(chosen)))
+        # S joins N[x] for each x in S and no other N[y], so the new
+        # conflicts are the pairs of x in S and y in the union of the new N[x]
+        mask = reach = 0
+        for x in chosen:
+            mask |= 1 << x
+        for x in chosen:
+            closed[x] |= mask
+            reach |= closed[x]
+        for x in chosen:
+            compat[x] &= ~reach
+        for y in iter_bits(reach):
+            compat[y] &= ~mask
 
     edges.sort()
     H = LinearHypergraph(n, R, edges)
@@ -325,7 +125,6 @@ def build_linear_tf_hypergraph(
         "ratio_to_ceiling": len(edges) / ceiling if ceiling else 0.0,
         "pair_ceiling": n * (n - 1) // (R * (R - 1)),
         "candidates_tried": tried,
-        "enumerated": enumerated,
     }
     return H, report
 

@@ -17,8 +17,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .alpha import (
     BudgetError,
     ExtractionError,
@@ -143,15 +141,14 @@ def _least_squares(rows) -> tuple[float, float, float, float, float]:
         raise ValueError("all n must be distinct")
     if any(a <= 0 for _, a in rows):
         raise ValueError("alpha values must be positive for a log-log fit")
-    xs = np.log([float(n) for n, _ in rows])
-    ys = np.log([float(a) for _, a in rows])
-    xbar, ybar = xs.mean(), ys.mean()
-    sxx = float(((xs - xbar) ** 2).sum())
-    slope = float(((xs - xbar) * (ys - ybar)).sum() / sxx)
-    intercept = float(ybar - slope * xbar)
-    resid = ys - (slope * xs + intercept)
-    ss_res = float((resid ** 2).sum())
-    ss_tot = float(((ys - ybar) ** 2).sum())
+    xs = [math.log(n) for n, _ in rows]
+    ys = [math.log(a) for _, a in rows]
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    slope = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    intercept = ybar - slope * xbar
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - ybar) ** 2 for y in ys)
     r2 = 1.0 if ss_res <= 1e-15 else 1.0 - ss_res / ss_tot
     return slope, intercept, r2, ss_res, sxx
 

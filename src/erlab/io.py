@@ -21,6 +21,9 @@ class FormatError(ValueError):
 # largest n (and R) a header may declare; the readers size their
 # structures by it before any edge line is read
 HEADER_LIMIT = 1 << 20
+# most bytes a graph file's adjacency masks may take; a header below the
+# limit does not bound them, since each row is sized by its largest neighbour
+MASK_BYTES_LIMIT = 1 << 24
 
 
 def _write(path, lines):
@@ -88,6 +91,15 @@ def read_graph(path) -> Graph:
     lines = _lines(path)
     n, _ = _header(path, lines, "graph <n> <m>")
     edges = _edge_lines(path, lines[1:], "<u> <v>", 2)
+    top: dict[int, int] = {}  # vertex -> its largest neighbour
+    for u, v in edges:
+        top[u] = max(top.get(u, v), v)
+        top[v] = max(top.get(v, u), u)
+    need = sum(t // 8 + 1 for t in top.values())  # ceil((t + 1) / 8) bytes a row
+    if need > MASK_BYTES_LIMIT:
+        raise FormatError(
+            f"{path}: adjacency masks would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
+        )
     try:
         return Graph(n, edges)
     except GraphError as exc:

@@ -2,31 +2,29 @@
 
 Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks (the first-clique
-query among them) use itertools, the instance generators only rely on
-adjacency bookkeeping, and the reference packer draws through ``rng.sample``
-and tests edge-indexed bitmasks.  The reference alpha searches are the
-package's branch and bound and counting enumeration as they were before
-their clique tests were memoised and the branch and bound became one loop:
-they recurse, and ask ``first_clique`` afresh at every node.  The reference
-coloring search is the package's recursive backtrack over per-vertex color
-sets, as it was before it became one loop over bitmask state.  The
-recursive searches raise the interpreter's recursion limit to their depth.
+query among them and the packing check over all edge pairs and triples)
+use itertools, and the instance generators only rely on adjacency
+bookkeeping.  The reference alpha searches are the package's branch and
+bound and counting enumeration as they were before their clique tests were
+memoised and the branch and bound became one loop: they recurse, and ask
+``first_clique`` afresh at every node.  The reference coloring search is the
+package's recursive backtrack over per-vertex color sets, as it was before
+it became one loop over bitmask state.  The recursive searches raise the
+interpreter's recursion limit to their depth.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import sys
 
 import numpy as np
 
 from erlab.alpha import AlphaResult
-from erlab.construct import _default_sample_budget
 from erlab.freeness import FOUND, INCONCLUSIVE, NONE, SearchResult, _edge_order, find_mono_clique
-from erlab.graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, first_clique
-from erlab.util import iter_bits, make_rng
+from erlab.graphs import EdgeColoring, Graph, GraphError, first_clique
+from erlab.util import make_rng
 
 
 def ensure_recursion_depth(depth: int) -> None:
@@ -182,78 +180,17 @@ def brute_max_independent_in_family(n: int, edges) -> int:
     return 0
 
 
-def reference_linear_tf_hypergraph(n: int, R: int, seed: int, sample_budget: int | None = None):
-    """Reference packer: materialises every candidate through ``rng.sample``
-    and tests linearity and triangle-freeness over edge-indexed bitmasks."""
-    rng = make_rng(seed, "packing")
-    total = math.comb(n, R)
-    if total <= 10_000:
-        candidates = list(itertools.combinations(range(n), R))
-        rng.shuffle(candidates)
-        enumerated = True
-    else:
-        budget = sample_budget if sample_budget is not None else _default_sample_budget(n, R)
-        candidates = [tuple(sorted(rng.sample(range(n), R))) for _ in range(budget)]
-        enumerated = False
-
-    edges: list[tuple[int, ...]] = []
-    through = [0] * n        # E_x: bitmask of accepted edge indices containing x
-    reach = [0] * n          # OR of inter[f] over accepted edges f containing x
-    inter: list[int] = []    # per accepted edge: bitmask of accepted edges meeting it
-
-    for cand in candidates:
-        ok = True
-        # linearity: no accepted edge may contain two vertices of the candidate
-        for a in range(R):
-            ea = through[cand[a]]
-            for bidx in range(a + 1, R):
-                if ea & through[cand[bidx]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # hypergraph triangle: edges f ∋ x, g ∋ y (x≠y in the candidate) with f∩g ≠ ∅
-        for a in range(R):
-            ra = reach[cand[a]]
-            if not ra:
-                continue
-            for bidx in range(R):
-                if bidx != a and ra & through[cand[bidx]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-
-        j = len(edges)
-        bit = 1 << j
-        meet = 0
-        for x in cand:
-            meet |= through[x]
-        inter.append(meet)
-        for f in iter_bits(meet):
-            inter[f] |= bit
-            for w in edges[f]:
-                reach[w] |= bit
-        for x in cand:
-            through[x] |= bit
-            reach[x] |= meet
-        edges.append(cand)
-
-    edges.sort()
-    ceiling = n * n / (R * R)
-    report = {
-        "edges": len(edges),
-        "ceiling_n2_R2": ceiling,
-        "ratio_to_ceiling": len(edges) / ceiling if ceiling else 0.0,
-        "pair_ceiling": n * (n - 1) // (R * (R - 1)),
-        "candidates_tried": len(candidates),
-        "enumerated": enumerated,
-    }
-    return LinearHypergraph(n, R, edges), report
+def naive_linear_triangle_free(edges) -> tuple[bool, bool]:
+    """(linear, triangle_free) of an edge family, over all pairs and triples:
+    linear iff no two edges share two vertices; a triangle is three edges
+    that pairwise share exactly one vertex and have no common vertex."""
+    sets = [set(e) for e in edges]
+    linear = all(len(a & b) <= 1 for a, b in itertools.combinations(sets, 2))
+    triangle_free = not any(
+        len(a & b) == len(b & c) == len(a & c) == 1 and not a & b & c
+        for a, b, c in itertools.combinations(sets, 3)
+    )
+    return linear, triangle_free
 
 
 def _has_clique_in_mask(rows: list[int], mask: int, size: int) -> bool:

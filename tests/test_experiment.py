@@ -2,9 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erlab import experiment
 from erlab.alpha import BudgetError, alpha_exact, greedy_free_subset
@@ -31,6 +37,17 @@ class TestFitExponent:
         slope, _, r2 = fit_exponent([(16, 7.0), (32, 7.0), (64, 7.0)])
         assert slope == pytest.approx(0.0)
         assert r2 == pytest.approx(1.0)
+
+    @given(st.lists(st.tuples(st.integers(3, 20).map(lambda k: 2**k), st.floats(1.0, 1e6)),
+                    min_size=3, max_size=14, unique_by=lambda row: row[0]))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_numpy_polyfit(self, rows):
+        # the fit sums in pure Python; numpy's degree-1 polyfit is the reference
+        xs, ys = np.log([n for n, _ in rows]), np.log([a for _, a in rows])
+        slope, intercept = np.polyfit(xs, ys, 1)
+        got = fit_exponent(rows)
+        assert got[0] == pytest.approx(slope, rel=1e-7, abs=1e-9)
+        assert got[1] == pytest.approx(intercept, rel=1e-7, abs=1e-7)
 
     def test_refuses_underdetermined(self):
         with pytest.raises(ValueError):
@@ -64,8 +81,9 @@ class TestRunExperiment:
 
     @staticmethod
     def _k4_row(tmp_path, monkeypatch, alpha_nodes):
-        """The (5,3,4) k=4 n=24 seed-1 row, whose final graph holds K_5,
-        with the search's results recorded."""
+        """The (5,3,4) k=4 n=16 seed-8 row, whose 20-vertex final graph holds
+        765 copies of K_5 and whose search completes in 1 174 nodes, with the
+        search's results recorded."""
         searches = []
 
         def search(g, s, node_budget):
@@ -73,7 +91,7 @@ class TestRunExperiment:
             return searches[-1][1]
 
         monkeypatch.setattr(experiment, "alpha_exact", search)
-        config = tiny_config(tmp_path, t=4, n_list=[24], seeds=[1],
+        config = tiny_config(tmp_path, t=4, n_list=[16], seeds=[8],
                              k_policy={"kind": "fixed", "value": 4},
                              budgets={"alpha_nodes": alpha_nodes})
         (row,) = run_experiment(config).rows
@@ -224,6 +242,16 @@ class TestVerifySuite:
 
 
 class TestCli:
+    def test_cli_imports_without_numpy(self):
+        # numpy serves the test oracles only; no runtime module may load it
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, erlab.cli; assert 'numpy' not in sys.modules"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_construct_and_downstream(self, tmp_path, capsys):
         inst = tmp_path / "inst"
         rc = main([
@@ -257,7 +285,7 @@ class TestCli:
         witness = (tmp_path / "witness.txt").read_text().split()
         assert len(witness) == payload["size"]
 
-    # the sparsified graph has 49 vertices: the default threshold, the
+    # the sparsified graph has 56 vertices: the default threshold, the
     # ground-set size 64, samples nothing, and 39 samples five sets
     @pytest.mark.parametrize("threshold, vacuous", [(None, True), (39, False)])
     def test_certificate_records_sparsification(self, tmp_path, capsys, threshold, vacuous):
@@ -266,7 +294,7 @@ class TestCli:
         assert main(["construct", "--s", "2", "--b", "3", "--t", "2", "--n", "64",
                      "--R", "4", "--seed", "7", "--samples", "5", "--out-dir", str(inst),
                      *extra]) == 0
-        assert int((inst / "sparsified.txt").read_text().split()[1]) == 49
+        assert int((inst / "sparsified.txt").read_text().split()[1]) == 56
         cert = json.loads((inst / "certificate.json").read_text())
         record = cert["sparsification"]
         assert set(record) == {"attempt", "samples", "threshold", "vacuous", "sample_records"}

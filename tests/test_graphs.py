@@ -341,6 +341,22 @@ class TestFileFormats:
         H = eio.read_hypergraph(path)
         assert (H.n, H.R, H.m) == (eio.HEADER_LIMIT, eio.HEADER_LIMIT, 0)
 
+    def test_wide_rows_rejected_before_the_graph_is_built(self, tmp_path, monkeypatch):
+        # a 4.7 KB file: 400 edges from low vertices to vertices near 2^20,
+        # whose 400 low rows would take 128 KB each as bitmasks
+        n = eio.HEADER_LIMIT
+        path = tmp_path / "wide.txt"
+        path.write_text(f"graph {n} 400\n" + "".join(f"{i} {n - 1 - i}\n" for i in range(400)))
+        assert path.stat().st_size < 5000
+
+        def unbuilt(*args):
+            raise AssertionError("Graph built")
+
+        monkeypatch.setattr(eio, "Graph", unbuilt)
+        with pytest.raises(eio.FormatError, match="adjacency masks would take") as err:
+            eio.read_graph(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("reader", ["read_graph", "read_hypergraph", "read_coloring"])
     @given(st.one_of(st.binary(max_size=12), _text_files()))
     # headers just past the size limit
