@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks (the first-clique
 query among them and the packing check over all edge pairs and triples)
-use itertools, and the instance generators only rely on adjacency
-bookkeeping.  The reference alpha searches are the package's branch and
+use itertools, the instance generators only rely on adjacency
+bookkeeping, and the reference packer keeps plain sets and recomputes
+compatibility from its definition.  The reference alpha searches are the package's branch and
 bound and counting enumeration as they were before their clique tests were
 memoised and the branch and bound became one loop: they recurse, and ask
 ``first_clique`` afresh at every node.  The reference coloring search is the
@@ -23,7 +24,7 @@ import numpy as np
 
 from erlab.alpha import AlphaResult
 from erlab.freeness import FOUND, INCONCLUSIVE, NONE, SearchResult, _edge_order, find_mono_clique
-from erlab.graphs import EdgeColoring, Graph, GraphError, first_clique
+from erlab.graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, first_clique
 from erlab.util import make_rng
 
 
@@ -191,6 +192,81 @@ def naive_linear_triangle_free(edges) -> tuple[bool, bool]:
         for a, b, c in itertools.combinations(sets, 3)
     )
     return linear, triangle_free
+
+
+def indexed_linear_triangle_free(edges) -> tuple[bool, bool]:
+    """``naive_linear_triangle_free`` for families too large for all triples:
+    a triangle's third edge meets its first outside the shared vertex, so it
+    is looked up through a vertex-to-edges index instead of over all edges."""
+    sets = [frozenset(e) for e in edges]
+    through: dict[int, list[int]] = {}
+    for i, e in enumerate(sets):
+        for v in e:
+            through.setdefault(v, []).append(i)
+    linear = all(
+        len(sets[i] & sets[j]) <= 1
+        for ids in through.values() for i, j in itertools.combinations(ids, 2)
+    )
+    for ids in through.values():
+        for i, j in itertools.combinations(ids, 2):
+            a, b = sets[i], sets[j]
+            if len(a & b) != 1:
+                continue
+            for u in a - b:
+                for k in through[u]:
+                    c = sets[k]
+                    if len(a & c) == len(b & c) == 1 and not a & b & c:
+                        return linear, False
+    return linear, True
+
+
+def reference_linear_tf_hypergraph(n: int, R: int, seed: int, stall_limit: int):
+    """Reference packer: the package's random extension on the compatible
+    graph, with each N[x] kept as a set and compatibility recomputed from
+    its definition (x ~ y iff x != y and N[x], N[y] are disjoint) at every
+    step, where the package updates bitmask rows in place.  Members are drawn
+    through the same calls on the same stream: by rejection over range(n)
+    while at least an eighth of it is a candidate, else by index into the
+    sorted candidates."""
+    rng = make_rng(seed, "packing")
+    closed: list[set[int]] = [set() for _ in range(n)]
+
+    def compatible(x: int, candidates) -> set[int]:
+        return {y for y in candidates if y != x and closed[x].isdisjoint(closed[y])}
+
+    edges: list[tuple[int, ...]] = []
+    tried = stall = 0
+    while stall < stall_limit:
+        tried += 1
+        x = rng.randrange(n)
+        chosen, common = [x], compatible(x, range(n))
+        while common and len(chosen) < R:
+            if 8 * len(common) >= n:
+                y = rng.randrange(n)
+                while y not in common:
+                    y = rng.randrange(n)
+            else:
+                y = sorted(common)[rng.randrange(len(common))]
+            chosen.append(y)
+            common = compatible(y, common)
+        if len(chosen) < R:
+            stall += 1
+            continue
+        stall = 0
+        edges.append(tuple(sorted(chosen)))
+        for x in chosen:
+            closed[x] |= set(chosen)
+
+    edges.sort()
+    ceiling = n * n / (R * R)
+    report = {
+        "edges": len(edges),
+        "ceiling_n2_R2": ceiling,
+        "ratio_to_ceiling": len(edges) / ceiling if ceiling else 0.0,
+        "pair_ceiling": n * (n - 1) // (R * (R - 1)),
+        "candidates_tried": tried,
+    }
+    return LinearHypergraph(n, R, edges), report
 
 
 def _has_clique_in_mask(rows: list[int], mask: int, size: int) -> bool:

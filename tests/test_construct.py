@@ -1,9 +1,11 @@
 """Construction pipeline: packing, sparsification, blow-up, overlay, and the
 end-to-end certified instances."""
 
+import collections
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,12 @@ from erlab.graphs import (
 
 from erlab.util import derive_seed
 
-from oracles import naive_linear_triangle_free, random_graph
+from oracles import (
+    indexed_linear_triangle_free,
+    naive_linear_triangle_free,
+    random_graph,
+    reference_linear_tf_hypergraph,
+)
 
 
 def sunflower(petals, center=0):
@@ -107,6 +114,99 @@ class TestBuilder:
         assert report["edges"] == H.m == edges
         assert report["candidates_tried"] == tried
         assert hashlib.sha256(json.dumps(H.edges).encode()).hexdigest() == digest
+
+
+# shapes at R = n, then the (5,3,4) grid's and the battery's shapes, and a
+# spread of n per R on both sides of _random_member's one-eighth switch
+SMALL_SHAPES = [(3, 3), (5, 5), (7, 3), (16, 4), (20, 3), (40, 3)]
+GRID_SHAPES = [(21, 5), (48, 6), (64, 6), (85, 7), (128, 7), (256, 7)]
+SPREAD_SHAPES = [(19, 5), (22, 5), (32, 6), (37, 5), (38, 5), (41, 3), (86, 7), (100, 4), (256, 8)]
+
+# _random_member's index branch (fewer than n/8 bits set), the switch
+# itself, and its rejection branch
+MEMBER_MASKS = [
+    (64, [5]), (64, [0, 9, 33, 40, 51, 60, 63]), (64, list(range(0, 64, 8))),
+    (64, list(range(1, 64, 2))), (64, list(range(1, 64))), (1024, [3, 500, 1023]),
+]
+
+
+class TestRandomExtension:
+    @pytest.mark.parametrize(
+        "n,R,seed",
+        [(n, R, 1) for n, R in SMALL_SHAPES]
+        + [(n, R, seed) for n, R in GRID_SHAPES for seed in (0, 7)]
+        + [(n, R, 4) for n, R in SPREAD_SHAPES]
+        + [(1024, 10, 7)],
+    )
+    def test_matches_reference_packer(self, n, R, seed):
+        H, report = build_linear_tf_hypergraph(n, R, seed)
+        H_ref, report_ref = reference_linear_tf_hypergraph(n, R, seed, construct._STALL_LIMIT)
+        assert H.edges == H_ref.edges
+        assert report == report_ref
+
+    @pytest.mark.parametrize("limit", [1, 2, 5, 50])
+    @pytest.mark.parametrize("n,R", [(16, 4), (64, 6), (128, 7)])
+    def test_stall_limit_matches_reference_packer(self, monkeypatch, n, R, limit):
+        monkeypatch.setattr(construct, "_STALL_LIMIT", limit)
+        H, report = build_linear_tf_hypergraph(n, R, 3)
+        H_ref, report_ref = reference_linear_tf_hypergraph(n, R, 3, limit)
+        assert H.edges == H_ref.edges
+        assert report == report_ref
+        # every accepted edge is one attempt, and the last `limit` attempts failed
+        assert report["candidates_tried"] >= H.m + limit
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_shapes_match_reference_packer(self, data):
+        R = data.draw(st.integers(3, 10), label="R")
+        n = data.draw(st.integers(R, 160), label="n")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        limit = data.draw(st.integers(1, 60), label="limit")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "_STALL_LIMIT", limit)
+            H, report = build_linear_tf_hypergraph(n, R, seed)
+        H_ref, report_ref = reference_linear_tf_hypergraph(n, R, seed, limit)
+        assert H.edges == H_ref.edges
+        assert report == report_ref
+
+    @pytest.mark.parametrize("n,R,seed", [
+        (1024, 10, 7), (256, 7, 7), (64, 6, 1), (128, 7, 1), (21, 5, 1), (48, 6, 1), (85, 7, 1),
+    ])
+    def test_golden_shapes_are_linear_and_triangle_free(self, n, R, seed):
+        H, _ = build_linear_tf_hypergraph(n, R, derive_seed(seed, "hyper"))
+        assert indexed_linear_triangle_free(H.edges) == (True, True)
+
+    @pytest.mark.parametrize("R", [3, 5, 8])
+    def test_ground_set_of_size_R_packs_one_edge(self, R):
+        # the first attempt takes every vertex; then no vertex is compatible
+        H, report = build_linear_tf_hypergraph(R, R, 2)
+        assert H.edges == (tuple(range(R)),)
+        assert report["candidates_tried"] == 1 + construct._STALL_LIMIT
+
+    @pytest.mark.parametrize("n,bits", MEMBER_MASKS)
+    def test_random_member_is_uniform_over_the_mask(self, n, bits):
+        mask = sum(1 << b for b in bits)
+        rng = random.Random(11)
+        draws = 300 * len(bits)
+        counts = collections.Counter(construct._random_member(rng, mask, n) for _ in range(draws))
+        assert set(counts) == set(bits)
+        assert all(200 <= c <= 400 for c in counts.values())
+
+    @pytest.mark.parametrize("n,bits", MEMBER_MASKS)
+    def test_random_member_draw_protocol(self, n, bits):
+        # the protocol the reference packer replays: rejection over range(n)
+        # while at least an eighth of range(n) is set, else index by rank
+        mask = sum(1 << b for b in bits)
+        rng, twin = random.Random(5), random.Random(5)
+        for _ in range(50):
+            if 8 * len(bits) >= n:
+                expected = twin.randrange(n)
+                while expected not in bits:
+                    expected = twin.randrange(n)
+            else:
+                expected = bits[twin.randrange(len(bits))]
+            assert construct._random_member(rng, mask, n) == expected
+        assert rng.getstate() == twin.getstate()
 
 
 class TestEvenPartition:
