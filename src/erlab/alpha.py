@@ -238,6 +238,9 @@ def alteration_set(n: int, families, seed: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # constructive extractors
 
+# factor on both extractors' branch thresholds, n^(a_t / a_{t-g(i)}) and n^beta
+THRESHOLD_SCALE = 1.0
+
 
 @dataclass
 class ExtractionResult:
@@ -259,7 +262,6 @@ def recursive_free_subset(
     coloring: EdgeColoring,
     s: int,
     t: int | None = None,
-    threshold_scale: float = 1.0,
     scan_cap: int = 2_000_000,
     clique_cap: int = 500_000,
     seed: int = 0,
@@ -271,7 +273,7 @@ def recursive_free_subset(
     alteration sampler on the K_s-copy hypergraph.
 
     Thresholds are n^(a_t / a_{t-g(i)}) from the exact exponent table,
-    scaled by ``threshold_scale``.  ``scan_cap`` bounds the tuples scanned
+    scaled by ``THRESHOLD_SCALE``.  ``scan_cap`` bounds the tuples scanned
     by the whole extraction, over every size i and recursion depth.
     """
     if s < 2:
@@ -281,7 +283,7 @@ def recursive_free_subset(
     _check_precondition(graph, coloring)
 
     result = _recursive_step(
-        graph, coloring, s, t, threshold_scale, scan_cap, clique_cap, seed, default_table(),
+        graph, coloring, s, t, scan_cap, clique_cap, seed, default_table(),
         depth=0,
     )
     if not is_free_set(graph, result.vertices, s):
@@ -289,8 +291,8 @@ def recursive_free_subset(
     return result
 
 
-def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap,
-                    seed, table, depth) -> ExtractionResult:
+def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, table,
+                    depth) -> ExtractionResult:
     n = graph.n
     if n == 0:
         return ExtractionResult((), [f"depth {depth}: empty graph"])
@@ -307,7 +309,7 @@ def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap
         if t - gi < 0:
             continue
         a_prev = exponent_lower(s, t - gi, table=table, g_table=g_table).value
-        threshold = threshold_scale * n ** float(alpha_t / a_prev)
+        threshold = THRESHOLD_SCALE * n ** float(alpha_t / a_prev)
         need = max(1, math.ceil(threshold))
         hit, used = _scan_tuples(graph, coloring, i, gi, need, scan_cap - scanned)
         scanned += used
@@ -325,8 +327,7 @@ def _recursive_step(graph, coloring, s, t, threshold_scale, scan_cap, clique_cap
             {v: idx for idx, v in enumerate(old_ids)}
         )
         inner = _recursive_step(
-            sub, sub_coloring, s, t - gi, threshold_scale, scan_cap - scanned, clique_cap,
-            seed, table, depth + 1
+            sub, sub_coloring, s, t - gi, scan_cap - scanned, clique_cap, seed, table, depth + 1
         )
         verts = tuple(sorted(old_ids[v] for v in inner.vertices))
         path = [
@@ -427,7 +428,6 @@ def lay3_free_subset(
     graph: Graph,
     coloring: EdgeColoring,
     s: int,
-    threshold_scale: float = 1.0,
     seed: int = 0,
     clique_cap: int = 500_000,
 ) -> ExtractionResult:
@@ -449,7 +449,7 @@ def lay3_free_subset(
     stats = color_stats(graph, coloring)
     xis = [stats.xi(x) for x in range(n)]
     driver = sum(xis) / n if n else 0.0
-    threshold = threshold_scale * n ** float(beta)
+    threshold = THRESHOLD_SCALE * n ** float(beta)
 
     if driver >= threshold and any(xis):
         verts, info = _pigeonhole_pair(graph, coloring)

@@ -38,7 +38,7 @@ from .freeness import (
     UnsupportedParametersError,
     ramsey_oracle,
 )
-from .graphs import CliqueCover, GraphError, enumerate_cliques
+from .graphs import CliqueCover, GraphError, coloring_covers, enumerate_cliques
 from .util import iter_bits, make_rng
 
 # exit code of each failure a command may raise: 2 bad input or an
@@ -120,17 +120,8 @@ def _cmd_construct(args) -> int:
 def load_instance(instance_dir) -> SparsifiedIncidence:
     inst = Path(instance_dir)
     graph = eio.read_graph(inst / "sparsified.txt")
-    structure = json.loads((inst / "structure.json").read_text(encoding="utf-8"))
-    cover = CliqueCover(
-        structure["ground_n"],
-        {int(v): tuple(members) for v, members in structure["cover"].items()},
-    )
-    partition = SPartition(
-        structure["s"],
-        {int(v): {int(u): p for u, p in parts.items()}
-         for v, parts in structure["partition"].items()},
-    )
-    return SparsifiedIncidence(graph, cover, partition, structure["s"])
+    s, ground_n, cover, parts = eio.read_structure(inst / "structure.json", graph.n)
+    return SparsifiedIncidence(graph, CliqueCover(ground_n, cover), SPartition(s, parts), s)
 
 
 def _cmd_density(args) -> int:
@@ -234,6 +225,10 @@ def _cmd_alpha(args) -> int:
 def _cmd_extract(args) -> int:
     graph = eio.read_graph(args.graph)
     coloring = eio.read_coloring(args.coloring, t=args.t)
+    mismatch = coloring_covers(graph, coloring)
+    if mismatch is not None:
+        raise GraphError(f"{args.coloring} does not color {args.graph}: "
+                         f"{mismatch[0]} edge {mismatch[1]}")
     if args.method == "recursive":
         result = recursive_free_subset(graph, coloring, args.s, t=args.t, seed=args.seed)
         verts, path = result.vertices, result.path

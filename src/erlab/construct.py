@@ -233,6 +233,10 @@ def sample_sets(rng, n: int, threshold: int, count: int) -> list[int]:
     return sets
 
 
+# part assignments drawn before sparsification gives up
+RETRY_LIMIT = 32
+
+
 def sparsify(
     graph: Graph,
     cover: CliqueCover,
@@ -240,12 +244,11 @@ def sparsify(
     seed: int,
     certification_samples: int = 100,
     threshold: int | None = None,
-    retry_limit: int = 32,
 ) -> SparsifiedIncidence:
     """Replace each clique K_v by a complete s-partite graph via a random
     part assignment, certifying on sampled vertex sets X (|X| >= threshold)
     that at least half of the dominant-dyadic-class cliques are evenly
-    partitioned.  The assignment is resampled up to ``retry_limit`` times
+    partitioned.  The assignment is resampled up to ``RETRY_LIMIT`` times
     until certification passes.
     """
     if s < 2:
@@ -261,7 +264,7 @@ def sparsify(
     samples = sample_sets(make_rng(seed, "samples"), graph.n, threshold, certification_samples)
 
     worst = None
-    for attempt in range(retry_limit):
+    for attempt in range(RETRY_LIMIT):
         rng = make_rng(seed, "partition", attempt)
         partition = SPartition(
             s, {v: {u: rng.randrange(s) for u in cover.cliques[v]} for v in clique_ids}
@@ -312,7 +315,7 @@ def sparsify(
             return SparsifiedIncidence(Graph.from_rows(rows), cover, partition, s, certificate)
 
     raise CertificationError(
-        f"even-partition certification failed after {retry_limit} attempts", worst or {}
+        f"even-partition certification failed after {RETRY_LIMIT} attempts", worst or {}
     )
 
 
@@ -381,18 +384,7 @@ def overlay_and_retain(
 
     keep_rng = make_rng(seed, "retain")
     retained = tuple(u for u in range(N) if keep_rng.random() < retention_p)
-    keep_mask = 0
-    for u in retained:
-        keep_mask |= 1 << u
-    index = {u: i for i, u in enumerate(retained)}
-    final_rows = []
-    for u in retained:
-        row = union_rows[u] & keep_mask
-        mask = 0
-        for v in iter_bits(row):
-            mask |= 1 << index[v]
-        final_rows.append(mask)
-    final = Graph.from_rows(final_rows)
+    final, _ = Graph.from_rows(union_rows).induced(retained)
     return final, OverlayRecord(tuple(perms), retained)
 
 
@@ -512,7 +504,7 @@ def construct_upper_bound_instance(
         blown, params.beta + 1, params.retention_p, derive_seed(params.seed, "overlay")
     )
 
-    masks = H.edge_masks()
+    masks = cover.vertex_to_cliques(H.m)  # each hyperedge's ground vertices
     parts = sparsified.partition.parts
     index = {x: a for a, x in enumerate(overlay.retained)}
     blown_edges = blown.edges()

@@ -107,12 +107,9 @@ class Graph:
         """
         keep = sorted(set(vertices))
         index = {v: i for i, v in enumerate(keep)}
-        edges = []
-        for i, v in enumerate(keep):
-            for w in keep[i + 1:]:
-                if self.has_edge(v, w):
-                    edges.append((index[v], index[w]))
-        return Graph(len(keep), edges), keep
+        keep_mask = sum(1 << v for v in keep)
+        rows = [sum(1 << index[w] for w in iter_bits(self._rows[v] & keep_mask)) for v in keep]
+        return Graph.from_rows(rows), keep
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -139,15 +136,6 @@ class LinearHypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def edge_masks(self) -> list[int]:
-        masks = []
-        for e in self.edges:
-            m = 0
-            for v in e:
-                m |= 1 << v
-            masks.append(m)
-        return masks
 
 
 @dataclass(frozen=True)
@@ -226,7 +214,7 @@ def coloring_covers(graph: Graph, coloring: EdgeColoring):
         if e not in coloring.colors:
             return ("missing", e)
     for e in sorted(coloring.colors):
-        if not graph.has_edge(*e):
+        if e[1] >= graph.n or not graph.has_edge(*e):
             return ("extra", e)
     return None
 
@@ -305,55 +293,58 @@ def check_hypergraph_shape(H: LinearHypergraph) -> None:
             raise MalformedHypergraphError(idx, f"vertex out of range for n={H.n}")
 
 
+def _meets(cliques, n: int) -> tuple[list[int], list[int]]:
+    """For each member 0..n-1 of the ``cliques`` (iterables of members), the
+    bitmasks of the other members sharing at least one clique with it and of
+    those sharing at least two, found in one pass over the cliques; a member
+    repeated within one clique counts once."""
+    once, twice = [0] * n, [0] * n
+    for members in cliques:
+        mask = 0
+        for u in members:
+            mask |= 1 << u
+        for u in iter_bits(mask):
+            rest = mask ^ (1 << u)
+            twice[u] |= once[u] & rest
+            once[u] |= rest
+    return once, twice
+
+
+def _first_pair(rows: list[int]):
+    """Lexicographically first pair i < j with bit j set in ``rows[i]``, or None."""
+    for i, row in enumerate(rows):
+        high = row >> (i + 1)
+        if high:
+            return (i, i + (high & -high).bit_length())
+    return None
+
+
+def _edges_through(H: LinearHypergraph) -> CliqueCover:
+    """The clique cover of H's incidence graph: for each ground vertex v, the
+    indices of the hyperedges through v, in ascending order."""
+    through: dict[int, list[int]] = {}
+    for idx, e in enumerate(H.edges):
+        for v in e:
+            through.setdefault(v, []).append(idx)
+    return CliqueCover(H.n, {v: tuple(members) for v, members in through.items()})
+
+
 def validate_hypergraph(H: LinearHypergraph) -> HypergraphReport:
     """Certify linearity and hypergraph-triangle-freeness of H.
 
     A hypergraph triangle is three distinct edges pairwise intersecting in
-    exactly one vertex with empty common intersection.  The witness is the
-    first violation in lexicographic order on edge indices; linearity
-    violations take precedence in the report's ``witness`` field.
+    exactly one vertex with empty common intersection: a triangle of the
+    graph of edges meeting in exactly one vertex that no K_v (the edges
+    through ground vertex v) holds.  The witness is the first violation in
+    lexicographic order on edge indices; linearity violations take
+    precedence in the report's ``witness`` field.
     """
     check_hypergraph_shape(H)
-    masks = H.edge_masks()
-    m = len(masks)
-
-    linear_witness = None
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if (mi & masks[j]).bit_count() >= 2:
-                linear_witness = (i, j)
-                break
-        if linear_witness:
-            break
-
-    # adj1[i]: edges meeting edge i in exactly one vertex
-    adj1 = [0] * m
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if (mi & masks[j]).bit_count() == 1:
-                adj1[i] |= 1 << j
-                adj1[j] |= 1 << i
-
-    triangle_witness = None
-    for i in range(m):
-        if triangle_witness:
-            break
-        cand_j = adj1[i] >> (i + 1)
-        for off in iter_bits(cand_j):
-            j = i + 1 + off
-            third = (adj1[i] & adj1[j]) >> (j + 1)
-            found = None
-            for off2 in iter_bits(third):
-                k = j + 1 + off2
-                if masks[i] & masks[j] & masks[k] == 0:
-                    found = k
-                    break
-            if found is not None:
-                triangle_witness = (i, j, found)
-                break
-
+    cover = _edges_through(H)
+    once, twice = _meets(cover.cliques.values(), H.m)
+    linear_witness = _first_pair(twice)
+    single = Graph.from_rows([a & ~b for a, b in zip(once, twice)])
+    triangle_witness = uncovered_clique(single, cover, 3)
     return HypergraphReport(
         linear=linear_witness is None,
         triangle_free=triangle_witness is None,
@@ -366,50 +357,33 @@ def incidence_graph(H: LinearHypergraph) -> tuple[Graph, CliqueCover]:
 
     Vertices are hyperedge indices, adjacent iff the hyperedges intersect;
     the cover maps each ground vertex v to the clique K_v of hyperedges
-    through v.  Rejects non-linear input with the violating pair.
+    through v.  Rejects non-linear input with the first violating pair.
     """
-    masks = H.edge_masks()
-    m = len(masks)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (masks[i] & masks[j]).bit_count() >= 2:
-                raise NonLinearError((i, j))
-
-    through: dict[int, list[int]] = {}
-    for idx, e in enumerate(H.edges):
-        for v in e:
-            through.setdefault(v, []).append(idx)
-
-    edges = []
-    for v in sorted(through):
-        members = through[v]
-        for a, b in itertools.combinations(members, 2):
-            edges.append((a, b))
-    graph = Graph(m, edges)
-    cover = CliqueCover(H.n, {v: tuple(sorted(mem)) for v, mem in through.items()})
-    return graph, cover
+    cover = _edges_through(H)
+    once, twice = _meets(cover.cliques.values(), H.m)
+    pair = _first_pair(twice)
+    if pair is not None:
+        raise NonLinearError(pair)
+    return Graph.from_rows(once), cover
 
 
 def cover_partitions_edges(graph: Graph, cover: CliqueCover):
     """Check that within-clique edge sets partition E(graph).
 
-    Returns None on success, else a witness ("uncovered"|"doubly", edge).
+    Returns None on success, else a witness ("doubly"|"uncovered"|"missing",
+    edge): the lexicographically first pair in two cliques, else the first
+    edge in none, else the first within-clique pair that is not an edge.
     """
-    seen: dict[tuple[int, int], int] = {}
-    for v in sorted(cover.cliques):
-        members = cover.cliques[v]
-        for a, b in itertools.combinations(sorted(members), 2):
-            e = (a, b)
-            if e in seen:
-                return ("doubly", e)
-            seen[e] = v
-    for e in graph.edges():
-        if e not in seen:
-            return ("uncovered", e)
-    # every covered pair must actually be an edge
-    for e in seen:
-        if not graph.has_edge(*e):
-            return ("missing", e)
+    once, twice = _meets(cover.cliques.values(), graph.n)
+    rows = graph._rows
+    for kind, pairs in (
+        ("doubly", twice),
+        ("uncovered", [r & ~c for r, c in zip(rows, once)]),
+        ("missing", [c & ~r for r, c in zip(rows, once)]),
+    ):
+        pair = _first_pair(pairs)
+        if pair is not None:
+            return (kind, pair)
     return None
 
 

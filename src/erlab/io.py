@@ -5,10 +5,13 @@ Formats (UTF-8, LF line endings):
 * graph:      ``graph <n> <m>`` then m lines ``u v``
 * hypergraph: ``hypergraph <n> <R> <m>`` then m lines of R vertex ids
 * coloring:   lines ``u v c``
+
+plus the JSON ``structure.json`` of an instance directory.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from .graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, check_hypergraph_shape
@@ -145,3 +148,33 @@ def read_coloring(path, t: int | None = None) -> EdgeColoring:
         return EdgeColoring(t, colors)
     except GraphError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
+    """s, ground_n, cover and partition of an instance's ``structure.json``
+    over its sparsified graph on n vertices, with integer keys.  A file that
+    is not JSON, lacks or mistypes a field, or names a vertex outside 0..n-1
+    or a part outside 0..s-1 is a FormatError."""
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        st = json.loads(Path(path).read_text(encoding="utf-8"))
+        kinds = {"s": int, "ground_n": int, "cover": dict, "partition": dict}
+        bad = [k for k, kind in kinds.items()
+               if type(st) is not dict or type(st.get(k)) is not kind]
+        if bad:
+            raise ValueError(f"field {bad[0]!r} is missing or not of type {kinds[bad[0]].__name__}")
+        s, ground_n = st["s"], st["ground_n"]
+        if s < 2 or ground_n < 0:
+            raise ValueError(f"need s >= 2 and ground_n >= 0, got s={s}, ground_n={ground_n}")
+        cover = {int(v): tuple(members) for v, members in st["cover"].items()}
+        parts = {int(v): {int(u): p for u, p in ps.items()} for v, ps in st["partition"].items()}
+        bad = [u for ms in (*cover.values(), *parts.values()) for u in ms
+               if type(u) is not int or not 0 <= u < n]
+        if bad:
+            raise ValueError(f"vertex {bad[0]!r} outside the sparsified graph's 0..{n - 1}")
+        bad = [p for ps in parts.values() for p in ps.values()
+               if type(p) is not int or not 0 <= p < s]
+        if bad:
+            raise ValueError(f"part {bad[0]!r} outside 0..{s - 1}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return s, ground_n, cover, parts

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks (the first-clique
-query among them and the packing check over all edge pairs and triples)
-use itertools, the instance generators only rely on adjacency
-bookkeeping, and the reference packer keeps plain sets and recomputes
-compatibility from its definition.  The reference alpha searches are the package's branch and
+query, the hypergraph witnesses, the incidence graph, the cover check and
+the induced subgraph among them) go over all pairs and triples with
+itertools, the instance generators only rely on adjacency bookkeeping, and
+the reference packer keeps plain sets and recomputes compatibility from its
+definition.  The reference alpha searches are the package's branch and
 bound and counting enumeration as they were before their clique tests were
 memoised and the branch and bound became one loop: they recurse, and ask
 ``first_clique`` afresh at every node.  The reference coloring search is the
@@ -16,6 +17,7 @@ interpreter's recursion limit to their depth.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import sys
@@ -181,17 +183,74 @@ def brute_max_independent_in_family(n: int, edges) -> int:
     return 0
 
 
-def naive_linear_triangle_free(edges) -> tuple[bool, bool]:
-    """(linear, triangle_free) of an edge family, over all pairs and triples:
-    linear iff no two edges share two vertices; a triangle is three edges
+def naive_hypergraph_witnesses(edges):
+    """(first pair of edges sharing two or more vertices, first hypergraph
+    triangle) of an edge family, each lexicographically first on edge
+    indices or None, over all pairs and triples.  A triangle is three edges
     that pairwise share exactly one vertex and have no common vertex."""
     sets = [set(e) for e in edges]
-    linear = all(len(a & b) <= 1 for a, b in itertools.combinations(sets, 2))
-    triangle_free = not any(
-        len(a & b) == len(b & c) == len(a & c) == 1 and not a & b & c
-        for a, b, c in itertools.combinations(sets, 3)
+    pair = next((
+        (i, j) for i, j in itertools.combinations(range(len(sets)), 2)
+        if len(sets[i] & sets[j]) >= 2
+    ), None)
+    triangle = next((
+        (i, j, k) for i, j, k in itertools.combinations(range(len(sets)), 3)
+        if len(sets[i] & sets[j]) == len(sets[j] & sets[k]) == len(sets[i] & sets[k]) == 1
+        and not sets[i] & sets[j] & sets[k]
+    ), None)
+    return pair, triangle
+
+
+def naive_linear_triangle_free(edges) -> tuple[bool, bool]:
+    """(linear, triangle_free) of an edge family: linear iff no two edges
+    share two vertices, triangle-free iff it has no hypergraph triangle."""
+    pair, triangle = naive_hypergraph_witnesses(edges)
+    return pair is None, triangle is None
+
+
+def naive_incidence(edges):
+    """(first pair of edges sharing two or more vertices, or None; the pairs
+    of edges that intersect; for each vertex on some edge, the indices of the
+    edges through it), from the edges' vertex sets."""
+    sets = [set(e) for e in edges]
+    pairs = list(itertools.combinations(range(len(sets)), 2))
+    nonlinear = next((p for p in pairs if len(sets[p[0]] & sets[p[1]]) >= 2), None)
+    meeting = [p for p in pairs if sets[p[0]] & sets[p[1]]]
+    through = {
+        v: tuple(i for i, e in enumerate(sets) if v in e) for v in sorted(set().union(*sets))
+    }
+    return nonlinear, meeting, through
+
+
+def naive_cover_failure(graph: Graph, cliques: dict):
+    """The first way the within-clique pairs of ``cliques`` fail to partition
+    the edges of ``graph``: ("doubly", pair) for a pair inside two cliques,
+    else ("uncovered", edge) for an edge inside none, else ("missing", pair)
+    for a within-clique pair that is not an edge; each pair is the
+    lexicographically first of its kind.  None when they partition."""
+    inside = collections.Counter(
+        p for members in cliques.values() for p in itertools.combinations(sorted(set(members)), 2)
     )
-    return linear, triangle_free
+    all_pairs = list(itertools.combinations(range(graph.n), 2))
+    for kind, found in (
+        ("doubly", [p for p in all_pairs if inside[p] >= 2]),
+        ("uncovered", [p for p in all_pairs if graph.has_edge(*p) and not inside[p]]),
+        ("missing", [p for p in all_pairs if inside[p] and not graph.has_edge(*p)]),
+    ):
+        if found:
+            return kind, found[0]
+    return None
+
+
+def naive_induced(graph: Graph, vertices) -> tuple[list[tuple[int, int]], list[int]]:
+    """Edge list of the subgraph induced on ``vertices``, relabeled by rank
+    among the distinct vertices, and those vertices in ascending order."""
+    keep = sorted(set(vertices))
+    edges = [
+        (i, j) for i, j in itertools.combinations(range(len(keep)), 2)
+        if graph.has_edge(keep[i], keep[j])
+    ]
+    return edges, keep
 
 
 def indexed_linear_triangle_free(edges) -> tuple[bool, bool]:

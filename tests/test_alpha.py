@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erlab import alpha
 from erlab.alpha import (
     BudgetError,
     ExtractionError,
@@ -232,35 +233,38 @@ class TestRecursiveExtractor:
         res = recursive_free_subset(g, col, 4, seed=5)
         assert is_free_set(g, res.vertices, 4)
 
-    def test_scan_budget(self):
+    def test_scan_budget(self, monkeypatch):
+        monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(40, 2, 0.3, seed=9)
         with pytest.raises(BudgetError):
-            recursive_free_subset(g, col, 5, scan_cap=0, threshold_scale=1e9,
-                                  clique_cap=0)
+            recursive_free_subset(g, col, 5, scan_cap=0, clique_cap=0)
 
-    def test_scan_cap_is_cumulative(self):
+    def test_scan_cap_is_cumulative(self, monkeypatch):
         # no tuple reaches the threshold, so sizes i = 2, 3, 4 scan all
         # C(16, 1) + C(16, 2) + C(16, 3) = 16 + 120 + 560 = 696 tuples
+        monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.3, seed=9)
-        res = recursive_free_subset(g, col, 4, scan_cap=696, threshold_scale=1e9)
+        res = recursive_free_subset(g, col, 4, scan_cap=696)
         assert res.path[0].startswith("depth 0: alteration")
         with pytest.raises(BudgetError):
-            recursive_free_subset(g, col, 4, scan_cap=695, threshold_scale=1e9)
+            recursive_free_subset(g, col, 4, scan_cap=695)
 
-    def test_alteration_over_every_clique(self):
+    def test_alteration_over_every_clique(self, monkeypatch):
+        monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
         count = len(enumerate_cliques(g, 4))
         assert count > 0
-        res = recursive_free_subset(g, col, 4, threshold_scale=1e9, seed=3)
+        res = recursive_free_subset(g, col, 4, seed=3)
         assert res.path == [f"depth 0: alteration over {count} cliques"]
         assert res.vertices == alteration_set(16, [enumerate_cliques(g, 4)], seed=3)
 
-    def test_clique_cap(self):
+    def test_clique_cap(self, monkeypatch):
+        monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
         count = len(enumerate_cliques(g, 4))
-        recursive_free_subset(g, col, 4, threshold_scale=1e9, clique_cap=count)
+        recursive_free_subset(g, col, 4, clique_cap=count)
         with pytest.raises(BudgetError, match=f"^{count} K_4 copies exceed the cap {count - 1}$"):
-            recursive_free_subset(g, col, 4, threshold_scale=1e9, clique_cap=count - 1)
+            recursive_free_subset(g, col, 4, clique_cap=count - 1)
 
 
 class TestLay3Extractor:

@@ -255,14 +255,15 @@ class TestSparsify:
         assert not cert["vacuous"]
         assert all(rec["ok"] for rec in cert["sample_records"])
 
-    def test_impossible_certification_exhausts_retries(self):
+    def test_impossible_certification_exhausts_retries(self, monkeypatch):
         # s=5 on tiny cliques: an intersection of size < 5 can never cover
         # all five parts, so the dominant class never certifies
+        monkeypatch.setattr(construct, "RETRY_LIMIT", 3)
         H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
         g, cover = incidence_graph(H)
         with pytest.raises(CertificationError) as err:
             sparsify(g, cover, 5, seed=1, certification_samples=10,
-                     threshold=g.n // 2, retry_limit=3)
+                     threshold=g.n // 2)
         assert err.value.worst_sample
 
     @pytest.mark.parametrize("n,seed,samples,digest", [
@@ -280,12 +281,13 @@ class TestSparsify:
         blob = json.dumps(sp.certificate, sort_keys=True) + json.dumps(sp.graph.edges())
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
-    def test_worst_sample_golden(self):
+    def test_worst_sample_golden(self, monkeypatch):
+        monkeypatch.setattr(construct, "RETRY_LIMIT", 3)
         H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
         g, cover = incidence_graph(H)
         with pytest.raises(CertificationError) as err:
             sparsify(g, cover, 5, seed=1, certification_samples=10,
-                     threshold=g.n // 2, retry_limit=3)
+                     threshold=g.n // 2)
         assert err.value.worst_sample == {
             "size": 63, "ell": 2, "dominant": 38, "evenly_partitioned": 0,
             "ok": False, "fraction": 0.0, "attempt": 0,

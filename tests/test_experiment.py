@@ -241,6 +241,43 @@ class TestVerifySuite:
             verify_suite("paranoid")
 
 
+# a sparsified K_3 with s = 5: one clique, its members in parts 0, 1 and 2
+_STRUCTURE = {"s": 5, "ground_n": 4, "cover": {"0": [0, 1, 2]},
+              "partition": {"0": {"0": 0, "1": 1, "2": 2}}}
+# structure.json text, and the start of the reason the CLI gives after its path
+_BAD_STRUCTURES = {
+    "truncated": (json.dumps(_STRUCTURE)[:40], "Expecting value: line 1 column 41"),
+    "not-an-object": ("[5]", "field 's' is missing or not of type int"),
+    "no-ground-n": (json.dumps({k: v for k, v in _STRUCTURE.items() if k != "ground_n"}),
+                    "field 'ground_n' is missing or not of type int"),
+    "s-mistyped": (json.dumps({**_STRUCTURE, "s": "5"}),
+                   "field 's' is missing or not of type int"),
+    "cover-mistyped": (json.dumps({**_STRUCTURE, "cover": [[0, 1, 2]]}),
+                       "field 'cover' is missing or not of type dict"),
+    "s-below-2": (json.dumps({**_STRUCTURE, "s": 1}),
+                  "need s >= 2 and ground_n >= 0, got s=1, ground_n=4"),
+    "cover-member-outside": (json.dumps({**_STRUCTURE, "cover": {"0": [0, 1, 3]}}),
+                             "vertex 3 outside the sparsified graph's 0..2"),
+    "cover-member-mistyped": (json.dumps({**_STRUCTURE, "cover": {"0": [0, "1"]}}),
+                              "vertex '1' outside the sparsified graph's 0..2"),
+    "cover-not-a-list": (json.dumps({**_STRUCTURE, "cover": {"0": 3}}),
+                         "'int' object is not iterable"),
+    "partition-member-outside": (
+        json.dumps({**_STRUCTURE, "partition": {"0": {"0": 0, "-1": 1}}}),
+        "vertex -1 outside the sparsified graph's 0..2",
+    ),
+    "part-9": (json.dumps({**_STRUCTURE, "partition": {"0": {"0": 0, "1": 9, "2": 2}}}),
+               "part 9 outside 0..4"),
+    "part-s": (json.dumps({**_STRUCTURE, "partition": {"0": {"0": 5}}}), "part 5 outside 0..4"),
+}
+
+
+def _write_instance(directory: Path, structure: str) -> None:
+    directory.mkdir(exist_ok=True)
+    (directory / "sparsified.txt").write_text("graph 3 3\n0 1\n0 2\n1 2\n")
+    (directory / "structure.json").write_text(structure)
+
+
 class TestCli:
     def test_cli_imports_without_numpy(self):
         # numpy serves the test oracles only; no runtime module may load it
@@ -414,6 +451,8 @@ class TestCli:
         pytest.param(["exponents", "--s", "1", "--t", "2"], 2, id="exponents-s-1"),
         pytest.param(["order", "--k", "3", "--coloring", "k3.txt"], 2, id="order-not-a-coloring"),
         pytest.param(["density", "--instance", "missing-dir"], 2, id="density-missing-instance"),
+        *[pytest.param(["density", "--instance", name], 2, id=f"density-{name}")
+          for name in _BAD_STRUCTURES],
         pytest.param(["exponents", "--s", "45", "--b", "5", "--t", "2", "--upper"], 3,
                      id="exponents-unresolved"),
         pytest.param(["extract", "--graph", "k3.txt", "--coloring", "k3-mono.txt", "--s", "3",
@@ -426,12 +465,50 @@ class TestCli:
         Path("edge-out-of-range.txt").write_text("graph 3 1\n0 5\n")
         Path("k3.txt").write_text("graph 3 3\n0 1\n0 2\n1 2\n")
         Path("k3-mono.txt").write_text("0 1 1\n0 2 1\n1 2 1\n")
+        for name, (structure, _) in _BAD_STRUCTURES.items():
+            _write_instance(Path(name), structure)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == code
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"erlab {argv[0]}: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(_BAD_STRUCTURES))
+    def test_density_names_the_structure_fault(self, tmp_path, capsys, name):
+        structure, reason = _BAD_STRUCTURES[name]
+        _write_instance(tmp_path, structure)
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--instance", str(tmp_path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"erlab density: error: {tmp_path / 'structure.json'}: {reason}")
+
+    def test_density_reads_a_hand_written_instance(self, tmp_path, capsys):
+        _write_instance(tmp_path, json.dumps(_STRUCTURE))
+        assert main(["density", "--instance", str(tmp_path), "--samples", "2",
+                     "--threshold", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["samples"]) == 2
+
+    @pytest.mark.parametrize("method", ["recursive", "lay3", "alteration"])
+    @pytest.mark.parametrize("colors, reason", [
+        ("0 1 1\n", "missing edge (0, 2)"),
+        # a pair beyond the graph's vertices
+        ("0 1 1\n0 2 1\n1 2 2\n5 6 1\n", "extra edge (5, 6)"),
+    ], ids=["missing", "beyond-the-graph"])
+    def test_extract_rejects_a_coloring_of_another_graph(self, tmp_path, capsys, method,
+                                                         colors, reason):
+        graph, coloring = tmp_path / "k3.txt", tmp_path / "coloring.txt"
+        graph.write_text("graph 3 3\n0 1\n0 2\n1 2\n")
+        coloring.write_text(colors)
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--graph", str(graph), "--coloring", str(coloring), "--s", "3",
+                  "--t", "2", "--method", method])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"erlab extract: error: {coloring} does not color {graph}: {reason}\n"
 
     def test_extract_alteration_writes_certificate(self, tmp_path, capsys):
         from erlab import io as eio

@@ -26,11 +26,29 @@ from erlab.graphs import (
 from erlab import graphs
 from erlab import io as eio
 
-from oracles import naive_cliques, naive_first_clique, random_graph
+from oracles import (
+    naive_cliques,
+    naive_cover_failure,
+    naive_first_clique,
+    naive_hypergraph_witnesses,
+    naive_incidence,
+    naive_induced,
+    random_graph,
+)
 
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@st.composite
+def _families(draw):
+    """(n, R, edges): up to nine R-sets of range(n), repeats allowed, so the
+    family may be empty, non-linear or hold triangles."""
+    n = draw(st.integers(1, 9))
+    R = draw(st.integers(1, min(n, 4)))
+    edge = st.sets(st.integers(0, n - 1), min_size=R, max_size=R).map(sorted)
+    return n, R, draw(st.lists(edge, max_size=9))
 
 
 class TestGraph:
@@ -56,6 +74,19 @@ class TestGraph:
         sub, old = g.induced([4, 1, 3])
         assert old == [1, 3, 4]
         assert sub.n == 3 and sub.m == 3
+
+    @given(st.integers(0, 10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induced_matches_has_edge(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else [])
+        # unsorted, with repeats
+        vertices = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n)) if n else []
+        sub, old = g.induced(vertices)
+        edges, keep = naive_induced(g, vertices)
+        assert old == keep and sub.n == len(keep)
+        assert sub.edges() == edges and sub.m == len(edges)
+        assert all(sub.has_edge(j, i) == sub.has_edge(i, j) for i, j in edges)
 
 
 class TestEnumerateCliques:
@@ -166,6 +197,15 @@ class TestValidateHypergraph:
         with pytest.raises(MalformedHypergraphError):
             validate_hypergraph(LinearHypergraph(5, 3, [(0, 1, 2, 3)]))
 
+    @given(_families())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_oracle(self, family):
+        n, R, edges = family
+        pair, triangle = naive_hypergraph_witnesses(edges)
+        rep = validate_hypergraph(LinearHypergraph(n, R, edges))
+        assert (rep.linear, rep.triangle_free) == (pair is None, triangle is None)
+        assert rep.witness == (pair or triangle)
+
     def test_first_triangle_in_lex_order(self):
         # two violating triples; the witness must be the lexicographically first
         edges = [(0, 1, 2), (2, 3, 4), (4, 5, 0), (0, 6, 7), (7, 8, 2)]
@@ -196,6 +236,37 @@ class TestIncidenceGraph:
         H = LinearHypergraph(9, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)])
         g, cover = incidence_graph(H)
         assert cover_partitions_edges(g, cover) is None
+
+    @given(_families())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_oracle(self, family):
+        n, R, edges = family
+        pair, meeting, through = naive_incidence(edges)
+        H = LinearHypergraph(n, R, edges)
+        if pair is not None:
+            with pytest.raises(NonLinearError) as err:
+                incidence_graph(H)
+            assert err.value.pair == pair
+            return
+        g, cover = incidence_graph(H)
+        assert g.n == len(edges) and g.edges() == meeting
+        assert cover.n_ground == n and cover.cliques == through
+        assert cover_partitions_edges(g, cover) is None
+
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cover_partitions_edges_matches_naive_oracle(self, n, data):
+        member = st.integers(0, max(n - 1, 0))
+        cliques = data.draw(st.dictionaries(
+            st.integers(0, 5), st.lists(member, max_size=4) if n else st.just([]), max_size=4,
+        ))
+        # the within-clique pairs, with a few pairs toggled
+        within = {p for ms in cliques.values() for p in itertools.combinations(sorted(set(ms)), 2)}
+        pairs = list(itertools.combinations(range(n), 2))
+        toggled = data.draw(st.sets(st.sampled_from(pairs), max_size=2)) if pairs else set()
+        g = Graph(n, sorted(within ^ toggled))
+        cover = CliqueCover(6, {v: tuple(ms) for v, ms in cliques.items()})
+        assert cover_partitions_edges(g, cover) == naive_cover_failure(g, cliques)
 
     def test_uncovered_clique_detects_planted_violation(self):
         # cover missing one clique: the triangle on {0,1,2} is uncovered
