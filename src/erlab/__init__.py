@@ -27,7 +27,6 @@ from .construct import (
     DensityProfile,
     InstanceBundle,
     OverlayRecord,
-    SPartition,
     SparsifiedIncidence,
     blow_up,
     build_linear_tf_hypergraph,

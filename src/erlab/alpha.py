@@ -240,6 +240,8 @@ def alteration_set(n: int, families, seed: int) -> tuple[int, ...]:
 
 # factor on both extractors' branch thresholds, n^(a_t / a_{t-g(i)}) and n^beta
 THRESHOLD_SCALE = 1.0
+# most K_s copies an extractor enumerates before it raises BudgetError
+CLIQUE_CAP = 500_000
 
 
 @dataclass
@@ -263,7 +265,7 @@ def recursive_free_subset(
     s: int,
     t: int | None = None,
     scan_cap: int = 2_000_000,
-    clique_cap: int = 500_000,
+    clique_cap: int = CLIQUE_CAP,
     seed: int = 0,
 ) -> ExtractionResult:
     """K_s-free subset via the recursive dichotomy: look for an (i-1)-tuple
@@ -429,7 +431,6 @@ def lay3_free_subset(
     coloring: EdgeColoring,
     s: int,
     seed: int = 0,
-    clique_cap: int = 500_000,
 ) -> ExtractionResult:
     """K_s-free subset via the two-branch argument: when the mean of
     d_st*d_nd is large, pigeonhole a color pair onto a common
@@ -465,7 +466,7 @@ def lay3_free_subset(
     family_half: set[tuple[int, ...]] = set()
     cliques_s = enumerate_cliques(graph, s) if n >= s else []
     cliques_half = enumerate_cliques(graph, s_half) if n >= s_half else []
-    if len(cliques_s) > clique_cap or len(cliques_half) > clique_cap:
+    if len(cliques_s) > CLIQUE_CAP or len(cliques_half) > CLIQUE_CAP:
         raise BudgetError("clique enumeration exceeded the cap")
     by_vertex_s: dict[int, list] = {}
     for cl in cliques_s:

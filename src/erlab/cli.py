@@ -24,8 +24,8 @@ from .checkers import check_half_sequence, check_ordering
 from .construct import (
     CertificationError,
     ConstructionParams,
-    SPartition,
     SparsifiedIncidence,
+    _check_complete_s_partite,
     certificate_passes,
     construct_upper_bound_instance,
     sample_sets,
@@ -96,8 +96,8 @@ def _cmd_construct(args) -> int:
         "ground_n": bundle.hypergraph.n,
         "cover": {str(v): list(members) for v, members in bundle.cover.cliques.items()},
         "partition": {
-            str(v): {str(u): p for u, p in parts.items()}
-            for v, parts in bundle.sparsified.partition.parts.items()
+            str(v): {str(u): p for p, pm in enumerate(masks) for u in iter_bits(pm)}
+            for v, masks in bundle.sparsified.part_masks.items()
         },
         "overlay": {
             "permutations": [list(p) for p in bundle.overlay.permutations],
@@ -120,8 +120,14 @@ def _cmd_construct(args) -> int:
 def load_instance(instance_dir) -> SparsifiedIncidence:
     inst = Path(instance_dir)
     graph = eio.read_graph(inst / "sparsified.txt")
-    s, ground_n, cover, parts = eio.read_structure(inst / "structure.json", graph.n)
-    return SparsifiedIncidence(graph, CliqueCover(ground_n, cover), SPartition(s, parts), s)
+    s, ground_n, cover, part_masks = eio.read_structure(inst / "structure.json", graph.n)
+    sparsified = SparsifiedIncidence(graph, CliqueCover(ground_n, cover), part_masks, s)
+    bad = _check_complete_s_partite(sparsified)["witness"]
+    if bad:
+        v, (a, b) = bad["clique"], bad["edge"]
+        raise eio.FormatError(f"{inst / 'structure.json'}: partition of clique {v} does not "
+                              f"match sparsified.txt at pair {a} {b}")
+    return sparsified
 
 
 def _cmd_density(args) -> int:

@@ -133,27 +133,14 @@ def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergr
 # s-partite sparsification with sampled even-partition certification
 
 
-@dataclass(frozen=True)
-class SPartition:
-    """Per-clique part assignment: parts[v][member] is a part index in 0..s-1."""
-
-    s: int
-    parts: dict[int, dict[int, int]]
-
-    def part_masks(self, v: int) -> list[int]:
-        masks = [0] * self.s
-        for member, p in self.parts.get(v, {}).items():
-            masks[p] |= 1 << member
-        return masks
-
-
 @dataclass
 class SparsifiedIncidence:
-    """Sparsified incidence graph together with its cover and part assignment."""
+    """Sparsified incidence graph together with its cover and s-partition:
+    ``part_masks[v][p]`` is the bitmask of K_v's members in part p."""
 
     graph: Graph
     cover: CliqueCover
-    partition: SPartition
+    part_masks: dict[int, tuple[int, ...]]
     s: int
     certificate: dict = field(default_factory=dict)
 
@@ -253,6 +240,9 @@ def sparsify(
     """
     if s < 2:
         raise GraphError("sparsification order must be at least 2")
+    bad = [(v, u) for v in sorted(cover.cliques) for u in cover.cliques[v] if not 0 <= u < graph.n]
+    if bad:
+        raise GraphError(f"clique {bad[0][0]} member {bad[0][1]} is not a vertex of the graph")
     bad = cover_partitions_edges(graph, cover)
     if bad is not None:
         raise GraphError(f"cover inconsistent with graph: {bad[0]} edge {bad[1]}")
@@ -266,10 +256,12 @@ def sparsify(
     worst = None
     for attempt in range(RETRY_LIMIT):
         rng = make_rng(seed, "partition", attempt)
-        partition = SPartition(
-            s, {v: {u: rng.randrange(s) for u in cover.cliques[v]} for v in clique_ids}
-        )
-        part_masks = {v: partition.part_masks(v) for v in clique_ids}
+        part_masks = {}
+        for v in clique_ids:
+            masks = [0] * s
+            for u in cover.cliques[v]:
+                masks[rng.randrange(s)] |= 1 << u
+            part_masks[v] = tuple(masks)
 
         sample_records = []
         all_ok = True
@@ -312,7 +304,7 @@ def sparsify(
                 "vacuous": not samples,
                 "sample_records": sample_records,
             }
-            return SparsifiedIncidence(Graph.from_rows(rows), cover, partition, s, certificate)
+            return SparsifiedIncidence(Graph.from_rows(rows), cover, part_masks, s, certificate)
 
     raise CertificationError(
         f"even-partition certification failed after {RETRY_LIMIT} attempts", worst or {}
@@ -504,26 +496,19 @@ def construct_upper_bound_instance(
         blown, params.beta + 1, params.retention_p, derive_seed(params.seed, "overlay")
     )
 
-    masks = cover.vertex_to_cliques(H.m)  # each hyperedge's ground vertices
-    parts = sparsified.partition.parts
+    # G_* joins K_v's parts i < j, and the blow-up their fibers, in pattern
+    # color (i, j); copy by copy, so an edge that several copies hold keeps
+    # the lowest one's color.  images[i]: part i's fibers retained in a copy
     index = {x: a for a, x in enumerate(overlay.retained)}
-    blown_edges = blown.edges()
-
-    # copy by copy, so an edge that several copies hold keeps the lowest one's color
     colors: dict[tuple[int, int], int] = {}
     for copy_idx, perm in enumerate(overlay.permutations):
-        for u_b, v_b in blown_edges:
-            a, bb = index.get(perm[u_b]), index.get(perm[v_b])
-            if a is None or bb is None:
-                continue
-            edge = (a, bb) if a < bb else (bb, a)
-            if edge in colors:
-                continue
-            p, q = u_b // k, v_b // k
-            # H is certified linear, so hyperedges p and q share one ground vertex
-            v_ground = (masks[p] & masks[q]).bit_length() - 1
-            base = pattern.color_of(parts[v_ground][p], parts[v_ground][q])
-            colors[edge] = copy_idx * params.ell + base
+        for masks in sparsified.part_masks.values():
+            images = [[index[x] for p in iter_bits(pm) for x in perm[p * k:p * k + k]
+                       if x in index] for pm in masks]
+            for (i, left), (j, right) in itertools.combinations(enumerate(images), 2):
+                color = copy_idx * params.ell + pattern.color_of(i, j)
+                for a, c in itertools.product(left, right):
+                    colors.setdefault((a, c) if a < c else (c, a), color)
     coloring = EdgeColoring(t, sorted(colors.items()))
 
     mono = find_mono_clique(final, coloring, b)
@@ -590,12 +575,13 @@ def construct_upper_bound_instance(
 def _check_complete_s_partite(sparsified: SparsifiedIncidence) -> dict:
     """Within every K_v the kept edges must be exactly the cross-part pairs."""
     g = sparsified.graph
-    for v in sorted(sparsified.cover.cliques):
-        members = sorted(sparsified.cover.cliques[v])
-        assign = sparsified.partition.parts[v]
-        for a, b in itertools.combinations(members, 2):
-            want = assign[a] != assign[b]
-            if g.has_edge(a, b) != want:
+    for v, masks in sorted(sparsified.part_masks.items()):
+        members = sum(masks)  # the parts are disjoint
+        for a in iter_bits(members):
+            same = next(pm for pm in masks if pm >> a & 1)
+            wrong = ((g.row(a) ^ ~same) & members) >> (a + 1)
+            if wrong:
+                b = a + (wrong & -wrong).bit_length()
                 return {"pass": False, "witness": {"clique": v, "edge": [a, b]}}
     return {"pass": True, "witness": None}
 

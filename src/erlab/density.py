@@ -42,13 +42,9 @@ def density_witness(sparsified: SparsifiedIncidence, X) -> tuple[DensityProfile,
     for u in X:
         x_mask |= 1 << u
 
-    s = sparsified.s
-    cover = sparsified.cover
-    clique_ids = sorted(cover.cliques)
-    part_masks = {v: sparsified.partition.part_masks(v) for v in clique_ids}
-    profile = density_profile(
-        {v: cover.member_mask(v) for v in clique_ids}, part_masks, x_mask, s
-    )
+    s, part_masks = sparsified.s, sparsified.part_masks
+    # a clique's parts are disjoint, so their sum is its member mask
+    profile = density_profile({v: sum(pm) for v, pm in part_masks.items()}, part_masks, x_mask, s)
     evenly = profile.evenly_partitioned
     part_lists = {v: [list(iter_bits(pm & x_mask)) for pm in part_masks[v]] for v in evenly}
 

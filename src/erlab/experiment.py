@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .alpha import (
+    CLIQUE_CAP,
     BudgetError,
     ExtractionError,
     alpha_exact,
@@ -176,7 +177,7 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
     budgets = config.budgets
     alpha_nodes = budgets.get("alpha_nodes", 2_000_000)
     scan_cap = budgets.get("scan_cap", 2_000_000)
-    clique_cap = budgets.get("clique_cap", 500_000)
+    clique_cap = budgets.get("clique_cap", CLIQUE_CAP)
     construct_ms = budgets.get("construct_ms")
 
     t0 = time.monotonic()

@@ -154,15 +154,6 @@ class CliqueCover:
             m |= 1 << u
         return m
 
-    def vertex_to_cliques(self, n_vertices: int) -> list[int]:
-        """For each incidence vertex, the bitmask of ground vertices whose clique contains it."""
-        out = [0] * n_vertices
-        for v, members in self.cliques.items():
-            bit = 1 << v
-            for u in members:
-                out[u] |= bit
-        return out
-
 
 @dataclass(frozen=True)
 class EdgeColoring:
@@ -395,7 +386,10 @@ def uncovered_clique(graph: Graph, cover: CliqueCover, b: int):
     """
     if b < 2:
         raise GraphError("clique order must be at least 2")
-    owner = cover.vertex_to_cliques(graph.n)
+    owner = [0] * graph.n  # each vertex's ground vertices, as a bitmask
+    for v, members in cover.cliques.items():
+        for u in members:
+            owner[u] |= 1 << v
     ground = (1 << cover.n_ground) - 1
     for clique in _cliques(graph._rows, graph.full_mask(), b, ()):
         if not functools.reduce(operator.and_, [owner[v] for v in clique], ground):

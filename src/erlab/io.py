@@ -151,10 +151,11 @@ def read_coloring(path, t: int | None = None) -> EdgeColoring:
 
 
 def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
-    """s, ground_n, cover and partition of an instance's ``structure.json``
-    over its sparsified graph on n vertices, with integer keys.  A file that
-    is not JSON, lacks or mistypes a field, or names a vertex outside 0..n-1
-    or a part outside 0..s-1 is a FormatError."""
+    """s, ground_n, cover and part masks (K_v's members in part p at [v][p])
+    of an instance's ``structure.json`` over its sparsified graph on n
+    vertices.  A file that is not JSON, lacks or mistypes a field, names a
+    vertex outside 0..n-1 or a part outside 0..s-1, or does not split each
+    cover clique into parts exactly is a FormatError."""
     try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         st = json.loads(Path(path).read_text(encoding="utf-8"))
         kinds = {"s": int, "ground_n": int, "cover": dict, "partition": dict}
@@ -175,6 +176,16 @@ def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
                if type(p) is not int or not 0 <= p < s]
         if bad:
             raise ValueError(f"part {bad[0]!r} outside 0..{s - 1}")
+        bad = [(v, u) for v in sorted(cover) for u in sorted(set(cover[v]) ^ set(parts.get(v, ())))]
+        if bad:
+            v, u = bad[0]
+            raise ValueError(f"clique {v}: member {u} has no part" if u in cover[v]
+                             else f"clique {v}: vertex {u} has a part but is not a member")
+        bad = sorted(set(parts) - set(cover))
+        if bad:
+            raise ValueError(f"partition names clique {bad[0]}, which is not in the cover")
+        part_masks = {v: tuple(sum(1 << u for u, q in parts.get(v, {}).items() if q == p)
+                               for p in range(s)) for v in sorted(cover)}
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return s, ground_n, cover, parts
+    return s, ground_n, cover, part_masks

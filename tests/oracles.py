@@ -25,9 +25,17 @@ import sys
 import numpy as np
 
 from erlab.alpha import AlphaResult
-from erlab.freeness import FOUND, INCONCLUSIVE, NONE, SearchResult, _edge_order, find_mono_clique
+from erlab.freeness import (
+    FOUND,
+    INCONCLUSIVE,
+    NONE,
+    SearchResult,
+    _edge_order,
+    find_mono_clique,
+    mono_free_pattern,
+)
 from erlab.graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, first_clique
-from erlab.util import make_rng
+from erlab.util import iter_bits, make_rng
 
 
 def ensure_recursion_depth(depth: int) -> None:
@@ -240,6 +248,48 @@ def naive_cover_failure(graph: Graph, cliques: dict):
         if found:
             return kind, found[0]
     return None
+
+
+def part_of(part_masks: dict) -> dict[int, dict[int, int]]:
+    """For each clique v, the part index of each of its members."""
+    return {v: {u: p for p, pm in enumerate(masks) for u in iter_bits(pm)}
+            for v, masks in part_masks.items()}
+
+
+def naive_s_partite_witness(graph: Graph, cliques: dict, part_masks: dict):
+    """The lexicographically first pair of the lowest clique whose adjacency
+    in ``graph`` differs from "in different parts", as {"clique", "edge"},
+    or None when every clique is complete s-partite."""
+    parts = part_of(part_masks)
+    for v in sorted(cliques):
+        for a, b in itertools.combinations(sorted(cliques[v]), 2):
+            if graph.has_edge(a, b) != (parts[v][a] != parts[v][b]):
+                return {"clique": v, "edge": [a, b]}
+    return None
+
+
+def reference_instance_coloring(bundle) -> dict[tuple[int, int], int]:
+    """The coloring of an upper-bound instance, rebuilt one edge of the
+    blown-up graph at a time: the edge's hyperedges u // k and v // k share
+    one ground vertex x (the packing is linear), and the edge takes the
+    pattern color of their parts in K_x, in the palette of the lowest copy
+    that keeps both of its ends."""
+    params, k = bundle.params, bundle.params.k
+    pattern = mono_free_pattern(params.s, params.b, params.ell)
+    parts = part_of(bundle.sparsified.part_masks)
+    hyperedges = [set(e) for e in bundle.hypergraph.edges]
+    index = {x: a for a, x in enumerate(bundle.overlay.retained)}
+    colors: dict[tuple[int, int], int] = {}
+    for copy_idx, perm in enumerate(bundle.overlay.permutations):
+        for u, v in bundle.blown.edges():
+            a, b = index.get(perm[u]), index.get(perm[v])
+            if a is None or b is None or (min(a, b), max(a, b)) in colors:
+                continue
+            p, q = u // k, v // k
+            (x,) = hyperedges[p] & hyperedges[q]
+            base = pattern.color_of(parts[x][p], parts[x][q])
+            colors[(min(a, b), max(a, b))] = copy_idx * params.ell + base
+    return colors
 
 
 def naive_induced(graph: Graph, vertices) -> tuple[list[tuple[int, int]], list[int]]:

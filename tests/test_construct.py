@@ -15,6 +15,8 @@ from erlab import construct
 from erlab.construct import (
     CertificationError,
     ConstructionParams,
+    SparsifiedIncidence,
+    _check_complete_s_partite,
     blow_up,
     build_linear_tf_hypergraph,
     certificate_passes,
@@ -26,6 +28,7 @@ from erlab.construct import (
 )
 from erlab.freeness import UnsupportedParametersError, find_mono_clique
 from erlab.graphs import (
+    CliqueCover,
     Graph,
     GraphError,
     LinearHypergraph,
@@ -40,7 +43,10 @@ from erlab.util import derive_seed
 from oracles import (
     indexed_linear_triangle_free,
     naive_linear_triangle_free,
+    naive_s_partite_witness,
+    part_of,
     random_graph,
+    reference_instance_coloring,
     reference_linear_tf_hypergraph,
 )
 
@@ -230,7 +236,7 @@ class TestSparsify:
     def test_single_clique_complete_s_partite(self):
         g, cover = incidence_graph(sunflower(10))
         sp = sparsify(g, cover, 5, seed=3, threshold=g.n + 1)
-        parts = sp.partition.parts[0]
+        parts = part_of(sp.part_masks)[0]
         for a, b in itertools.combinations(range(10), 2):
             assert sp.graph.has_edge(a, b) == (parts[a] != parts[b])
 
@@ -295,10 +301,47 @@ class TestSparsify:
 
     def test_inconsistent_cover_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        from erlab.graphs import CliqueCover
-
         with pytest.raises(GraphError):
             sparsify(g, CliqueCover(1, {0: (0, 1)}), 2, seed=0)
+
+    @pytest.mark.parametrize("member", [5, -1])
+    def test_cover_member_outside_the_graph_rejected(self, member):
+        with pytest.raises(GraphError, match=f"^clique 0 member {member} is not a vertex"):
+            sparsify(Graph(2, [(0, 1)]), CliqueCover(1, {0: (0, 1, member)}), 2, 0)
+
+    def test_part_masks_split_each_clique(self):
+        H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
+        g, cover = incidence_graph(H)
+        sp = sparsify(g, cover, 3, seed=11, threshold=g.n + 1)
+        assert sorted(sp.part_masks) == sorted(cover.cliques)
+        for v, masks in sp.part_masks.items():
+            assert len(masks) == 3
+            assert sum(masks) == cover.member_mask(v)
+            assert all(a & b == 0 for a, b in itertools.combinations(masks, 2))
+
+
+class TestCompleteSPartite:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_witness_matches_naive_oracle(self, data):
+        # disjoint random cliques over a random graph, each split at random
+        n = data.draw(st.integers(2, 12))
+        s = data.draw(st.integers(2, 4))
+        order = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+        cliques = {v: tuple(order[a:b]) for v, (a, b) in
+                   enumerate(zip([0, *cuts], [*cuts, n]))}
+        part_masks = {}
+        for v, members in cliques.items():
+            masks = [0] * s
+            for u in members:
+                masks[data.draw(st.integers(0, s - 1))] |= 1 << u
+            part_masks[v] = tuple(masks)
+        density = data.draw(st.sampled_from([0.2, 0.5, 0.9]))
+        g = random_graph(n, density, data.draw(st.integers(0, 99)))
+        sp = SparsifiedIncidence(g, CliqueCover(len(cliques), cliques), part_masks, s)
+        want = naive_s_partite_witness(g, cliques, part_masks)
+        assert _check_complete_s_partite(sp) == {"pass": want is None, "witness": want}
 
 
 class TestBlowUp:
@@ -447,6 +490,20 @@ class TestPipeline:
         assert params.ell == 1
         assert bundle.coloring.colors_used() <= {1}
         assert enumerate_cliques(bundle.final, 3) == []
+
+    @pytest.mark.parametrize("s,b,t,n,k,R,retention_p,seed", [
+        # the benchmark's construct battery at seed 7
+        (5, 3, 2, 64, 1, 5, 1.0, 7), (5, 3, 2, 128, 1, 5, 1.0, 7), (5, 3, 2, 256, 1, 7, 1.0, 7),
+        (5, 3, 4, 64, 4, 5, 1.0, 7), (5, 3, 4, 128, 4, 5, 1.0, 7), (5, 3, 4, 256, 4, 7, 1.0, 7),
+        (5, 3, 2, 1024, 1, None, 1.0, 7),
+        (5, 3, 4, 64, 4, 5, 0.6, 7),
+        (2, 3, 1, 32, 1, 3, 1.0, 1),
+    ])
+    def test_coloring_matches_reference(self, s, b, t, n, k, R, retention_p, seed):
+        params = ConstructionParams.derive(s, b, t, n, k=k, R=R, retention_p=retention_p,
+                                           seed=seed)
+        bundle = construct_upper_bound_instance(params, n)
+        assert bundle.coloring.colors == reference_instance_coloring(bundle)
 
     def test_vacuous_parameters_rejected(self):
         params = ConstructionParams.derive(5, 3, 1, 32, seed=0)  # ell=2 > t=1

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlab.construct import (
-    SPartition,
     SparsifiedIncidence,
     build_linear_tf_hypergraph,
     sparsify,
@@ -30,8 +29,7 @@ def bipartite_2_3_witness():
     """Single clique K_5 sparsified into parts {0,1} and {2,3,4}."""
     graph = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     cover = CliqueCover(1, {0: (0, 1, 2, 3, 4)})
-    partition = SPartition(2, {0: {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}})
-    return SparsifiedIncidence(graph, cover, partition, 2)
+    return SparsifiedIncidence(graph, cover, {0: (0b00011, 0b11100)}, 2)
 
 
 class TestDensityWitness:

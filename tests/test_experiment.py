@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from erlab import experiment
 from erlab.alpha import BudgetError, alpha_exact, greedy_free_subset
-from erlab.cli import main
+from erlab.cli import load_instance, main
+from erlab.construct import ConstructionParams, construct_upper_bound_instance
 from erlab.experiment import (
     ASYMPTOTIC_LABEL,
     CSV_HEADER,
@@ -269,6 +270,19 @@ _BAD_STRUCTURES = {
     "part-9": (json.dumps({**_STRUCTURE, "partition": {"0": {"0": 0, "1": 9, "2": 2}}}),
                "part 9 outside 0..4"),
     "part-s": (json.dumps({**_STRUCTURE, "partition": {"0": {"0": 5}}}), "part 5 outside 0..4"),
+    "partition-empty": (json.dumps({**_STRUCTURE, "partition": {}}),
+                        "clique 0: member 0 has no part"),
+    "partition-non-member": (json.dumps({**_STRUCTURE, "cover": {"0": [0, 1]}}),
+                             "clique 0: vertex 2 has a part but is not a member"),
+    "partition-unknown-clique": (
+        json.dumps({**_STRUCTURE, "partition": {**_STRUCTURE["partition"], "1": {"0": 0}}}),
+        "partition names clique 1, which is not in the cover",
+    ),
+    # 0 and 1 share a part, so they may not be joined in sparsified.txt's K_3
+    "partition-not-s-partite": (
+        json.dumps({**_STRUCTURE, "partition": {"0": {"0": 0, "1": 0, "2": 2}}}),
+        "partition of clique 0 does not match sparsified.txt at pair 0 1",
+    ),
 }
 
 
@@ -321,6 +335,18 @@ class TestCli:
         assert payload["valid"]
         witness = (tmp_path / "witness.txt").read_text().split()
         assert len(witness) == payload["size"]
+
+    def test_load_instance_returns_the_constructed_part_masks(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        assert main(["construct", "--s", "5", "--b", "3", "--t", "4", "--n", "64", "--k", "4",
+                     "--R", "5", "--seed", "7", "--out-dir", str(inst)]) == 0
+        capsys.readouterr()
+        params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=7)
+        sparsified = construct_upper_bound_instance(params, 64).sparsified
+        loaded = load_instance(inst)
+        assert loaded.part_masks == sparsified.part_masks
+        assert loaded.cover == sparsified.cover and loaded.s == sparsified.s
+        assert loaded.graph.edges() == sparsified.graph.edges()
 
     # the sparsified graph has 56 vertices: the default threshold, the
     # ground-set size 64, samples nothing, and 39 samples five sets
