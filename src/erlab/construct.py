@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 from .freeness import (
     UnsupportedParametersError,
+    _coloring_mismatch,
+    _first_mono_clique,
     default_table,
-    find_mono_clique,
     mono_free_pattern,
 )
 from .graphs import (
@@ -464,9 +465,11 @@ def construct_upper_bound_instance(
     """Run the full pipeline (pack, incidence, sparsify, blow up, overlay and
     retain) and color each copy with its own disjoint ell-color palette via
     a fixed monochromatic-K_b-free pattern on part indices; joint edges take
-    the lowest contributing copy's color.  The certificate bundle carries the
-    per-color mono-clique search, the palette checks, the sparsification
-    record, and all stage reports.
+    the lowest contributing copy's color.  The coloring is assembled as
+    per-color adjacency bit rows, whose union must be the final graph's rows
+    (else GraphError), and certified from them.  The certificate bundle
+    carries the per-color mono-clique search, the palette checks, the
+    sparsification record, and all stage reports.
     """
     if params.ell > params.t:
         raise UnsupportedParametersError(
@@ -497,26 +500,56 @@ def construct_upper_bound_instance(
     )
 
     # G_* joins K_v's parts i < j, and the blow-up their fibers, in pattern
-    # color (i, j); copy by copy, so an edge that several copies hold keeps
-    # the lowest one's color.  images[i]: part i's fibers retained in a copy
+    # color (i, j).  Copy by copy, each side's retained image is ORed into
+    # the other side's rows of that color in the copy's palette, less the
+    # pairs an earlier copy holds (``done``), so an edge that several copies
+    # hold keeps the lowest one's color.  color_rows[c - 1]: color c's rows
+    N, ell = final.n, params.ell
     index = {x: a for a, x in enumerate(overlay.retained)}
-    colors: dict[tuple[int, int], int] = {}
+    pattern_pairs = [(i, j, pattern.color_of(i, j)) for i, j in itertools.combinations(range(s), 2)]
+    color_rows = [[0] * N for _ in range((params.beta + 1) * ell)]
+    done = [0] * N
     for copy_idx, perm in enumerate(overlay.permutations):
+        where = [index.get(x) for x in perm]  # blown vertex -> retained id, or None
+        palette = color_rows[copy_idx * ell:(copy_idx + 1) * ell]
         for masks in sparsified.part_masks.values():
-            images = [[index[x] for p in iter_bits(pm) for x in perm[p * k:p * k + k]
-                       if x in index] for pm in masks]
-            for (i, left), (j, right) in itertools.combinations(enumerate(images), 2):
-                color = copy_idx * params.ell + pattern.color_of(i, j)
-                for a, c in itertools.product(left, right):
-                    colors.setdefault((a, c) if a < c else (c, a), color)
-    coloring = EdgeColoring(t, sorted(colors.items()))
+            images = []
+            for pm in masks:
+                ids = [a for p in iter_bits(pm) for a in where[p * k:p * k + k] if a is not None]
+                image = 0
+                for a in ids:
+                    image |= 1 << a
+                images.append((ids, image))
+            for i, j, c in pattern_pairs:
+                (left, left_mask), (right, right_mask) = images[i], images[j]
+                if left and right:
+                    rows = palette[c - 1]
+                    for a in left:
+                        rows[a] |= right_mask & ~done[a]
+                    for a in right:
+                        rows[a] |= left_mask & ~done[a]
+        for rows in palette:
+            done = [d | r for d, r in zip(done, rows)]
 
-    mono = find_mono_clique(final, coloring, b)
-    palettes = {
-        i: list(range(i * params.ell + 1, (i + 1) * params.ell + 1))
-        for i in range(params.beta + 1)
-    }
-    used = sorted(coloring.colors_used())
+    # every colored edge (u, v), u < v, with its color, in ascending edge order
+    used = [c for c, rows in enumerate(color_rows, 1) if any(rows)]
+    colored = []
+    for u in range(N):
+        start = len(colored)
+        for c in used:
+            high = color_rows[c - 1][u] >> (u + 1)
+            while high:
+                low = high & -high
+                colored.append(((u, u + low.bit_length()), c))
+                high ^= low
+        colored[start:] = sorted(colored[start:])
+    coloring = EdgeColoring(t, colored)
+    # done is now the union of the color rows, which must be final's rows
+    if done != final._rows:
+        raise _coloring_mismatch(final, coloring)
+
+    mono = _first_mono_clique({c: color_rows[c - 1] for c in used}, N, b)
+    palettes = {i: list(range(i * ell + 1, (i + 1) * ell + 1)) for i in range(params.beta + 1)}
     over = next((c for c in used if c > t), None)
 
     s_partite = _check_complete_s_partite(sparsified)

@@ -34,21 +34,46 @@ def find_mono_clique(graph: Graph, coloring: EdgeColoring, b: int):
     """First monochromatic b-clique in canonical order, or None.
 
     Canonical order: colors ascending, then lexicographic on the sorted
-    clique.  The coloring must cover E(graph) exactly.
+    clique.  The coloring must cover E(graph) exactly: the union of its
+    per-color rows must be the graph's rows.
     """
     if b < 2:
         raise GraphError("forbidden clique order must be at least 2")
-    problem = coloring_covers(graph, coloring)
-    if problem is not None:
-        kind, edge = problem
-        raise GraphError(f"coloring does not match graph: {kind} edge {edge}")
+    n = graph.n
     by_color: dict[int, list[int]] = {}
-    for (u, v), c in coloring.colors.items():
-        rows = by_color.setdefault(c, [0] * graph.n)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    try:
+        for (u, v), c in coloring.colors.items():
+            rows = by_color.get(c)
+            if rows is None:
+                rows = by_color[c] = [0] * n
+            # v > u, so a pair beyond the graph fails here before any shift
+            rows[v] |= 1 << u
+            rows[u] |= 1 << v
+    except (IndexError, ValueError):  # a vertex above n - 1 or below 0
+        union = None
+    else:
+        union = [0] * n
+        for rows in by_color.values():
+            union = [a | r for a, r in zip(union, rows)]
+    if union != graph._rows:
+        raise _coloring_mismatch(graph, coloring)
+    return _first_mono_clique(by_color, n, b)
+
+
+def _coloring_mismatch(graph: Graph, coloring: EdgeColoring) -> GraphError:
+    """The error for a coloring that does not cover E(graph) exactly, naming
+    ``coloring_covers``'s witness."""
+    kind, edge = coloring_covers(graph, coloring)
+    return GraphError(f"coloring does not match graph: {kind} edge {edge}")
+
+
+def _first_mono_clique(by_color: dict[int, list[int]], n: int, b: int):
+    """First (color, b-clique) over the colors of ``by_color`` ascending,
+    each clique lexicographically first among that color's adjacency bit
+    rows over 0..n-1; None when no color holds a b-clique."""
+    full = (1 << n) - 1
     for c in sorted(by_color):
-        clique = first_clique(by_color[c], (1 << graph.n) - 1, b)
+        clique = first_clique(by_color[c], full, b)
         if clique is not None:
             return (c, clique)
     return None

@@ -106,6 +106,8 @@ class Graph:
         New vertex i corresponds to the i-th smallest old id.
         """
         keep = sorted(set(vertices))
+        if keep == list(range(self.n)):
+            return Graph.from_rows(self._rows), keep
         index = {v: i for i, v in enumerate(keep)}
         keep_mask = sum(1 << v for v in keep)
         rows = [sum(1 << index[w] for w in iter_bits(self._rows[v] & keep_mask)) for v in keep]
@@ -163,12 +165,13 @@ class EdgeColoring:
     colors: dict[tuple[int, int], int]
 
     def __init__(self, t: int, colors):
+        # a later entry for the same edge, in either order, wins
+        items = colors.items() if isinstance(colors, dict) else colors
+        norm = {e if e[0] < e[1] else (e[1], e[0]): c for e, c in items}
+        loop = next((e for e in norm if e[0] == e[1]), None)
+        if loop is not None:
+            raise GraphError(f"loop edge ({loop[0]},{loop[1]}) in coloring")
         object.__setattr__(self, "t", t)
-        norm = {}
-        for (u, v), c in dict(colors).items():
-            if u == v:
-                raise GraphError(f"loop edge ({u},{v}) in coloring")
-            norm[(min(u, v), max(u, v))] = c
         object.__setattr__(self, "colors", norm)
 
     def color_of(self, u: int, v: int) -> int:
@@ -205,7 +208,7 @@ def coloring_covers(graph: Graph, coloring: EdgeColoring):
         if e not in coloring.colors:
             return ("missing", e)
     for e in sorted(coloring.colors):
-        if e[1] >= graph.n or not graph.has_edge(*e):
+        if e[0] < 0 or e[1] >= graph.n or not graph.has_edge(*e):
             return ("extra", e)
     return None
 

@@ -154,8 +154,9 @@ def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
     """s, ground_n, cover and part masks (K_v's members in part p at [v][p])
     of an instance's ``structure.json`` over its sparsified graph on n
     vertices.  A file that is not JSON, lacks or mistypes a field, names a
-    vertex outside 0..n-1 or a part outside 0..s-1, or does not split each
-    cover clique into parts exactly is a FormatError."""
+    cover clique outside 0..ground_n-1, a vertex outside 0..n-1 or a part
+    outside 0..s-1, or does not split each cover clique into parts exactly
+    is a FormatError."""
     try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         st = json.loads(Path(path).read_text(encoding="utf-8"))
         kinds = {"s": int, "ground_n": int, "cover": dict, "partition": dict}
@@ -167,6 +168,9 @@ def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
         if s < 2 or ground_n < 0:
             raise ValueError(f"need s >= 2 and ground_n >= 0, got s={s}, ground_n={ground_n}")
         cover = {int(v): tuple(members) for v, members in st["cover"].items()}
+        bad = sorted(v for v in cover if not 0 <= v < ground_n)
+        if bad:
+            raise ValueError(f"cover clique {bad[0]} outside the ground set 0..{ground_n - 1}")
         parts = {int(v): {int(u): p for u, p in ps.items()} for v, ps in st["partition"].items()}
         bad = [u for ms in (*cover.values(), *parts.values()) for u in ms
                if type(u) is not int or not 0 <= u < n]

@@ -117,6 +117,18 @@ def naive_first_clique(rows: list[int], mask: int, s: int):
     return None
 
 
+def naive_mono_clique(graph: Graph, coloring: EdgeColoring, b: int):
+    """First (color, clique) with every pair of the b-set ``clique`` an edge
+    of ``graph`` in that color: colors ascending, then each color's b-subsets
+    of range(graph.n) in ``itertools.combinations`` order; None if none."""
+    for c in sorted(set(coloring.colors.values())):
+        for combo in itertools.combinations(range(graph.n), b):
+            if all(graph.has_edge(u, v) and coloring.get(u, v) == c
+                   for u, v in itertools.combinations(combo, 2)):
+                return c, combo
+    return None
+
+
 def naive_is_free(graph: Graph, vertices, s: int) -> bool:
     for sub in itertools.combinations(sorted(vertices), s):
         if all(graph.has_edge(a, b) for a, b in itertools.combinations(sub, 2)):

@@ -2,6 +2,7 @@
 end-to-end certified instances."""
 
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -29,6 +30,7 @@ from erlab.construct import (
 from erlab.freeness import UnsupportedParametersError, find_mono_clique
 from erlab.graphs import (
     CliqueCover,
+    EdgeColoring,
     Graph,
     GraphError,
     LinearHypergraph,
@@ -444,6 +446,23 @@ class TestParams:
         assert ConstructionParams.derive(5, 3, 2, 100, seed=0).R == 7
 
 
+# the benchmark's construct battery at seed 7, then a (5,3,4) point that
+# drops vertices
+_POINT = "s,b,t,n,k,R,retention_p,seed"
+_BATTERY_POINTS = [
+    (5, 3, 2, 64, 1, 5, 1.0, 7), (5, 3, 2, 128, 1, 5, 1.0, 7), (5, 3, 2, 256, 1, 7, 1.0, 7),
+    (5, 3, 4, 64, 4, 5, 1.0, 7), (5, 3, 4, 128, 4, 5, 1.0, 7), (5, 3, 4, 256, 4, 7, 1.0, 7),
+    (5, 3, 2, 1024, 1, None, 1.0, 7),
+    (5, 3, 4, 64, 4, 5, 0.6, 7),
+]
+
+
+@functools.cache
+def _bundle(s, b, t, n, k, R, retention_p, seed):
+    params = ConstructionParams.derive(s, b, t, n, k=k, R=R, retention_p=retention_p, seed=seed)
+    return construct_upper_bound_instance(params, n)
+
+
 class TestPipeline:
     def test_5_3_2_at_64(self):
         params = ConstructionParams.derive(5, 3, 2, 64, R=5, seed=7)
@@ -491,19 +510,51 @@ class TestPipeline:
         assert bundle.coloring.colors_used() <= {1}
         assert enumerate_cliques(bundle.final, 3) == []
 
-    @pytest.mark.parametrize("s,b,t,n,k,R,retention_p,seed", [
-        # the benchmark's construct battery at seed 7
-        (5, 3, 2, 64, 1, 5, 1.0, 7), (5, 3, 2, 128, 1, 5, 1.0, 7), (5, 3, 2, 256, 1, 7, 1.0, 7),
-        (5, 3, 4, 64, 4, 5, 1.0, 7), (5, 3, 4, 128, 4, 5, 1.0, 7), (5, 3, 4, 256, 4, 7, 1.0, 7),
-        (5, 3, 2, 1024, 1, None, 1.0, 7),
-        (5, 3, 4, 64, 4, 5, 0.6, 7),
-        (2, 3, 1, 32, 1, 3, 1.0, 1),
-    ])
+    @pytest.mark.parametrize(_POINT, [*_BATTERY_POINTS, (2, 3, 1, 32, 1, 3, 1.0, 1)])
     def test_coloring_matches_reference(self, s, b, t, n, k, R, retention_p, seed):
-        params = ConstructionParams.derive(s, b, t, n, k=k, R=R, retention_p=retention_p,
-                                           seed=seed)
-        bundle = construct_upper_bound_instance(params, n)
+        bundle = _bundle(s, b, t, n, k, R, retention_p, seed)
         assert bundle.coloring.colors == reference_instance_coloring(bundle)
+
+    @pytest.mark.parametrize(_POINT, _BATTERY_POINTS)
+    def test_mono_clique_entry_matches_find_mono_clique(self, s, b, t, n, k, R, retention_p,
+                                                        seed):
+        bundle = _bundle(s, b, t, n, k, R, retention_p, seed)
+        mono = find_mono_clique(bundle.final, bundle.coloring, bundle.params.b)
+        entry = bundle.certificate["checks"]["mono_clique_free"]
+        assert entry == {
+            "pass": mono is None,
+            "witness": None if mono is None else {"color": mono[0], "clique": list(mono[1])},
+        }
+
+    @pytest.mark.parametrize("t, k", [(2, 1), (4, 4)])
+    def test_mono_clique_witness_matches_find_mono_clique(self, monkeypatch, t, k):
+        # a one-color pattern puts each copy's triangles in its first color
+        monkeypatch.setattr(construct, "mono_free_pattern", lambda s, b, ell: EdgeColoring(
+            ell, {e: 1 for e in itertools.combinations(range(s), 2)}))
+        params = ConstructionParams.derive(5, 3, t, 128, k=k, R=5, seed=7)
+        bundle = construct_upper_bound_instance(params, 128)
+        color, clique = find_mono_clique(bundle.final, bundle.coloring, 3)
+        assert bundle.certificate["checks"]["mono_clique_free"] == {
+            "pass": False, "witness": {"color": color, "clique": list(clique)},
+        }
+
+    @pytest.mark.parametrize("kind", ["missing", "extra"])
+    def test_coloring_must_cover_the_final_graph(self, monkeypatch, kind):
+        # the overlay hands on a final graph with one pair flipped, which the
+        # coloring, built from the copies, does not follow
+        def flipped(*args):
+            final, record = overlay_and_retain(*args)
+            pair = next(e for e in itertools.combinations(range(final.n), 2)
+                        if final.has_edge(*e) == (kind == "extra"))
+            flipped.pair = pair
+            edges = set(final.edges()) ^ {pair}
+            return Graph(final.n, edges), record
+
+        monkeypatch.setattr(construct, "overlay_and_retain", flipped)
+        params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=7)
+        with pytest.raises(GraphError) as exc:
+            construct_upper_bound_instance(params, 64)
+        assert str(exc.value) == f"coloring does not match graph: {kind} edge {flipped.pair}"
 
     def test_vacuous_parameters_rejected(self):
         params = ConstructionParams.derive(5, 3, 1, 32, seed=0)  # ell=2 > t=1

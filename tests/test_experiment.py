@@ -257,6 +257,11 @@ _BAD_STRUCTURES = {
                        "field 'cover' is missing or not of type dict"),
     "s-below-2": (json.dumps({**_STRUCTURE, "s": 1}),
                   "need s >= 2 and ground_n >= 0, got s=1, ground_n=4"),
+    "cover-id-beyond-ground-n": (
+        json.dumps({**_STRUCTURE, "cover": {"9": [0, 1, 2]},
+                    "partition": {"9": _STRUCTURE["partition"]["0"]}}),
+        "cover clique 9 outside the ground set 0..3",
+    ),
     "cover-member-outside": (json.dumps({**_STRUCTURE, "cover": {"0": [0, 1, 3]}}),
                              "vertex 3 outside the sparsified graph's 0..2"),
     "cover-member-mistyped": (json.dumps({**_STRUCTURE, "cover": {"0": [0, "1"]}}),

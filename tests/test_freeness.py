@@ -6,7 +6,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from erlab import freeness
@@ -26,9 +26,14 @@ from erlab.freeness import (
     ramsey_oracle,
     search_free_coloring,
 )
-from erlab.graphs import EdgeColoring, Graph, GraphError
+from erlab.graphs import EdgeColoring, Graph, GraphError, coloring_covers
 
-from oracles import random_graph, reference_search_free_coloring, sample_mono_free_coloring
+from oracles import (
+    naive_mono_clique,
+    random_graph,
+    reference_search_free_coloring,
+    sample_mono_free_coloring,
+)
 
 
 class TestFindMonoClique:
@@ -58,6 +63,45 @@ class TestFindMonoClique:
     def test_b4_detection(self):
         col = EdgeColoring(1, {e: 1 for e in itertools.combinations(range(4), 2)})
         assert find_mono_clique(Graph.complete(4), col, 4) == (1, (0, 1, 2, 3))
+
+    @given(st.integers(0, 8), st.integers(2, 4), st.integers(1, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_oracle(self, n, b, t, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        col = EdgeColoring(t, {e: data.draw(st.integers(1, t)) for e in sorted(edges)})
+        g = Graph(n, edges)
+        assert find_mono_clique(g, col, b) == naive_mono_clique(g, col, b)
+
+    @given(st.integers(1, 8), st.sampled_from(["missing", "extra", "beyond"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mismatch_names_the_first_uncovered_pair(self, n, kind, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        colors = {e: data.draw(st.integers(1, 2)) for e in sorted(edges)}
+        if kind == "missing":
+            assume(edges)
+            del colors[data.draw(st.sampled_from(sorted(edges)))]
+        elif kind == "extra":
+            absent = [e for e in pairs if e not in edges]
+            assume(absent)
+            colors[data.draw(st.sampled_from(absent))] = 1
+        else:  # a pair with an end at or above n, possibly far above it
+            u = data.draw(st.integers(0, n + 2))
+            colors[(u, data.draw(st.integers(max(u + 1, n), 1 << 40)))] = 2
+        g, col = Graph(n, edges), EdgeColoring(2, colors)
+        problem = coloring_covers(g, col)
+        assert problem is not None and problem[0] == ("extra" if kind == "beyond" else kind)
+        with pytest.raises(GraphError) as exc:
+            find_mono_clique(g, col, 3)
+        assert str(exc.value) == f"coloring does not match graph: {problem[0]} edge {problem[1]}"
+
+    def test_negative_vertex_is_an_extra_pair(self):
+        # row -1 would alias row 2, which holds the edge (1, 2)
+        g, col = Graph(3, [(1, 2)]), EdgeColoring(1, {(-1, 1): 1, (1, 2): 1})
+        assert coloring_covers(g, col) == ("extra", (-1, 1))
+        with pytest.raises(GraphError, match=r"extra edge \(-1, 1\)"):
+            find_mono_clique(g, col, 3)
 
 
 class TestSearchFreeColoring:

@@ -88,6 +88,20 @@ class TestGraph:
         assert sub.edges() == edges and sub.m == len(edges)
         assert all(sub.has_edge(j, i) == sub.has_edge(i, j) for i, j in edges)
 
+    @given(st.integers(0, 10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_induced_on_every_vertex_is_a_copy(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else [])
+        # every vertex, shuffled, with repeats
+        vertices = data.draw(st.permutations(range(n))) + data.draw(
+            st.lists(st.integers(0, max(n - 1, 0)), max_size=n) if n else st.just([]))
+        sub, old = g.induced(vertices)
+        edges, keep = naive_induced(g, vertices)
+        assert old == keep == list(range(n))
+        assert sub.n == n and sub.edges() == edges and sub.m == g.m
+        assert sub._rows is not g._rows
+
 
 class TestEnumerateCliques:
     def test_k4_triangles(self):
@@ -280,6 +294,21 @@ class TestColoring:
         col = EdgeColoring(2, {(2, 1): 1, (0, 1): 2})
         assert col.color_of(1, 2) == 1 and col.color_of(2, 1) == 1
         assert col.colors_used() == {1, 2}
+
+    def test_loop_error_names_the_first_loop_in_input_order(self):
+        with pytest.raises(GraphError, match=r"^loop edge \(3,3\) in coloring$"):
+            EdgeColoring(2, [((0, 1), 1), ((3, 3), 1), ((1, 2), 2), ((2, 2), 2)])
+        with pytest.raises(GraphError, match=r"^loop edge \(2,2\) in coloring$"):
+            EdgeColoring(2, {(2, 2): 1, (0, 1): 1, (1, 1): 2})
+
+    @pytest.mark.parametrize("colors", [
+        {(0, 1): 1, (1, 0): 2},
+        [((0, 1), 1), ((1, 0), 2)],
+        [((1, 0), 1), ((0, 1), 2)],
+        [((0, 1), 1), ((0, 1), 2)],
+    ])
+    def test_later_duplicate_wins(self, colors):
+        assert EdgeColoring(2, colors).colors == {(0, 1): 2}
 
     def test_restrict_and_relabel(self):
         col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (0, 2): 1})
