@@ -44,22 +44,50 @@ class AlphaResult:
     nodes: int
 
 
-class _JoinableMemo(dict):
+class _Joinable:
     """``memo[mask]`` is True iff ``mask`` holds no K_size of ``rows``.
 
-    A mask not seen before is asked of ``first_clique`` once; the answer is
-    kept.  One memo serves one search: while ``rows`` and ``size`` are fixed
-    the answer depends on the mask alone, so a kept answer is the one a fresh
-    query would give.
+    The searches look a mask up in ``memo`` themselves and call this helper
+    on a miss, with the vertex ``v`` whose chosen neighbours ``mask`` is.
+    It answers from two facts kept per vertex before it asks
+    ``first_clique``, since holding a clique is monotone in the mask:
+
+    - ``clique[v]``, the last K_size found for ``v`` as a bitmask: a mask
+      that contains it holds a clique;
+    - ``free[v]``, the last clique-free mask asked for ``v``: a mask inside
+      it holds none.
+
+    Every answer, however found, goes into ``memo``.  One helper serves one
+    search: while ``rows`` and ``size`` are fixed, each answer is the one a
+    fresh query would give.
     """
 
+    __slots__ = ("rows", "size", "memo", "clique", "free")
+
     def __init__(self, rows: list[int], size: int):
-        super().__init__()
         self.rows = rows
         self.size = size
+        self.memo: dict[int, bool] = {}
+        self.clique = [0] * len(rows)
+        self.free = [0] * len(rows)
 
-    def __missing__(self, mask: int) -> bool:
-        free = self[mask] = first_clique(self.rows, mask, self.size) is None
+    def __call__(self, v: int, mask: int) -> bool:
+        clique = self.clique[v]
+        if clique and not clique & ~mask:
+            free = False
+        elif not mask & ~self.free[v]:
+            free = True
+        else:
+            found = first_clique(self.rows, mask, self.size)
+            free = found is None
+            if free:
+                self.free[v] = mask
+            else:
+                clique = 0
+                for u in found:
+                    clique |= 1 << u
+                self.clique[v] = clique
+        self.memo[mask] = free
         return free
 
 
@@ -92,15 +120,21 @@ def alpha_exact(
     K_{s-1}.  The search asks this of few distinct masks many times over,
     since backtracking over non-neighbours of ``idx`` leaves the mask as it
     was, so each answer is kept in a memo that lives for this call only.
-    The graph is fixed during the call, so the memo returns exactly what
-    the clique query would: the search tree, ``nodes`` and the witness are
-    those of the unmemoised search.
+    A mask not in the memo is first put to two rules kept per vertex
+    (``_Joinable``): it holds a clique if it contains the last K_{s-1}
+    found for ``idx``, and it holds none if it lies inside the last
+    clique-free mask asked for ``idx``; only otherwise is the clique
+    searched for.  Both rules are exact, since holding a clique is
+    monotone in the mask and the graph is fixed during the call: the
+    search tree, ``nodes`` and the witness are those of a search that
+    asks every query afresh.
     """
     if s < 2:
         raise GraphError("s must be at least 2")
     n = graph.n
     rows = graph._rows
-    joinable = _JoinableMemo(rows, s - 1)
+    joinable = _Joinable(rows, s - 1)
+    memo = joinable.memo
     limit = math.inf if node_budget is None else node_budget
     best: list[int] = []
     chosen: list[int] = []
@@ -117,7 +151,11 @@ def alpha_exact(
                 bounds += [j + (n - v) - 1 for j, v in enumerate(chosen)]
                 return AlphaResult(len(best), tuple(best), False, max(bounds), nodes)
             nodes += 1
-            if joinable[chosen_mask & rows[idx]]:
+            mask = chosen_mask & rows[idx]
+            free = memo.get(mask)
+            if free is None:
+                free = joinable(idx, mask)
+            if free:
                 chosen.append(idx)
                 chosen_mask |= 1 << idx
             idx += 1
@@ -140,9 +178,9 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0) -> int:
     extremal witness instead.
 
     As in alpha_exact, whether vertex ``idx`` may join is asked of the
-    mask ``chosen & N(idx)`` alone, and the answers are kept in a memo that
-    lives for this call only; the graph is fixed during the call, so the
-    count is the one the unmemoised enumeration gives."""
+    mask ``chosen & N(idx)`` alone, and is answered from the memo and the
+    two per-vertex rules of ``_Joinable`` before the clique is searched
+    for; each answer is the one a fresh query gives, so the count is too."""
     if s < 2:
         raise GraphError("s must be at least 2")
     if graph.n > COUNT_LIMIT:
@@ -152,7 +190,8 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0) -> int:
         )
     n = graph.n
     rows = graph._rows
-    joinable = _JoinableMemo(rows, s - 1)
+    joinable = _Joinable(rows, s - 1)
+    memo = joinable.memo
     count = 0
 
     def walk(idx: int, chosen_mask: int, size: int):
@@ -163,7 +202,11 @@ def count_free_subsets(graph: Graph, s: int, min_size: int = 0) -> int:
             count += 1
             return
         walk(idx + 1, chosen_mask, size)
-        if joinable[chosen_mask & rows[idx]]:
+        mask = chosen_mask & rows[idx]
+        free = memo.get(mask)
+        if free is None:
+            free = joinable(idx, mask)
+        if free:
             walk(idx + 1, chosen_mask | (1 << idx), size + 1)
 
     walk(0, 0, 0)

@@ -367,11 +367,17 @@ def overlay_and_retain(
         perm = list(range(N))
         rng.shuffle(perm)
         # a permuted symmetric relation stays symmetric: row perm[u] of the
-        # copy is row u of the graph with every bit v moved to perm[v]
+        # copy is row u of the graph with every bit v moved to perm[v]; twin
+        # rows (a blow-up fiber's k vertices share one) are moved once
+        images: dict[int, int] = {}
         for u in range(N):
-            mask = 0
-            for v in iter_bits(graph.row(u)):
-                mask |= 1 << perm[v]
+            row = graph.row(u)
+            mask = images.get(row)
+            if mask is None:
+                mask = 0
+                for v in iter_bits(row):
+                    mask |= 1 << perm[v]
+                images[row] = mask
             union_rows[perm[u]] |= mask
         perms.append(tuple(perm))
 

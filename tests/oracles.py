@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks (the first-clique
 query, the hypergraph witnesses, the incidence graph, the cover check and
 the induced subgraph among them) go over all pairs and triples with
-itertools, the instance generators only rely on adjacency bookkeeping, and
-the reference packer keeps plain sets and recomputes compatibility from its
-definition.  The reference alpha searches are the package's branch and
+itertools, the naive overlay maps one edge at a time, the instance
+generators only rely on adjacency bookkeeping, and the reference packer
+keeps plain sets and recomputes compatibility from its definition.  The reference alpha searches are the package's branch and
 bound and counting enumeration as they were before their clique tests were
 memoised and the branch and bound became one loop: they recurse, and ask
 ``first_clique`` afresh at every node.  The reference coloring search is the
@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from erlab.alpha import AlphaResult
+from erlab.construct import OverlayRecord
 from erlab.freeness import (
     FOUND,
     INCONCLUSIVE,
@@ -313,6 +314,24 @@ def naive_induced(graph: Graph, vertices) -> tuple[list[tuple[int, int]], list[i
         if graph.has_edge(keep[i], keep[j])
     ]
     return edges, keep
+
+
+def naive_overlay(graph: Graph, copies: int, retention_p: float, seed: int):
+    """``overlay_and_retain`` one edge at a time: each copy's permutation and
+    the retained vertices are drawn as the package draws them, every copy
+    adds (perm[u], perm[v]) for each edge (u, v) of ``graph``, and the
+    union's subgraph induced on the retained vertices is returned with its
+    ``OverlayRecord``."""
+    perms, union = [], set()
+    for i in range(copies):
+        perm = list(range(graph.n))
+        make_rng(seed, "overlay", i).shuffle(perm)
+        perms.append(tuple(perm))
+        union.update((perm[u], perm[v]) for u, v in graph.edges())
+    keep_rng = make_rng(seed, "retain")
+    retained = tuple(u for u in range(graph.n) if keep_rng.random() < retention_p)
+    edges, _ = naive_induced(Graph(graph.n, union), retained)
+    return Graph(len(retained), edges), OverlayRecord(tuple(perms), retained)
 
 
 def indexed_linear_triangle_free(edges) -> tuple[bool, bool]:

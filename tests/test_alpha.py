@@ -1,6 +1,7 @@
 """Exact solver, counting, alteration sampler, and the constructive
 extractors."""
 
+import functools
 import itertools
 import sys
 
@@ -118,8 +119,64 @@ class TestCountFreeSubsets:
         assert "alpha_exact" in str(err.value)
 
 
+@functools.cache
+def k4_instance() -> Graph:
+    """The final graph of the (5,3,4) k=4 n=64 instance at seed 1, which holds K_5."""
+    params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=1)
+    return construct_upper_bound_instance(params, 64).final
+
+
 class TestJoinableMemo:
-    """The memoised searches equal the unmemoised reference searches."""
+    """The searches' clique queries, answered by ``alpha._Joinable``, equal
+    the reference searches' fresh queries."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 16), st.sampled_from([0.3, 0.5, 0.8]),
+           st.integers(1, 4), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 15)),
+                                       min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_answers_equal_fresh_queries(self, seed, n, p, size, steps):
+        # each step adds or removes one vertex of the mask, then asks for one
+        # of three vertices, as the searches do on a memo miss: nested masks
+        # asked for one vertex are what the last clique and last free mask answer
+        rows = random_graph(n, p, seed=seed)._rows
+        joinable = alpha._Joinable(rows, size)
+        mask = 0
+        for v, u in steps:
+            mask ^= 1 << (u % n)
+            free = joinable.memo.get(mask)
+            if free is None:
+                free = joinable(v % n, mask)
+            assert free == (first_clique(rows, mask, size) is None)
+
+    def test_fewer_kernel_calls_than_masks_on_k4_instance(self, monkeypatch):
+        asked = []
+
+        def counted(rows, mask, size):
+            asked.append(mask)
+            return first_clique(rows, mask, size)
+
+        helpers = []
+
+        class Recorded(alpha._Joinable):
+            __slots__ = ()
+
+            def __init__(self, rows, size):
+                super().__init__(rows, size)
+                helpers.append(self)
+
+        monkeypatch.setattr(alpha, "first_clique", counted)
+        monkeypatch.setattr(alpha, "_Joinable", Recorded)
+        res = alpha_exact(k4_instance(), 5, node_budget=5000)
+        assert res.nodes == 5000
+        (memo,) = [helper.memo for helper in helpers]
+        # the kernel asks each mask at most once, and fewer masks than the
+        # search asks about; the others the two per-vertex rules answer
+        assert len(asked) == len(set(asked)) and set(asked) <= memo.keys()
+        assert len(asked) < len(memo)
+        # (the empty mask is inside every vertex's free mask from the start)
+        by_rule = [memo[mask] for mask in memo.keys() - set(asked) - {0}]
+        assert False in by_rule  # a mask holding the vertex's last clique
+        assert True in by_rule  # a mask inside the vertex's last free mask
 
     def test_alpha_matches_reference(self):
         incomplete = 0
@@ -133,8 +190,7 @@ class TestJoinableMemo:
         assert incomplete > 0  # the budgeted stops and their bounds are compared too
 
     def test_alpha_matches_reference_on_k4_instance(self):
-        params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=1)
-        g = construct_upper_bound_instance(params, 64).final
+        g = k4_instance()
         assert first_clique(g._rows, (1 << g.n) - 1, 5) is not None
         res = alpha_exact(g, 5, node_budget=5000)
         assert res == reference_alpha_exact(g, 5, node_budget=5000)

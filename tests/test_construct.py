@@ -45,6 +45,7 @@ from erlab.util import derive_seed
 from oracles import (
     indexed_linear_triangle_free,
     naive_linear_triangle_free,
+    naive_overlay,
     naive_s_partite_witness,
     part_of,
     random_graph,
@@ -420,6 +421,17 @@ class TestOverlay:
     def test_bad_arguments_rejected(self, copies, retention_p):
         with pytest.raises(GraphError):
             overlay_and_retain(Graph.complete(3), copies, retention_p, seed=0)
+
+    @given(st.integers(0, 10_000), st.integers(1, 9), st.sampled_from([0.2, 0.5, 0.8]),
+           st.integers(1, 3), st.integers(1, 3), st.sampled_from([1.0, 0.6]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_oracle(self, seed, n, p, k, copies, retention_p):
+        # blow-ups give twin rows, whose images the overlay shares
+        g = blow_up(random_graph(n, p, seed=seed), k)
+        final, record = overlay_and_retain(g, copies, retention_p, seed=seed)
+        want, want_record = naive_overlay(g, copies, retention_p, seed)
+        assert final._rows == want._rows
+        assert record == want_record
 
     def test_deterministic(self):
         g = random_graph(9, 0.5, seed=4)
