@@ -87,14 +87,87 @@ class SearchResult:
     transcript: dict
 
 
-def _edge_order(graph: Graph) -> list[tuple[int, int]]:
-    # vertex-by-vertex completion with a degree-based vertex order, so each
-    # prefix induces a colored subgraph on an initial vertex segment
+def _edge_order(graph: Graph) -> tuple[list[tuple[int, int]], int, int]:
+    """The search's edge order, the last vertex w that has an edge, and the
+    index where w's edges start: they are the trailing deg(w) edges.
+
+    Vertex-by-vertex completion with a degree-based vertex order, so each
+    prefix induces a colored subgraph on an initial vertex segment.  With no
+    edge, w is -1.
+    """
     verts = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
     pos = {v: i for i, v in enumerate(verts)}
     edges = graph.edges()
     edges.sort(key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
-    return edges
+    if not edges:
+        return edges, -1, 0
+    u, v = edges[-1]
+    last = u if pos[u] > pos[v] else v
+    return edges, last, len(edges) - graph.degree(last)
+
+
+def _count_last_vertex(
+    others: list[int],
+    rows_by_color: list[list[int]],
+    seen: list[int],
+    used: int,
+    palette_cap: int,
+    local_bound: int | None,
+    b: int,
+    n: int,
+    limit: int,
+) -> int | None:
+    """The colors a failing visit to the last vertex w's edges tries,
+    counted breadth-first; None once the count reaches ``limit``, or when
+    some state survives the last edge (a complete coloring exists).
+
+    ``others[i]`` is the other end x of the visit's i-th edge.  The check on
+    (x, w) reads x's color rows and colors, which the visit leaves alone,
+    and w's colored neighbours so far.  So a state is just those neighbours,
+    color c's packed at bits (c-1)*n .. c*n-1, and each position's states
+    are grouped by (colors at w, colors in play), which fix the local check
+    and the number of colors tried.
+    """
+    layer = {(0, used): [0]}
+    tries = 0
+    final = len(others) - 1
+    for i, x in enumerate(others):
+        sx = seen[x]
+        x_full = local_bound is not None and sx.bit_count() >= local_bound
+        rows_x = [rows[x] for rows in rows_by_color]
+        after: dict[tuple[int, int], list[int]] = {}
+        for (sw, in_play), states in layer.items():
+            top = in_play + 1 if in_play < palette_cap else palette_cap
+            tries += len(states) * top
+            if tries >= limit:
+                return None
+            w_full = local_bound is not None and sw.bit_count() >= local_bound
+            for c in range(1, top + 1):
+                bit = 1 << c
+                if x_full and not sx & bit or w_full and not sw & bit:
+                    continue
+                off = (c - 1) * n
+                kids = states
+                # colors new since the visit began have no rows at x
+                if c <= used and rows_x[c - 1]:
+                    mask = rows_x[c - 1] << off
+                    if b == 3:
+                        kids = [s for s in states if not s & mask]
+                    else:
+                        rows = rows_by_color[c - 1]
+                        kids = [s for s in states if not s & mask
+                                or first_clique(rows, (s & mask) >> off, b - 2) is None]
+                    if not kids:
+                        continue
+                if i == final:
+                    return None
+                add = 1 << (x + off)
+                key = (sw | bit, c if c > in_play else in_play)
+                after.setdefault(key, []).extend([s | add for s in kids])
+        if not after:
+            break
+        layer = after
+    return tries
 
 
 def _check_search_parameters(t: int | None, b: int, local_bound: int | None) -> None:
@@ -125,9 +198,18 @@ def search_free_coloring(
     Every color tried is a node.  The search stops as inconclusive on
     entering a depth with ``nodes >= node_budget``, on trying a color past
     it, or on reading a clock past the deadline, which it does every 1024 nodes.
+
+    Most nodes of a large search lie on the last vertex's edges, which end
+    the order.  Each fresh visit to them is first expanded breadth-first,
+    counting exactly the colors the loop would try there.  When no coloring
+    of them passes, the search adds that count to its nodes and backtracks.
+    The loop runs the visit itself when a coloring passes, so the witness is
+    the loop's, or when the count would reach ``node_budget`` or the next
+    clock read.  Nodes, witnesses and the budget and clock stops are thus
+    the loop's alone, node for node.
     """
     _check_search_parameters(t, b, local_bound)
-    edges = _edge_order(graph)
+    edges, last, start = _edge_order(graph)
     n_edges = len(edges)
     palette_cap = t if local_bound is None else max(n_edges, 1)
 
@@ -138,6 +220,7 @@ def search_free_coloring(
         return SearchResult(NONE, None, 0, {"edges": n_edges, "reason": "zero local bound"})
 
     steps = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    others = [u if v == last else v for u, v in edges[start:]]
     rows_by_color: list[list[int]] = []
     seen = [0] * graph.n  # per vertex, bit c is set when an edge of color c meets it
     # per depth: (its color, colors in play on entry, seen[u] and seen[v] before)
@@ -162,6 +245,15 @@ def search_free_coloring(
         su = seen[u]
         sv = seen[v]
         top = used + 1 if used < palette_cap else palette_cap
+        if idx == start and not c:
+            # a fresh visit to the last vertex's edges: count it in bulk if it
+            # fails before the budget and the next clock read
+            tries = _count_last_vertex(others, rows_by_color, seen, used, palette_cap,
+                                       local_bound, b, graph.n,
+                                       min(budget, next_check) - nodes)
+            if tries is not None:
+                nodes += tries
+                c = top  # every color has been tried here: backtrack
         while c < top:
             c += 1
             nodes += 1
@@ -381,7 +473,8 @@ def ramsey_oracle(
     colorings still exist at n_max.  The sweep continues past the threshold
     to n_max, asserting monotonicity (no coloring reappears).  A budget
     overrun yields status inconclusive at the offending n.  Parameters the
-    search rejects raise ``GraphError`` before the sweep, whatever n_max.
+    search rejects raise ``GraphError`` before the sweep, whatever n_max;
+    then an n_max below 2, which leaves the sweep empty, raises it too.
     """
     if kind == "multicolor":
         t, b = parameter
@@ -392,6 +485,8 @@ def ramsey_oracle(
     else:
         raise ValueError(f"unknown oracle kind: {kind}")
     _check_search_parameters(t, b, local_bound)
+    if n_max < 2:
+        raise GraphError(f"n_max must be at least 2, got {n_max}")
 
     threshold = None
     witness = None

@@ -30,7 +30,10 @@ MASK_BYTES_LIMIT = 1 << 24
 
 
 def _write(path, lines):
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    # line by line, so no copy of the whole text is held: the final graph and
+    # its coloring are the largest objects a construction writes
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def write_graph(path, graph: Graph) -> None:

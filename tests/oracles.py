@@ -506,7 +506,7 @@ def reference_search_free_coloring(
     if local_bound is not None and local_bound < 0:
         raise GraphError("local bound must be non-negative")
 
-    edges = _edge_order(graph)
+    edges = _edge_order(graph)[0]
     n_edges = len(edges)
     ensure_recursion_depth(n_edges)
     palette_cap = t if local_bound is None else max(n_edges, 1)
@@ -608,3 +608,36 @@ def reference_search_free_coloring(
     if exhausted:
         return SearchResult(INCONCLUSIVE, None, nodes, transcript)
     return SearchResult(NONE, None, nodes, transcript)
+
+
+def naive_last_vertex_tries(others, rows_by_color, seen, used, palette_cap, local_bound, b):
+    """Colors tried by a depth-first visit to the edges (x, w) for x in
+    ``others``, w being a vertex with no colored edge yet; None when some
+    coloring of them all passes.  Color sets per vertex, w's neighbours as
+    per-color sets, and ``naive_first_clique`` for the K_b check."""
+    colors_x = [{c for c in range(len(rows_by_color) + 2) if (s >> c) & 1} for s in seen]
+    tries = 0
+
+    def visit(i, nbrs, in_play):
+        nonlocal tries
+        if i == len(others):
+            return True
+        x = others[i]
+        for c in range(1, min(in_play + 1, palette_cap) + 1):
+            tries += 1
+            at_w = {d for d, ys in nbrs.items() if ys}
+            if local_bound is not None and (
+                c not in colors_x[x] and len(colors_x[x]) >= local_bound
+                or c not in at_w and len(at_w) >= local_bound
+            ):
+                continue
+            if c <= used:
+                rows = rows_by_color[c - 1]
+                common = sum(1 << y for y in nbrs.get(c, ()) if (rows[x] >> y) & 1)
+                if common and naive_first_clique(rows, common, b - 2) is not None:
+                    continue
+            if visit(i + 1, {**nbrs, c: nbrs.get(c, set()) | {x}}, max(in_play, c)):
+                return True
+        return False
+
+    return None if visit(0, {}, used) else tries

@@ -463,6 +463,9 @@ class TestCli:
         # checked before the sweep, which is empty below n = 2
         ("multicolor", "3,2", "1", "'3,2': forbidden clique order must be at least 3"),
         ("local", "-4", "1", "'-4': local bound must be non-negative"),
+        # then an empty sweep
+        ("multicolor", "2,3", "-3", "'2,3': n_max must be at least 2, got -3"),
+        ("local", "2", "1", "'2': n_max must be at least 2, got 1"),
     ])
     def test_ramsey_rejects_bad_param(self, capsys, kind, param, nmax, reason):
         with pytest.raises(SystemExit) as exc:

@@ -29,6 +29,7 @@ from erlab.freeness import (
 from erlab.graphs import EdgeColoring, Graph, GraphError, coloring_covers
 
 from oracles import (
+    naive_last_vertex_tries,
     naive_mono_clique,
     random_graph,
     reference_search_free_coloring,
@@ -158,6 +159,72 @@ class TestSearchFreeColoring:
         assert res.status == INCONCLUSIVE
         assert deadline_node < res.nodes <= deadline_node + 1024
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_last_vertex_count_matches_depth_first(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        w = n - 1
+        others = data.draw(st.permutations(range(w)), label="others")
+        others = others[:data.draw(st.integers(1, w), label="degree of w")]
+        used = data.draw(st.integers(1, 3), label="colors in play")
+        rows_by_color = []
+        for c in range(used):
+            rows = [0] * n
+            for x, y in itertools.combinations(range(w), 2):
+                if data.draw(st.booleans()):
+                    rows[x] |= 1 << y
+                    rows[y] |= 1 << x
+            rows_by_color.append(rows)
+        seen = [data.draw(st.integers(0, (1 << (used + 1)) - 1), label=f"seen {x}") & ~1
+                for x in range(w)] + [0]
+        local_bound = data.draw(st.sampled_from([None, 1, 2, 3]), label="local bound")
+        palette_cap = data.draw(st.integers(used, used + 3), label="palette cap")
+        b = data.draw(st.sampled_from([3, 4, 5]), label="b")
+        args = (others, rows_by_color, seen, used, palette_cap, local_bound, b)
+        want = naive_last_vertex_tries(*args)
+        assert freeness._count_last_vertex(*args, n, 1 << 62) == want
+        if want is not None:
+            # the count stops, as None, on reaching the limit
+            for limit in (want, want + 1, data.draw(st.integers(1, want), label="limit")):
+                got = freeness._count_last_vertex(*args, n, limit)
+                assert got == (want if want < limit else None)
+
+    @pytest.mark.parametrize("t, local_bound, nodes", [
+        (3, None, 1_254_438),
+        (None, 3, 1_672_550),
+    ])
+    def test_clock_read_at_each_multiple_of_1024(self, monkeypatch, t, local_bound, nodes):
+        # the clock is read at each multiple of 1024 nodes, exactly, whether a
+        # visit to the last vertex's edges is counted in bulk or run by the loop
+        reads = []
+
+        def clock():
+            reads.append(sys._getframe(1).f_locals.get("nodes", 0))
+            return reads[-1] / 1_000_000
+
+        monkeypatch.setattr(time, "monotonic", clock)
+        res = search_free_coloring(Graph.complete(11), t, 3, local_bound, time_budget_ms=10**6)
+        assert (res.status, res.nodes) == (FOUND, nodes)
+        assert reads == [0] + list(range(1024, nodes + 1, 1024))
+        reads.clear()
+        res = search_free_coloring(Graph.complete(11), t, 3, local_bound, time_budget_ms=441)
+        assert (res.status, res.nodes) == (INCONCLUSIVE, 441_344)  # 431 * 1024
+        assert reads == [0] + list(range(1024, 441_345, 1024))
+
+    @pytest.mark.parametrize("n, edges, last, start", [
+        (2, [(0, 1)], 1, 0),  # one edge: its later endpoint in vertex order
+        (5, [(3, 4)], 4, 0),  # the isolated vertices 0..2 sort first
+        (6, [(0, 1), (0, 2), (1, 2), (2, 3)], 3, 3),  # 4 and 5 are isolated and sort last
+        (5, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 4)], 4, 4),  # a pendant ends the order
+        (4, list(itertools.combinations(range(4), 2)), 3, 3),
+        (3, [], -1, 0),
+    ])
+    def test_edge_order_names_the_last_vertex(self, n, edges, last, start):
+        order, got_last, got_start = freeness._edge_order(Graph(n, edges))
+        assert (got_last, got_start) == (last, start)
+        assert all(last in e for e in order[start:])
+        assert not any(last in e for e in order[:start])
+
     def test_first_edge_symmetry_breaking(self):
         res = search_free_coloring(Graph.complete(4), 3, 3)
         assert res.status == FOUND
@@ -198,6 +265,50 @@ class TestSearchEquivalence:
                 want = reference_search_free_coloring(g, t, b, bound, budget)
                 assert got == want, (g.n, g.edges(), t, b, bound, budget)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_sparse_tails(self, data):
+        # a dense core, then vertices of degree 0, 1 or 2 into it, so the last
+        # vertex with an edge is often followed by isolated ones or has one edge
+        core = data.draw(st.integers(1, 7), label="core")
+        n = data.draw(st.integers(core, 9), label="n")
+        edges = [e for e in itertools.combinations(range(core), 2) if data.draw(st.booleans())]
+        for v in range(core, n):
+            ends = data.draw(st.sets(st.integers(0, v - 1), max_size=2), label=f"ends of {v}")
+            edges += [(u, v) for u in ends]
+        g = Graph(n, edges)
+        t, bound = data.draw(st.sampled_from(
+            [(t, None) for t in (1, 2, 3)] + [(None, bound) for bound in (1, 2, 3)]),
+            label="t, bound")
+        b = data.draw(st.sampled_from([3, 4]), label="b")
+        full = reference_search_free_coloring(g, t, b, bound)
+        assert search_free_coloring(g, t, b, bound) == full
+        budget = data.draw(st.integers(0, full.nodes), label="budget")
+        got = search_free_coloring(g, t, b, bound, budget)
+        assert got == reference_search_free_coloring(g, t, b, bound, budget)
+
+    @pytest.mark.parametrize("kind, parameter, nodes", [
+        ("multicolor", (3, 3), 1_254_438),
+        ("local", 3, 1_672_550),
+    ])
+    def test_k11_last_vertex_counted_in_bulk(self, monkeypatch, kind, parameter, nodes):
+        # On K_11 over 90% of the loop's visits are to the last vertex's 10
+        # edges: every visit but the one that completes a coloring is counted
+        # breadth-first, with the loop's node counts unchanged.
+        results = []
+        count = freeness._count_last_vertex
+
+        def counted(*args):
+            results.append(count(*args))
+            return results[-1]
+
+        monkeypatch.setattr(freeness, "_count_last_vertex", counted)
+        entry = ramsey_oracle(kind, parameter, 11)
+        assert entry.transcript["per_n"][11] == {"status": FOUND, "nodes": nodes}
+        # one visit per n = 2..11 finds a coloring and is run by the loop
+        assert len(results) == 877
+        assert results.count(None) == 10
+
     @pytest.mark.parametrize("kind, parameter", [("multicolor", (3, 3)), ("local", 3)])
     def test_oracle_transcripts_match(self, monkeypatch, kind, parameter):
         got = ramsey_oracle(kind, parameter, 10)
@@ -227,6 +338,12 @@ class TestRamseyOracle:
         entry = ramsey_oracle("multicolor", (2, 3), 4)
         assert entry.value is None and entry.status == "unknown"
         assert entry.lower_bound == 5
+
+    @pytest.mark.parametrize("n_max", [1, 0, -3])
+    def test_empty_sweep_rejected(self, n_max):
+        with pytest.raises(GraphError, match=f"n_max must be at least 2, got {n_max}"):
+            ramsey_oracle("multicolor", (2, 3), n_max)
+        assert ramsey_oracle("local", 1, 2).lower_bound == 3  # one search, K_2
 
     def test_transcript_is_replayable(self):
         entry = ramsey_oracle("multicolor", (1, 3), 4)
