@@ -20,7 +20,6 @@ from .bounds import (
     exponent_upper,
     half_sequence,
     order_vertices,
-    sudakov_exponent,
 )
 from .construct import (
     ConstructionParams,
@@ -41,7 +40,7 @@ from .density import (
     density_witness,
     hypergraph_blow_up,
 )
-from .experiment import ExperimentConfig, RunReport, fit_exponent, run_experiment, verify_suite
+from .experiment import ExperimentConfig, RunReport, run_experiment, verify_suite
 from .freeness import (
     RamseyEntry,
     RamseyTable,

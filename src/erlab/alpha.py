@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bounds import GTable, exponent_lower
 from .freeness import default_table, find_mono_clique
-from .graphs import EdgeColoring, Graph, GraphError, enumerate_cliques, first_clique
+from .graphs import EdgeColoring, Graph, GraphError, _cliques, first_clique
 from .util import iter_bits, make_rng
 
 
@@ -287,6 +287,17 @@ THRESHOLD_SCALE = 1.0
 CLIQUE_CAP = 500_000
 
 
+def capped_cliques(graph: Graph, s: int, cap: int) -> list[tuple[int, ...]]:
+    """Every K_s of ``graph`` in lexicographic order, as ``enumerate_cliques``
+    lists them; BudgetError once cap + 1 copies are found, before any more."""
+    if s < 2:
+        raise GraphError("clique order must be at least 2")
+    cliques = list(itertools.islice(_cliques(graph._rows, graph.full_mask(), s, ()), cap + 1))
+    if len(cliques) > cap:
+        raise BudgetError(f"{len(cliques)} K_{s} copies exceed the cap {cap}")
+    return cliques
+
+
 @dataclass
 class ExtractionResult:
     vertices: tuple[int, ...]
@@ -381,9 +392,7 @@ def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, table,
         ] + inner.path
         return ExtractionResult(verts, path)
 
-    cliques = enumerate_cliques(graph, s)
-    if len(cliques) > clique_cap:
-        raise BudgetError(f"{len(cliques)} K_{s} copies exceed the cap {clique_cap}")
+    cliques = capped_cliques(graph, s, clique_cap)
     verts = alteration_set(n, [cliques], seed)
     return ExtractionResult(verts, [f"depth {depth}: alteration over {len(cliques)} cliques"])
 
@@ -418,53 +427,16 @@ def _scan_tuples(graph, coloring, i, gi, need, scan_budget):
     return None, scanned
 
 
-@dataclass(frozen=True)
-class VertexColorStats:
-    d_st: dict[int, int]
-    d_nd: dict[int, int]
-
-    def xi(self, x: int) -> int:
-        return self.d_st[x] * self.d_nd[x]
-
-
-def color_stats(graph: Graph, coloring: EdgeColoring) -> VertexColorStats:
-    """Largest and second largest color class sizes in each neighborhood."""
-    d_st, d_nd = {}, {}
-    for x in range(graph.n):
-        counts: dict[int, int] = {}
-        for y in graph.neighbors(x):
-            c = coloring.color_of(x, y)
-            counts[c] = counts.get(c, 0) + 1
-        sizes = sorted(counts.values(), reverse=True)
-        d_st[x] = sizes[0] if sizes else 0
-        d_nd[x] = sizes[1] if len(sizes) > 1 else 0
-    return VertexColorStats(d_st, d_nd)
-
-
-def _most_frequent_neighborhood_color(graph, coloring, x):
-    counts: dict[int, int] = {}
-    for y in graph.neighbors(x):
-        c = coloring.color_of(x, y)
-        counts[c] = counts.get(c, 0) + 1
-    if not counts:
-        return None
-    return min(counts, key=lambda c: (-counts[c], c))
-
-
-def _ordering_satisfies(coloring, x, rest, need_first_off_frequency, most_freq):
-    """Does some ordering (x, v_2, ..) of {x} ∪ rest meet the two-color
-    conditions (and, when asked, the off-frequency first edge)?"""
+def _ordering_satisfies(coloring, x, clique, most_freq):
+    """Does some ordering (x, v_2, ..) of ``clique`` meet the two-color
+    conditions, with the first edge off ``most_freq`` unless it is None?"""
+    rest = [v for v in clique if v != x]
     for perm in itertools.permutations(rest):
-        if need_first_off_frequency and coloring.color_of(x, perm[0]) == most_freq:
+        if coloring.color_of(x, perm[0]) == most_freq:
             continue
         seq = (x,) + perm
-        ok = True
-        for idx in range(2, len(seq)):
-            seen = {coloring.color_of(seq[idx], seq[j]) for j in range(idx)}
-            if len(seen) < 2:
-                ok = False
-                break
-        if ok:
+        if all(len({coloring.color_of(seq[i], seq[j]) for j in range(i)}) >= 2
+               for i in range(2, len(seq))):
             return True
     return False
 
@@ -490,13 +462,16 @@ def lay3_free_subset(
     alpha = Fraction(s + s_half - 3, 2 * s + 2 * s_half - 5)
     beta = alpha + 1
 
-    stats = color_stats(graph, coloring)
-    xis = [stats.xi(x) for x in range(n)]
+    # the colors on each vertex's edges, most frequent first: d_st and d_nd
+    # are the two largest color class sizes, and xi = d_st * d_nd
+    tallies = [coloring.tally(x, iter_bits(graph.row(x))) for x in range(n)]
+    d_st = [tl[0][0] if tl else 0 for tl in tallies]
+    xis = [tl[0][0] * tl[1][0] if len(tl) > 1 else 0 for tl in tallies]
     driver = sum(xis) / n if n else 0.0
     threshold = THRESHOLD_SCALE * n ** float(beta)
 
     if driver >= threshold and any(xis):
-        verts, info = _pigeonhole_pair(graph, coloring)
+        verts, info = _pigeonhole_pair(graph, coloring, tallies)
         if not is_free_set(graph, verts, s):
             raise ExtractionError(
                 "pigeonhole branch output contains a clique; the call is outside "
@@ -505,41 +480,16 @@ def lay3_free_subset(
             )
         return ExtractionResult(verts, [f"pigeonhole pair {info}"])
 
-    family_s: set[tuple[int, ...]] = set()
-    family_half: set[tuple[int, ...]] = set()
-    cliques_s = enumerate_cliques(graph, s) if n >= s else []
-    cliques_half = enumerate_cliques(graph, s_half) if n >= s_half else []
-    if len(cliques_s) > CLIQUE_CAP or len(cliques_half) > CLIQUE_CAP:
-        raise BudgetError("clique enumeration exceeded the cap")
-    by_vertex_s: dict[int, list] = {}
-    for cl in cliques_s:
-        for x in cl:
-            by_vertex_s.setdefault(x, []).append(cl)
-    by_vertex_half: dict[int, list] = {}
-    for cl in cliques_half:
-        for x in cl:
-            by_vertex_half.setdefault(x, []).append(cl)
-
-    for x in range(n):
-        xi = xis[x]
-        if xi > 0:
-            split = xi ** ((s - 1) / (s + s_half - 2)) / n ** (
-                float(alpha) * (s - s_half) / (s + s_half - 2)
-            )
-        else:
-            split = 0.0
-        if stats.d_st[x] <= split:
-            for cl in by_vertex_s.get(x, []):
-                rest = tuple(v for v in cl if v != x)
-                if _ordering_satisfies(coloring, x, rest, False, None):
-                    family_s.add(cl)
-        else:
-            mf = _most_frequent_neighborhood_color(graph, coloring, x)
-            for cl in by_vertex_half.get(x, []):
-                rest = tuple(v for v in cl if v != x)
-                if _ordering_satisfies(coloring, x, rest, True, mf):
-                    family_half.add(cl)
-
+    # x vouches for the s-cliques through it when its largest color class is
+    # small, and for the s'-cliques through it otherwise
+    power = (s - 1) / (s + s_half - 2)
+    scale = n ** (float(alpha) * (s - s_half) / (s + s_half - 2))
+    small = [d_st[x] <= xis[x] ** power / scale for x in range(n)]
+    family_s = {cl for cl in capped_cliques(graph, s, CLIQUE_CAP)
+                if any(small[x] and _ordering_satisfies(coloring, x, cl, None) for x in cl)}
+    family_half = {cl for cl in capped_cliques(graph, s_half, CLIQUE_CAP)
+                   if any(not small[x] and _ordering_satisfies(coloring, x, cl, tallies[x][0][1])
+                          for x in cl)}
     verts = alteration_set(n, [sorted(family_s), sorted(family_half)], seed)
     if not is_free_set(graph, verts, s):
         raise ExtractionError("families branch output contains a clique", verts)
@@ -548,38 +498,32 @@ def lay3_free_subset(
     )
 
 
-def _pigeonhole_pair(graph: Graph, coloring: EdgeColoring):
+def _pigeonhole_pair(graph: Graph, coloring: EdgeColoring, tallies):
     """Most frequent ordered color pair over paths y-x-z with differing
-    colors, then the best (y, z); returns the common set and a description."""
+    colors, then the best (y, z); returns the common set and a description.
+    ``tallies[x]`` is ``coloring.tally`` of x's edges: x is the middle of
+    count(c1) * count(c2) paths colored (c1, c2)."""
     pair_counts: dict[tuple[int, int], int] = {}
-    for x in range(graph.n):
-        nbrs = graph.neighbors(x)
-        for y in nbrs:
-            cy = coloring.color_of(x, y)
-            for z in nbrs:
-                if z == y:
-                    continue
-                cz = coloring.color_of(x, z)
-                if cy != cz:
-                    pair_counts[(cy, cz)] = pair_counts.get((cy, cz), 0) + 1
+    for tally in tallies:
+        for k1, c1 in tally:
+            for k2, c2 in tally:
+                if c1 != c2:
+                    pair_counts[(c1, c2)] = pair_counts.get((c1, c2), 0) + k1 * k2
     if not pair_counts:
         raise ExtractionError("no bicolored cherry exists")
     c1, c2 = min(pair_counts, key=lambda p: (-pair_counts[p], p))
     anchor_counts: dict[tuple[int, int], int] = {}
     for x in range(graph.n):
-        nbrs = graph.neighbors(x)
+        nbrs = list(iter_bits(graph.row(x)))
         ys = [y for y in nbrs if coloring.color_of(x, y) == c1]
         zs = [z for z in nbrs if coloring.color_of(x, z) == c2]
         for y in ys:
             for z in zs:
-                if y != z:
-                    anchor_counts[(y, z)] = anchor_counts.get((y, z), 0) + 1
+                anchor_counts[(y, z)] = anchor_counts.get((y, z), 0) + 1
     y, z = min(anchor_counts, key=lambda p: (-anchor_counts[p], p))
     members = tuple(
-        sorted(
-            x
-            for x in iter_bits(graph.row(y) & graph.row(z))
-            if coloring.color_of(x, y) == c1 and coloring.color_of(x, z) == c2
-        )
+        x
+        for x in iter_bits(graph.row(y) & graph.row(z))
+        if coloring.color_of(x, y) == c1 and coloring.color_of(x, z) == c2
     )
     return members, {"colors": (c1, c2), "anchors": (y, z)}

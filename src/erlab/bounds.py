@@ -37,22 +37,18 @@ class GTable:
     with k colors per vertex exceeds i."""
 
     g: dict[int, int]
-    provenance: dict[int, str]
 
     @classmethod
     def from_table(cls, table: RamseyTable, max_i: int = 6) -> "GTable":
         g = {}
-        prov = {}
         for i in range(2, max_i + 1):
             for k in range(0, i + 2):
                 if table.local_greater(k, i):
                     g[i] = k
-                    entry = table.local_entries.get(k)
-                    prov[i] = entry.status if entry else "derived"
                     break
             else:
                 raise UnresolvedRamseyError(f"g({i})")
-        return cls(g, prov)
+        return cls(g)
 
     def value(self, i: int) -> int:
         if i not in self.g:
@@ -133,26 +129,6 @@ def exponent_upper(
     return ExponentResult(value, UPPER, (("ell", ell),))
 
 
-def sudakov_exponent(s: int, t: int) -> Fraction:
-    """Background comparison only: the classical uncolored recursion with
-    a'_t = 1 for t <= s.  Not part of the multicolor contract."""
-    if s < 2 or t < 1:
-        raise GraphError(f"require s >= 2, t >= 1, got {(s, t)}")
-    memo: dict[int, Fraction] = {}
-
-    def a(tt: int) -> Fraction:
-        if tt <= s:
-            return Fraction(1)
-        if tt not in memo:
-            inv = Fraction(1)
-            for i in range(1, s):
-                inv += Fraction(1, s - 1) / a(tt - i)
-            memo[tt] = 1 / inv
-        return memo[tt]
-
-    return a(t)
-
-
 # ---------------------------------------------------------------------------
 # ordering lemma (swap descent) and half sequence
 
@@ -222,17 +198,6 @@ def order_vertices(k: int, coloring: EdgeColoring) -> OrderingResult:
     return OrderingResult(tuple(pi), ell_map, n_pi)
 
 
-def _most_frequent_color(coloring: EdgeColoring, k: int, x: int) -> int:
-    """Most frequent color among the edges at x in K_k; ties toward the
-    smallest color index."""
-    counts: dict[int, int] = {}
-    for y in range(k):
-        if y != x:
-            c = coloring.color_of(x, y)
-            counts[c] = counts.get(c, 0) + 1
-    return min(counts, key=lambda c: (-counts[c], c))
-
-
 def half_sequence(k: int, coloring: EdgeColoring) -> tuple[int, ...]:
     """A sequence v_1..v_{ceil(k/2)} such that v_1v_2 avoids v_1's most
     frequent color and every later vertex sees at least two distinct colors
@@ -247,7 +212,7 @@ def half_sequence(k: int, coloring: EdgeColoring) -> tuple[int, ...]:
     if k < 2:
         raise GraphError("half sequence needs at least 2 vertices")
     _require_complete_mono_free(k, coloring)
-    most_freq = {x: _most_frequent_color(coloring, k, x) for x in range(k)}
+    most_freq = {x: coloring.tally(x, (y for y in range(k) if y != x))[0][1] for x in range(k)}
 
     def solve(U: tuple[int, ...]) -> list[int]:
         kk = len(U)

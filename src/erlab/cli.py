@@ -10,10 +10,12 @@ from pathlib import Path
 
 from . import io as eio
 from .alpha import (
+    CLIQUE_CAP,
     BudgetError,
     ExtractionError,
     alpha_exact,
     alteration_set,
+    capped_cliques,
     count_free_subsets,
     is_free_set,
     lay3_free_subset,
@@ -34,11 +36,12 @@ from .density import check_uniform_density, density_witness
 from .experiment import ExperimentConfig, run_experiment, verify_suite, write_report
 from .freeness import (
     INCONCLUSIVE,
+    EmptySweepError,
     UnresolvedRamseyError,
     UnsupportedParametersError,
     ramsey_oracle,
 )
-from .graphs import CliqueCover, GraphError, coloring_covers, enumerate_cliques
+from .graphs import CliqueCover, GraphError, coloring_covers
 from .util import iter_bits, make_rng
 
 # exit code of each failure a command may raise: 2 bad input or an
@@ -85,33 +88,8 @@ def _cmd_construct(args) -> int:
     eio.write_graph(out / "sparsified.txt", bundle.sparsified.graph)
     eio.write_graph(out / "final.txt", bundle.final)
     eio.write_coloring(out / "coloring.txt", bundle.coloring)
-    structure = {
-        "n": args.n,
-        "s": params.s,
-        "k": params.k,
-        "ell": params.ell,
-        "beta": params.beta,
-        "R": params.R,
-        "seed": params.seed,
-        "ground_n": bundle.hypergraph.n,
-        "cover": {str(v): list(members) for v, members in bundle.cover.cliques.items()},
-        "partition": {
-            str(v): {str(u): p for p, pm in enumerate(masks) for u in iter_bits(pm)}
-            for v, masks in bundle.sparsified.part_masks.items()
-        },
-        "overlay": {
-            "permutations": [list(p) for p in bundle.overlay.permutations],
-            "retained": list(bundle.overlay.retained),
-        },
-    }
-    (out / "structure.json").write_text(
-        json.dumps(structure, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8", newline="\n",
-    )
-    (out / "certificate.json").write_text(
-        json.dumps(bundle.certificate, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8", newline="\n",
-    )
+    eio.write_structure(out / "structure.json", bundle)
+    eio.write_json(out / "certificate.json", bundle.certificate)
     ok = certificate_passes(bundle.certificate)
     print(f"instance written to {out} (certificate {'PASS' if ok else 'FAIL'})")
     return 0 if ok else 1
@@ -186,6 +164,8 @@ def _cmd_ramsey(args) -> int:
         entry = ramsey_oracle(args.kind, parameter, args.nmax,
                               node_budget=args.budget_nodes,
                               time_budget_ms=args.budget_ms)
+    except EmptySweepError as exc:
+        raise GraphError(f"--nmax {args.nmax}: {exc}") from exc
     except GraphError as exc:
         raise GraphError(f"--param {args.param!r}: {exc}") from exc
     import hashlib
@@ -242,7 +222,7 @@ def _cmd_extract(args) -> int:
         result = lay3_free_subset(graph, coloring, args.s, seed=args.seed)
         verts, path = result.vertices, result.path
     else:
-        cliques = enumerate_cliques(graph, args.s)
+        cliques = capped_cliques(graph, args.s, CLIQUE_CAP)
         verts = alteration_set(graph.n, [cliques], args.seed)
         path = [f"alteration over {len(cliques)} cliques"]
     valid = is_free_set(graph, verts, args.s)
@@ -258,10 +238,7 @@ def _cmd_extract(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text("".join(f"{v}\n" for v in verts), encoding="utf-8", newline="\n")
-        out.with_suffix(out.suffix + ".cert.json").write_text(
-            json.dumps(_json_safe(certificate), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8", newline="\n",
-        )
+        eio.write_json(out.with_suffix(out.suffix + ".cert.json"), _json_safe(certificate))
     _print_json(certificate)
     return 0 if valid else 1
 

@@ -451,7 +451,6 @@ class InstanceBundle:
     params: ConstructionParams
     n: int
     hypergraph: LinearHypergraph
-    build_report: dict
     incidence: Graph
     cover: CliqueCover
     sparsified: SparsifiedIncidence
@@ -599,7 +598,6 @@ def construct_upper_bound_instance(
         params=params,
         n=n,
         hypergraph=H,
-        build_report=build_report,
         incidence=incidence,
         cover=cover,
         sparsified=sparsified,

@@ -17,6 +17,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from . import io as eio
 from .alpha import (
     CLIQUE_CAP,
     BudgetError,
@@ -154,11 +155,6 @@ def _least_squares(rows) -> tuple[float, float, float, float, float]:
     return slope, intercept, r2, ss_res, sxx
 
 
-def fit_exponent(rows) -> tuple[float, float, float]:
-    """(slope, intercept, r_squared) of the log-log least-squares fit."""
-    return _least_squares(rows)[:3]
-
-
 def _fit_with_ci(points):
     slope, intercept, r2, ss_res, sxx = _least_squares(points)
     se = math.sqrt(ss_res / (len(points) - 2) / sxx)  # _least_squares needs 3+ points
@@ -268,10 +264,7 @@ def write_report(report: RunReport, out_dir) -> None:
         "fit": report.fit,
         "rows": [asdict(r) for r in report.rows],
     }
-    (out / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8", newline="\n",
-    )
+    eio.write_json(out / "report.json", payload)
     (out / "plot.svg").write_text(render_loglog_svg(report), encoding="utf-8", newline="\n")
 
 

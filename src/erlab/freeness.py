@@ -458,6 +458,11 @@ def default_table() -> RamseyTable:
     return RamseyTable(entries, local)
 
 
+class EmptySweepError(GraphError):
+    """``ramsey_oracle`` was asked for an n_max below 2, which leaves its
+    sweep empty."""
+
+
 def ramsey_oracle(
     kind: str,
     parameter,
@@ -474,7 +479,7 @@ def ramsey_oracle(
     to n_max, asserting monotonicity (no coloring reappears).  A budget
     overrun yields status inconclusive at the offending n.  Parameters the
     search rejects raise ``GraphError`` before the sweep, whatever n_max;
-    then an n_max below 2, which leaves the sweep empty, raises it too.
+    then an n_max below 2 raises its subclass ``EmptySweepError``.
     """
     if kind == "multicolor":
         t, b = parameter
@@ -486,7 +491,7 @@ def ramsey_oracle(
         raise ValueError(f"unknown oracle kind: {kind}")
     _check_search_parameters(t, b, local_bound)
     if n_max < 2:
-        raise GraphError(f"n_max must be at least 2, got {n_max}")
+        raise EmptySweepError(f"n_max must be at least 2, got {n_max}")
 
     threshold = None
     witness = None

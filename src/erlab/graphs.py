@@ -1,9 +1,10 @@
 """Graph and hypergraph types plus the structural predicates everything else certifies against.
 
 Vertices are dense 0-based integers.  Graphs are immutable after
-construction and keep adjacency both as packed bit rows (Python ints) and
-as sorted neighbor tuples; all enumeration is canonical (lexicographic on
-sorted vertex ids) so witnesses and tests are deterministic.
+construction and keep adjacency as one packed bit row (a Python int) per
+vertex; ``util.iter_bits`` lists a row's neighbours in ascending order.
+All enumeration is canonical (lexicographic on sorted vertex ids) so
+witnesses and tests are deterministic.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class NonLinearError(GraphError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_neighbors", "m")
+    __slots__ = ("n", "_rows", "m")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -58,7 +59,6 @@ class Graph:
                 rows[v] |= 1 << u
         self._rows = rows
         self.m = m
-        self._neighbors = None
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -71,7 +71,6 @@ class Graph:
         g.n = len(rows)
         g._rows = list(rows)
         g.m = sum(r.bit_count() for r in rows) // 2
-        g._neighbors = None
         return g
 
     def row(self, u: int) -> int:
@@ -80,11 +79,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self._rows[u] >> v) & 1)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        if self._neighbors is None:
-            self._neighbors = [tuple(iter_bits(r)) for r in self._rows]
-        return self._neighbors[u]
 
     def degree(self, u: int) -> int:
         return self._rows[u].bit_count()
@@ -147,9 +141,6 @@ class CliqueCover:
     n_ground: int
     cliques: dict[int, tuple[int, ...]]
 
-    def members(self, v: int) -> tuple[int, ...]:
-        return self.cliques.get(v, ())
-
     def member_mask(self, v: int) -> int:
         m = 0
         for u in self.cliques.get(v, ()):
@@ -177,17 +168,18 @@ class EdgeColoring:
     def color_of(self, u: int, v: int) -> int:
         return self.colors[(min(u, v), max(u, v))]
 
-    def get(self, u: int, v: int):
-        return self.colors.get((min(u, v), max(u, v)))
-
     def colors_used(self) -> set[int]:
         return set(self.colors.values())
 
-    def classes(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list] = {}
-        for e in sorted(self.colors):
-            out.setdefault(self.colors[e], []).append(e)
-        return out
+    def tally(self, x: int, ys) -> list[tuple[int, int]]:
+        """(count, color) for each color on the edges from x to the vertices
+        ``ys``, most frequent first: by descending count, then ascending
+        color."""
+        counts: dict[int, int] = {}
+        for y in ys:
+            c = self.colors[(x, y) if x < y else (y, x)]
+            counts[c] = counts.get(c, 0) + 1
+        return sorted(((k, c) for c, k in counts.items()), key=lambda kc: (-kc[0], kc[1]))
 
     def restrict(self, vertices) -> "EdgeColoring":
         keep = set(vertices)

@@ -6,7 +6,8 @@ Formats (UTF-8, LF line endings):
 * hypergraph: ``hypergraph <n> <R> <m>`` then m lines of R vertex ids
 * coloring:   lines ``u v c``
 
-plus the JSON ``structure.json`` of an instance directory.
+plus the JSON artifacts (``write_json``), among them the ``structure.json``
+of an instance directory, which only this module writes and reads.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 from pathlib import Path
 
 from .graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, check_hypergraph_shape
+from .util import iter_bits
 
 
 class FormatError(ValueError):
@@ -151,6 +153,38 @@ def read_coloring(path, t: int | None = None) -> EdgeColoring:
         return EdgeColoring(t, colors)
     except GraphError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON with sorted keys, indented by 2, and a final
+    newline; a value JSON cannot hold is written as its ``str``."""
+    _write(path, [json.dumps(payload, indent=2, sort_keys=True, default=str)])
+
+
+def write_structure(path, bundle) -> None:
+    """The ``structure.json`` of an ``InstanceBundle``: its parameters, cover,
+    s-partition (each cover clique's members mapped to their parts) and
+    overlay record."""
+    params = bundle.params
+    write_json(path, {
+        "n": bundle.n,
+        "s": params.s,
+        "k": params.k,
+        "ell": params.ell,
+        "beta": params.beta,
+        "R": params.R,
+        "seed": params.seed,
+        "ground_n": bundle.hypergraph.n,
+        "cover": {str(v): list(members) for v, members in bundle.cover.cliques.items()},
+        "partition": {
+            str(v): {str(u): p for p, pm in enumerate(masks) for u in iter_bits(pm)}
+            for v, masks in bundle.sparsified.part_masks.items()
+        },
+        "overlay": {
+            "permutations": [list(p) for p in bundle.overlay.permutations],
+            "retained": list(bundle.overlay.retained),
+        },
+    })
 
 
 def read_structure(path, n: int) -> tuple[int, int, dict, dict]:

@@ -124,7 +124,7 @@ def naive_mono_clique(graph: Graph, coloring: EdgeColoring, b: int):
     of range(graph.n) in ``itertools.combinations`` order; None if none."""
     for c in sorted(set(coloring.colors.values())):
         for combo in itertools.combinations(range(graph.n), b):
-            if all(graph.has_edge(u, v) and coloring.get(u, v) == c
+            if all(graph.has_edge(u, v) and coloring.colors.get((u, v)) == c
                    for u, v in itertools.combinations(combo, 2)):
                 return c, combo
     return None

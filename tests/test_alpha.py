@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erlab import alpha
+from erlab import alpha, graphs
 from erlab.alpha import (
+    CLIQUE_CAP,
     BudgetError,
     ExtractionError,
     alpha_exact,
     alteration_probability,
     alteration_set,
+    capped_cliques,
     count_free_subsets,
     greedy_free_subset,
     is_free_set,
@@ -323,6 +325,39 @@ class TestRecursiveExtractor:
             recursive_free_subset(g, col, 4, clique_cap=count - 1)
 
 
+class TestCappedCliques:
+    def test_lists_every_clique_within_the_cap(self):
+        g = random_graph(14, 0.6, seed=4)
+        cliques = enumerate_cliques(g, 4)
+        assert capped_cliques(g, 4, len(cliques)) == cliques
+
+    @pytest.mark.parametrize("cap", [0, 1, 10, 494])
+    def test_raises_after_at_most_cap_plus_one(self, monkeypatch, cap):
+        drawn = []
+
+        def counted(*args):
+            for clique in graphs._cliques(*args):
+                drawn.append(clique)
+                yield clique
+
+        monkeypatch.setattr(alpha, "_cliques", counted)
+        # K_12 holds C(12, 4) = 495 copies of K_4
+        with pytest.raises(BudgetError, match=f"^{cap + 1} K_4 copies exceed the cap {cap}$"):
+            capped_cliques(Graph.complete(12), 4, cap)
+        assert len(drawn) == cap + 1
+
+    def test_clique_order_below_2_rejected(self):
+        with pytest.raises(GraphError):
+            capped_cliques(Graph.complete(3), 1, CLIQUE_CAP)
+
+    def test_lay3_families_branch_is_capped(self, monkeypatch):
+        edges = {(2 * i, 2 * i + 1): i + 1 for i in range(5)}  # 5 copies of K_2
+        g, col = Graph(10, edges), EdgeColoring(5, edges)
+        monkeypatch.setattr(alpha, "CLIQUE_CAP", 4)
+        with pytest.raises(BudgetError, match="^5 K_2 copies exceed the cap 4$"):
+            lay3_free_subset(g, col, 3)
+
+
 class TestLay3Extractor:
     def test_pigeonhole_branch_on_tripartite(self):
         n, part = 60, 20
@@ -337,7 +372,7 @@ class TestLay3Extractor:
         res = lay3_free_subset(g, col, 5)
         assert res.path[0].startswith("pigeonhole")
         spanned = {
-            col.get(u, v)
+            col.colors[(u, v)]
             for u, v in itertools.combinations(res.vertices, 2)
             if g.has_edge(u, v)
         }

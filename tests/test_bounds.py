@@ -17,7 +17,6 @@ from erlab.bounds import (
     exponent_upper,
     half_sequence,
     order_vertices,
-    sudakov_exponent,
 )
 from erlab.checkers import check_half_sequence, check_ordering
 from erlab.freeness import UnresolvedRamseyError, default_table, find_mono_clique
@@ -111,20 +110,6 @@ class TestGTable:
     def test_lookup_beyond_range(self):
         with pytest.raises(UnresolvedRamseyError):
             default_g_table().value(7)
-
-
-class TestSudakov:
-    def test_initial_segment_is_one(self):
-        for t in range(1, 6):
-            assert sudakov_exponent(5, t) == 1
-
-    def test_first_recursive_value(self):
-        # s=3: 1/a'_4 = 1 + (1/2)(1/a'_3 + 1/a'_2) = 2
-        assert sudakov_exponent(3, 4) == Fraction(1, 2)
-
-    def test_decreasing(self):
-        vals = [sudakov_exponent(4, t) for t in range(4, 10)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def coloring_of(k, assignment, t):

@@ -1,6 +1,7 @@
 """Experiment harness, report writers, verify suite, and the CLI."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -13,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlab import experiment
-from erlab.alpha import BudgetError, alpha_exact, greedy_free_subset
+from erlab.alpha import CLIQUE_CAP, BudgetError, alpha_exact, greedy_free_subset
 from erlab.cli import load_instance, main
 from erlab.construct import ConstructionParams, construct_upper_bound_instance
 from erlab.experiment import (
     ASYMPTOTIC_LABEL,
     CSV_HEADER,
     ExperimentConfig,
-    fit_exponent,
+    _least_squares,
     run_experiment,
     verify_suite,
     write_report,
@@ -30,12 +31,12 @@ from erlab.experiment import (
 class TestFitExponent:
     def test_exact_square_root_law(self):
         rows = [(n, n ** 0.5) for n in (16, 32, 64, 128)]
-        slope, intercept, r2 = fit_exponent(rows)
+        slope, intercept, r2 = _least_squares(rows)[:3]
         assert slope == pytest.approx(0.5)
         assert r2 == pytest.approx(1.0)
 
     def test_constant_rows(self):
-        slope, _, r2 = fit_exponent([(16, 7.0), (32, 7.0), (64, 7.0)])
+        slope, _, r2 = _least_squares([(16, 7.0), (32, 7.0), (64, 7.0)])[:3]
         assert slope == pytest.approx(0.0)
         assert r2 == pytest.approx(1.0)
 
@@ -46,17 +47,17 @@ class TestFitExponent:
         # the fit sums in pure Python; numpy's degree-1 polyfit is the reference
         xs, ys = np.log([n for n, _ in rows]), np.log([a for _, a in rows])
         slope, intercept = np.polyfit(xs, ys, 1)
-        got = fit_exponent(rows)
+        got = _least_squares(rows)
         assert got[0] == pytest.approx(slope, rel=1e-7, abs=1e-9)
         assert got[1] == pytest.approx(intercept, rel=1e-7, abs=1e-7)
 
     def test_refuses_underdetermined(self):
         with pytest.raises(ValueError):
-            fit_exponent([(16, 4.0), (32, 5.0)])
+            _least_squares([(16, 4.0), (32, 5.0)])
         with pytest.raises(ValueError):
-            fit_exponent([(16, 4.0), (16, 5.0), (32, 6.0)])
+            _least_squares([(16, 4.0), (16, 5.0), (32, 6.0)])
         with pytest.raises(ValueError):
-            fit_exponent([(16, 0.0), (32, 5.0), (64, 6.0)])
+            _least_squares([(16, 0.0), (32, 5.0), (64, 6.0)])
 
 
 def tiny_config(tmp_path, **overrides):
@@ -463,9 +464,6 @@ class TestCli:
         # checked before the sweep, which is empty below n = 2
         ("multicolor", "3,2", "1", "'3,2': forbidden clique order must be at least 3"),
         ("local", "-4", "1", "'-4': local bound must be non-negative"),
-        # then an empty sweep
-        ("multicolor", "2,3", "-3", "'2,3': n_max must be at least 2, got -3"),
-        ("local", "2", "1", "'2': n_max must be at least 2, got 1"),
     ])
     def test_ramsey_rejects_bad_param(self, capsys, kind, param, nmax, reason):
         with pytest.raises(SystemExit) as exc:
@@ -474,6 +472,19 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"erlab ramsey: error: --param {reason}\n"  # one line
+
+    # valid parameters, then an empty sweep: the error names --nmax
+    @pytest.mark.parametrize("kind, param, nmax, reason", [
+        ("multicolor", "2,3", "-3", "-3: n_max must be at least 2, got -3"),
+        ("local", "2", "1", "1: n_max must be at least 2, got 1"),
+    ])
+    def test_ramsey_rejects_empty_sweep(self, capsys, kind, param, nmax, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey", "--kind", kind, "--param", param, "--nmax", nmax])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"erlab ramsey: error: --nmax {reason}\n"  # one line
 
     @pytest.mark.parametrize("argv, code", [
         pytest.param(["alpha", "--graph", "edge-out-of-range.txt", "--s", "3"], 2,
@@ -507,6 +518,21 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"erlab {argv[0]}: error: ") and err.count("\n") == 1
+
+    def test_alteration_over_the_clique_cap_exits_3(self, tmp_path, capsys):
+        # K_40 holds C(40, 5) = 658 008 copies of K_5, above CLIQUE_CAP
+        pairs = list(itertools.combinations(range(40), 2))
+        (tmp_path / "k40.txt").write_text(f"graph 40 {len(pairs)}\n"
+                                          + "".join(f"{u} {v}\n" for u, v in pairs))
+        (tmp_path / "k40-colors.txt").write_text("".join(f"{u} {v} 1\n" for u, v in pairs))
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--graph", str(tmp_path / "k40.txt"), "--coloring",
+                  str(tmp_path / "k40-colors.txt"), "--s", "5", "--method", "alteration"])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"erlab extract: error: {CLIQUE_CAP + 1} K_5 copies exceed "
+                       f"the cap {CLIQUE_CAP}\n")
 
     @pytest.mark.parametrize("name", sorted(_BAD_STRUCTURES))
     def test_density_names_the_structure_fault(self, tmp_path, capsys, name):

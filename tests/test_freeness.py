@@ -395,8 +395,8 @@ class TestDefaultTable:
 class TestMonoFreePattern:
     def test_5_3_2_is_double_c5(self):
         pattern = mono_free_pattern(5, 3, 2)
-        classes = pattern.classes()
-        assert len(classes[1]) == len(classes[2]) == 5
+        colors = list(pattern.colors.values())
+        assert colors.count(1) == colors.count(2) == 5
 
     def test_search_backed_pattern(self):
         pattern = mono_free_pattern(4, 3, 2)

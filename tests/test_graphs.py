@@ -1,6 +1,7 @@
 """Graph/hypergraph core: predicates, incidence structure, file formats."""
 
 import itertools
+from collections import Counter
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from erlab.graphs import (
 )
 from erlab import graphs
 from erlab import io as eio
+from erlab.checkers import _naive_most_frequent
+from erlab.util import iter_bits
 
 from oracles import (
     naive_cliques,
@@ -64,7 +67,7 @@ class TestGraph:
 
     def test_neighbors_sorted_and_symmetric(self):
         g = Graph(5, [(3, 1), (1, 0), (4, 1)])
-        assert g.neighbors(1) == (0, 3, 4)
+        assert tuple(iter_bits(g.row(1))) == (0, 3, 4)
         for u in range(5):
             for v in range(5):
                 assert g.has_edge(u, v) == g.has_edge(v, u)
@@ -139,7 +142,7 @@ class TestEnumerateCliques:
         cover = CliqueCover(n_ground, {v: data.draw(members) for v in range(n_ground)})
         uncovered = [
             c for c in naive
-            if not any(set(c) <= set(cover.members(v)) for v in range(n_ground))
+            if not any(set(c) <= set(cover.cliques[v]) for v in range(n_ground))
         ]
         if s < 2:
             with pytest.raises(GraphError):
@@ -232,8 +235,8 @@ class TestIncidenceGraph:
     def test_two_edges(self):
         g, cover = incidence_graph(LinearHypergraph(6, 3, [(1, 2, 3), (3, 4, 5)]))
         assert (g.n, g.m) == (2, 1)
-        assert cover.members(3) == (0, 1)
-        assert all(len(cover.members(v)) == 1 for v in (1, 2, 4, 5))
+        assert cover.cliques[3] == (0, 1)
+        assert all(len(cover.cliques[v]) == 1 for v in (1, 2, 4, 5))
 
     def test_sunflower_triangle_is_covered(self):
         H = LinearHypergraph(8, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
@@ -316,6 +319,23 @@ class TestColoring:
         assert sub.colors == {(0, 1): 1}
         back = col.relabel({0: 5, 1: 4, 2: 3})
         assert back.color_of(4, 5) == 1
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tally_matches_the_naive_most_frequent_color(self, data):
+        k = data.draw(st.integers(2, 9))
+        t = data.draw(st.integers(1, 5))
+        pairs = list(itertools.combinations(range(k), 2))
+        col = EdgeColoring(t, {e: data.draw(st.integers(1, t)) for e in pairs})
+        for x in range(k):
+            others = [y for y in range(k) if y != x]
+            tally = col.tally(x, others)
+            assert tally[0][1] == _naive_most_frequent(col, k, x)
+            assert {c: n for n, c in tally} == Counter(col.color_of(x, y) for y in others)
+            assert tally == sorted(tally, key=lambda nc: (-nc[0], nc[1]))
+
+    def test_tally_over_no_vertices_is_empty(self):
+        assert EdgeColoring(1, {(0, 1): 1}).tally(0, []) == []
 
 
 # arbitrary files for the readers: short raw bytes, or a header (often with
