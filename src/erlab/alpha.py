@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import GTable, exponent_lower
-from .freeness import default_table, find_mono_clique
-from .graphs import EdgeColoring, Graph, GraphError, _cliques, first_clique
+from .bounds import SATURATED, default_g_table, exponent_lower
+from .freeness import find_mono_clique
+from .graphs import BudgetError, EdgeColoring, Graph, GraphError, enumerate_cliques, first_clique
 from .util import iter_bits, make_rng
 
 
@@ -25,10 +25,6 @@ class ExtractionError(RuntimeError):
     def __init__(self, message, witness=None):
         self.witness = witness
         super().__init__(message)
-
-
-class BudgetError(RuntimeError):
-    """A configured enumeration cap was exceeded."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +283,6 @@ THRESHOLD_SCALE = 1.0
 CLIQUE_CAP = 500_000
 
 
-def capped_cliques(graph: Graph, s: int, cap: int) -> list[tuple[int, ...]]:
-    """Every K_s of ``graph`` in lexicographic order, as ``enumerate_cliques``
-    lists them; BudgetError once cap + 1 copies are found, before any more."""
-    if s < 2:
-        raise GraphError("clique order must be at least 2")
-    cliques = list(itertools.islice(_cliques(graph._rows, graph.full_mask(), s, ()), cap + 1))
-    if len(cliques) > cap:
-        raise BudgetError(f"{len(cliques)} K_{s} copies exceed the cap {cap}")
-    return cliques
-
-
 @dataclass
 class ExtractionResult:
     vertices: tuple[int, ...]
@@ -338,34 +323,31 @@ def recursive_free_subset(
         t = coloring.t
     _check_precondition(graph, coloring)
 
-    result = _recursive_step(
-        graph, coloring, s, t, scan_cap, clique_cap, seed, default_table(),
-        depth=0,
-    )
+    result = _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, depth=0)
     if not is_free_set(graph, result.vertices, s):
         raise ExtractionError("extractor produced a set containing a clique", result.vertices)
     return result
 
 
-def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, table,
-                    depth) -> ExtractionResult:
+def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, depth) -> ExtractionResult:
     n = graph.n
     if n == 0:
         return ExtractionResult((), [f"depth {depth}: empty graph"])
-    if table.r_le(t, 3, s):
-        # few enough colors that any clique would force a monochromatic triangle
+    exponent = exponent_lower(s, t)
+    if exponent.regime == SATURATED:
+        # r_t(3) <= s: few enough colors that any clique would force a
+        # monochromatic triangle
         return ExtractionResult(tuple(range(n)), [f"depth {depth}: base t={t}"])
 
-    g_table = GTable.from_table(table, max_i=min(s, 6))
-    alpha_t = exponent_lower(s, t, table=table, g_table=g_table).value
+    g_table = default_g_table()
     scanned = 0
 
     for i in range(2, s + 1):
         gi = g_table.value(i)
         if t - gi < 0:
             continue
-        a_prev = exponent_lower(s, t - gi, table=table, g_table=g_table).value
-        threshold = THRESHOLD_SCALE * n ** float(alpha_t / a_prev)
+        a_prev = exponent_lower(s, t - gi).value
+        threshold = THRESHOLD_SCALE * n ** float(exponent.value / a_prev)
         need = max(1, math.ceil(threshold))
         hit, used = _scan_tuples(graph, coloring, i, gi, need, scan_cap - scanned)
         scanned += used
@@ -383,7 +365,7 @@ def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, table,
             {v: idx for idx, v in enumerate(old_ids)}
         )
         inner = _recursive_step(
-            sub, sub_coloring, s, t - gi, scan_cap - scanned, clique_cap, seed, table, depth + 1
+            sub, sub_coloring, s, t - gi, scan_cap - scanned, clique_cap, seed, depth + 1
         )
         verts = tuple(sorted(old_ids[v] for v in inner.vertices))
         path = [
@@ -392,7 +374,7 @@ def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, table,
         ] + inner.path
         return ExtractionResult(verts, path)
 
-    cliques = capped_cliques(graph, s, clique_cap)
+    cliques = enumerate_cliques(graph, s, clique_cap)
     verts = alteration_set(n, [cliques], seed)
     return ExtractionResult(verts, [f"depth {depth}: alteration over {len(cliques)} cliques"])
 
@@ -485,9 +467,9 @@ def lay3_free_subset(
     power = (s - 1) / (s + s_half - 2)
     scale = n ** (float(alpha) * (s - s_half) / (s + s_half - 2))
     small = [d_st[x] <= xis[x] ** power / scale for x in range(n)]
-    family_s = {cl for cl in capped_cliques(graph, s, CLIQUE_CAP)
+    family_s = {cl for cl in enumerate_cliques(graph, s, CLIQUE_CAP)
                 if any(small[x] and _ordering_satisfies(coloring, x, cl, None) for x in cl)}
-    family_half = {cl for cl in capped_cliques(graph, s_half, CLIQUE_CAP)
+    family_half = {cl for cl in enumerate_cliques(graph, s_half, CLIQUE_CAP)
                    if any(not small[x] and _ordering_satisfies(coloring, x, cl, tallies[x][0][1])
                           for x in cl)}
     verts = alteration_set(n, [sorted(family_s), sorted(family_half)], seed)

@@ -6,15 +6,11 @@ All exponents are exact rationals; no floats enter the recursion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freeness import (
-    RamseyTable,
-    UnresolvedRamseyError,
-    default_table,
-    find_mono_clique,
-)
+from .freeness import UnresolvedRamseyError, default_table, find_mono_clique
 from .graphs import EdgeColoring, Graph, GraphError
 
 SATURATED = "saturated"
@@ -38,47 +34,37 @@ class GTable:
 
     g: dict[int, int]
 
-    @classmethod
-    def from_table(cls, table: RamseyTable, max_i: int = 6) -> "GTable":
-        g = {}
-        for i in range(2, max_i + 1):
-            for k in range(0, i + 2):
-                if table.local_greater(k, i):
-                    g[i] = k
-                    break
-            else:
-                raise UnresolvedRamseyError(f"g({i})")
-        return cls(g)
-
     def value(self, i: int) -> int:
         if i not in self.g:
             raise UnresolvedRamseyError(f"g({i}) not in the verified range")
         return self.g[i]
 
 
+@functools.cache
 def default_g_table() -> GTable:
-    return GTable.from_table(default_table())
+    """g(2)..g(6) from the default table; memoised per process."""
+    table = default_table()
+    return GTable({i: next(k for k in range(i + 2) if table.local_greater(k, i))
+                   for i in range(2, 7)})
 
 
-def exponent_lower(
-    s: int,
-    t: int,
-    table: RamseyTable | None = None,
-    g_table: GTable | None = None,
-) -> ExponentResult:
+@functools.cache
+def exponent_lower(s: int, t: int) -> ExponentResult:
     """Exact lower-bound exponent for the t-color triangle-free setting.
 
     Four regimes: 1 when r_t(3) <= s; 1/2 one level up; the explicit
     half-integer formula one level further (s >= 3); otherwise the recursion
     1/a_t = 1 + (1/(s-1)) * sum_{i=2..s} 1/a_{t-g(i)}.
+
+    Reads the default table and g table, and is memoised per process: the
+    recursive extractor asks it again at every step.
     """
     if s < 2:
         raise GraphError("s must be at least 2")
     if t < 0:
         raise GraphError("t must be non-negative")
-    table = table or default_table()
-    if g_table is None:
-        g_table = GTable.from_table(table, max_i=min(max(s, 2), 6))
+    table = default_table()
+    g_table = default_g_table()
 
     memo: dict[int, tuple[Fraction, str]] = {}
     trace: list[tuple] = []

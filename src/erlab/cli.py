@@ -15,7 +15,6 @@ from .alpha import (
     ExtractionError,
     alpha_exact,
     alteration_set,
-    capped_cliques,
     count_free_subsets,
     is_free_set,
     lay3_free_subset,
@@ -41,7 +40,7 @@ from .freeness import (
     UnsupportedParametersError,
     ramsey_oracle,
 )
-from .graphs import CliqueCover, GraphError, coloring_covers
+from .graphs import CliqueCover, GraphError, coloring_covers, enumerate_cliques
 from .util import iter_bits, make_rng
 
 # exit code of each failure a command may raise: 2 bad input or an
@@ -53,18 +52,8 @@ EXIT_CODES = {
 }
 
 
-def _json_safe(value):
-    if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
-        return repr(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def _print_json(payload) -> None:
-    print(json.dumps(_json_safe(payload), indent=2, sort_keys=True, default=str))
+    print(eio.dumps(payload))
 
 
 def _reject_negative_threshold(args) -> None:
@@ -171,7 +160,7 @@ def _cmd_ramsey(args) -> int:
     import hashlib
 
     digest = hashlib.sha256(
-        json.dumps(_json_safe(entry.transcript), sort_keys=True, default=str).encode()
+        json.dumps(entry.transcript, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
     payload = {
         "kind": args.kind,
@@ -222,7 +211,7 @@ def _cmd_extract(args) -> int:
         result = lay3_free_subset(graph, coloring, args.s, seed=args.seed)
         verts, path = result.vertices, result.path
     else:
-        cliques = capped_cliques(graph, args.s, CLIQUE_CAP)
+        cliques = enumerate_cliques(graph, args.s, CLIQUE_CAP)
         verts = alteration_set(graph.n, [cliques], args.seed)
         path = [f"alteration over {len(cliques)} cliques"]
     valid = is_free_set(graph, verts, args.s)
@@ -238,7 +227,7 @@ def _cmd_extract(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text("".join(f"{v}\n" for v in verts), encoding="utf-8", newline="\n")
-        eio.write_json(out.with_suffix(out.suffix + ".cert.json"), _json_safe(certificate))
+        eio.write_json(out.with_suffix(out.suffix + ".cert.json"), certificate)
     _print_json(certificate)
     return 0 if valid else 1
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .alpha import CLIQUE_CAP
 from .construct import DensityProfile, SparsifiedIncidence, blow_up, density_profile
 from .graphs import Graph, GraphError, enumerate_cliques
 from .util import iter_bits
@@ -167,10 +168,11 @@ def hypergraph_blow_up(hyperedges, k: int) -> set[tuple[int, ...]]:
 
 def blow_up_transfer_report(graph: Graph, k: int, s: int) -> dict:
     """Compare the K_s-hypergraph of the k-blow-up with the k-blow-up of the
-    K_s-hypergraph, plus the exact vertex/edge count identities."""
+    K_s-hypergraph, plus the exact vertex/edge count identities; BudgetError
+    when either graph holds more than ``CLIQUE_CAP`` copies of K_s."""
     blown = blow_up(graph, k)
-    lifted = hypergraph_blow_up(enumerate_cliques(graph, s), k)
-    direct = set(enumerate_cliques(blown, s))
+    lifted = hypergraph_blow_up(enumerate_cliques(graph, s, CLIQUE_CAP), k)
+    direct = set(enumerate_cliques(blown, s, CLIQUE_CAP))
     return {
         "equal": lifted == direct,
         "lifted_count": len(lifted),

@@ -8,6 +8,7 @@ inconclusive); a budget overrun is never reported as "none exists".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -337,13 +338,22 @@ class RamseyEntry:
     witness_n: int | None = None
     transcript: dict = field(default_factory=dict)
 
-    def resolve_greater(self, s: int):
-        """Is the entry's value > s?  None when unresolvable."""
-        if self.value is not None:
-            return self.value > s
-        if self.lower_bound is not None and self.lower_bound > s:
-            return True
-        return None
+
+def _exceeds(entries: dict, key, index: int, s: int, name: str) -> bool:
+    """Does the value at ``index`` exceed s?  ``key(j)`` is index j's key in
+    ``entries``.  Values do not decrease with the index, so when the entry's
+    own value is unknown, any value or lower bound above s at an index up to
+    ``index`` answers True; UnresolvedRamseyError(name) otherwise."""
+    entry = entries.get(key(index))
+    if entry is not None and entry.value is not None:
+        return entry.value > s
+    for j in range(index, -1, -1):
+        prev = entries.get(key(j))
+        if prev is not None:
+            bound = prev.value if prev.value is not None else prev.lower_bound
+            if bound is not None and bound > s:
+                return True
+    raise UnresolvedRamseyError(name)
 
 
 @dataclass
@@ -357,21 +367,8 @@ class RamseyTable:
         return self.entries.get((t, b))
 
     def r_le(self, t: int, b: int, s: int) -> bool:
-        """Resolve r_t(b) <= s, using monotonicity in t for the False side."""
-        entry = self.entries.get((t, b))
-        if entry is not None and entry.value is not None:
-            return entry.value <= s
-        if entry is not None and entry.lower_bound is not None and entry.lower_bound > s:
-            return False
-        # r_t(b) is non-decreasing in t: any smaller-t entry exceeding s resolves False
-        for tt in range(t, 0, -1):
-            prev = self.entries.get((tt, b))
-            if prev is None:
-                continue
-            bound = prev.value if prev.value is not None else prev.lower_bound
-            if bound is not None and bound > s:
-                return False
-        raise UnresolvedRamseyError(f"r_{t}({b}) vs {s}")
+        """Resolve r_t(b) <= s."""
+        return not _exceeds(self.entries, lambda tt: (tt, b), t, s, f"r_{t}({b}) vs {s}")
 
     def min_ell(self, b: int, s: int, t: int) -> int | None:
         """Minimum ell <= t+1 with r_ell(b) > s, or None if there is none."""
@@ -381,18 +378,8 @@ class RamseyTable:
         return None
 
     def local_greater(self, k: int, i: int) -> bool:
-        entry = self.local_entries.get(k)
-        if entry is not None:
-            got = entry.resolve_greater(i)
-            if got is not None:
-                return got
-        # monotone in k: a larger-k entry cannot help, a smaller-k one can
-        # only resolve the False side
-        for kk in range(k, -1, -1):
-            prev = self.local_entries.get(kk)
-            if prev is not None and prev.value is not None and prev.value > i:
-                return True
-        raise UnresolvedRamseyError(f"r_loc_{k}(3) vs {i}")
+        """Resolve r^loc_k(3) > i."""
+        return _exceeds(self.local_entries, lambda kk: kk, k, i, f"r_loc_{k}(3) vs {i}")
 
 
 def greenwood_gleason_coloring() -> EdgeColoring:
@@ -527,24 +514,19 @@ def ramsey_oracle(
                        witness_n=witness_n, transcript=transcript)
 
 
-_PATTERN_CACHE: dict[tuple[int, int, int], EdgeColoring] = {}
-
-
 class UnsupportedParametersError(ValueError):
     pass
 
 
+@functools.cache
 def mono_free_pattern(s: int, b: int, ell: int) -> EdgeColoring:
     """An ell-coloring of K_s with no monochromatic K_b.
 
     Exists exactly when r_ell(b) > s.  The classical double-5-cycle pattern
     is pinned for (s,b,ell) = (5,3,2); everything else is found by the
-    exhaustive search and cached.
+    exhaustive search.  Memoised: a repeated call returns the same object.
     """
-    key = (s, b, ell)
-    if key in _PATTERN_CACHE:
-        return _PATTERN_CACHE[key]
-    if key == (5, 3, 2):
+    if (s, b, ell) == (5, 3, 2):
         pattern = double_c5_coloring()
     else:
         res = search_free_coloring(Graph.complete(s), ell, b)
@@ -554,5 +536,4 @@ def mono_free_pattern(s: int, b: int, ell: int) -> EdgeColoring:
             )
         pattern = res.coloring
     assert find_mono_clique(Graph.complete(s), pattern, b) is None
-    _PATTERN_CACHE[key] = pattern
     return pattern

@@ -21,6 +21,10 @@ class GraphError(ValueError):
     pass
 
 
+class BudgetError(RuntimeError):
+    """A configured enumeration cap was exceeded."""
+
+
 class MalformedHypergraphError(GraphError):
     """An edge has the wrong size or a repeated vertex; carries the edge index."""
 
@@ -222,11 +226,16 @@ def _cliques(rows: list[int], cand: int, need: int, prefix: tuple[int, ...]):
             yield from _cliques(rows, cand & rows[v], need - 1, prefix + (v,))
 
 
-def enumerate_cliques(graph: Graph, s: int) -> list[tuple[int, ...]]:
-    """All s-element vertex sets inducing a complete subgraph, in lexicographic order."""
+def enumerate_cliques(graph: Graph, s: int, cap: int) -> list[tuple[int, ...]]:
+    """All s-element vertex sets inducing a complete subgraph, in
+    lexicographic order; BudgetError once cap + 1 of them are found, before
+    any more."""
     if s < 2:
         raise GraphError("clique order must be at least 2")
-    return list(_cliques(graph._rows, graph.full_mask(), s, ()))
+    cliques = list(itertools.islice(_cliques(graph._rows, graph.full_mask(), s, ()), cap + 1))
+    if len(cliques) > cap:
+        raise BudgetError(f"{len(cliques)} K_{s} copies exceed the cap {cap}")
+    return cliques
 
 
 def first_clique(rows: list[int], mask: int, s: int):

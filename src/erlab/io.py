@@ -6,8 +6,9 @@ Formats (UTF-8, LF line endings):
 * hypergraph: ``hypergraph <n> <R> <m>`` then m lines of R vertex ids
 * coloring:   lines ``u v c``
 
-plus the JSON artifacts (``write_json``), among them the ``structure.json``
-of an instance directory, which only this module writes and reads.
+plus the JSON artifacts (``write_json``, in the format of ``dumps``), among
+them the ``structure.json`` of an instance directory, which only this module
+writes and reads.
 """
 
 from __future__ import annotations
@@ -155,10 +156,34 @@ def read_coloring(path, t: int | None = None) -> EdgeColoring:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _json_safe(value):
+    """``value`` with each non-finite float replaced by its ``repr``."""
+    if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def dumps(payload) -> str:
+    """The one JSON format of every artifact and printed payload: sorted
+    keys, indented by 2; a non-finite float is written as the string of its
+    ``repr`` and any other value JSON cannot hold as its ``str``.
+
+    Only a payload that holds a non-finite float is copied by ``_json_safe``:
+    the copy costs as much as the encoding itself on a large
+    ``structure.json``."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
+    except ValueError:
+        return json.dumps(_json_safe(payload), indent=2, sort_keys=True, default=str)
+
+
 def write_json(path, payload) -> None:
-    """``payload`` as JSON with sorted keys, indented by 2, and a final
-    newline; a value JSON cannot hold is written as its ``str``."""
-    _write(path, [json.dumps(payload, indent=2, sort_keys=True, default=str)])
+    """``payload`` as ``dumps`` formats it, with a final newline."""
+    _write(path, [dumps(payload)])
 
 
 def write_structure(path, bundle) -> None:

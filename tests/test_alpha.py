@@ -17,7 +17,6 @@ from erlab.alpha import (
     alpha_exact,
     alteration_probability,
     alteration_set,
-    capped_cliques,
     count_free_subsets,
     greedy_free_subset,
     is_free_set,
@@ -33,6 +32,7 @@ from oracles import (
     dp_count_free,
     fano_plane_edges,
     mono_free_colored_graph,
+    naive_cliques,
     naive_is_free,
     random_graph,
     reference_alpha_exact,
@@ -291,6 +291,12 @@ class TestRecursiveExtractor:
         res = recursive_free_subset(g, col, 4, seed=5)
         assert is_free_set(g, res.vertices, 4)
 
+    def test_negative_color_count_is_bad_input(self):
+        # the base case asks exponent_lower, which rejects t < 0
+        g, col = mono_free_colored_graph(12, 2, 0.3, seed=9)
+        with pytest.raises(GraphError, match="^t must be non-negative$"):
+            recursive_free_subset(g, col, 4, t=-1)
+
     def test_scan_budget(self, monkeypatch):
         monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(40, 2, 0.3, seed=9)
@@ -310,16 +316,16 @@ class TestRecursiveExtractor:
     def test_alteration_over_every_clique(self, monkeypatch):
         monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
-        count = len(enumerate_cliques(g, 4))
+        count = len(enumerate_cliques(g, 4, CLIQUE_CAP))
         assert count > 0
         res = recursive_free_subset(g, col, 4, seed=3)
         assert res.path == [f"depth 0: alteration over {count} cliques"]
-        assert res.vertices == alteration_set(16, [enumerate_cliques(g, 4)], seed=3)
+        assert res.vertices == alteration_set(16, [enumerate_cliques(g, 4, CLIQUE_CAP)], seed=3)
 
     def test_clique_cap(self, monkeypatch):
         monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
-        count = len(enumerate_cliques(g, 4))
+        count = len(enumerate_cliques(g, 4, CLIQUE_CAP))
         recursive_free_subset(g, col, 4, clique_cap=count)
         with pytest.raises(BudgetError, match=f"^{count} K_4 copies exceed the cap {count - 1}$"):
             recursive_free_subset(g, col, 4, clique_cap=count - 1)
@@ -328,27 +334,31 @@ class TestRecursiveExtractor:
 class TestCappedCliques:
     def test_lists_every_clique_within_the_cap(self):
         g = random_graph(14, 0.6, seed=4)
-        cliques = enumerate_cliques(g, 4)
-        assert capped_cliques(g, 4, len(cliques)) == cliques
+        cliques = naive_cliques(g, 4)
+        assert enumerate_cliques(g, 4, len(cliques)) == cliques
 
     @pytest.mark.parametrize("cap", [0, 1, 10, 494])
     def test_raises_after_at_most_cap_plus_one(self, monkeypatch, cap):
         drawn = []
+        # the generator recurses through the module global, which the patch
+        # replaces: keep the real one, and count the outermost level only
+        real = graphs._cliques
 
-        def counted(*args):
-            for clique in graphs._cliques(*args):
-                drawn.append(clique)
+        def counted(rows, cand, need, prefix):
+            for clique in real(rows, cand, need, prefix):
+                if not prefix:
+                    drawn.append(clique)
                 yield clique
 
-        monkeypatch.setattr(alpha, "_cliques", counted)
+        monkeypatch.setattr(graphs, "_cliques", counted)
         # K_12 holds C(12, 4) = 495 copies of K_4
         with pytest.raises(BudgetError, match=f"^{cap + 1} K_4 copies exceed the cap {cap}$"):
-            capped_cliques(Graph.complete(12), 4, cap)
+            enumerate_cliques(Graph.complete(12), 4, cap)
         assert len(drawn) == cap + 1
 
     def test_clique_order_below_2_rejected(self):
         with pytest.raises(GraphError):
-            capped_cliques(Graph.complete(3), 1, CLIQUE_CAP)
+            enumerate_cliques(Graph.complete(3), 1, CLIQUE_CAP)
 
     def test_lay3_families_branch_is_capped(self, monkeypatch):
         edges = {(2 * i, 2 * i + 1): i + 1 for i in range(5)}  # 5 copies of K_2

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlab import construct
+from erlab.alpha import CLIQUE_CAP
 from erlab.construct import (
     CertificationError,
     ConstructionParams,
@@ -246,7 +247,7 @@ class TestSparsify:
     def test_no_k_s_plus_1_within_clique(self):
         g, cover = incidence_graph(sunflower(12))
         sp = sparsify(g, cover, 4, seed=5, threshold=g.n + 1)
-        assert enumerate_cliques(sp.graph, 5) == []
+        assert enumerate_cliques(sp.graph, 5, CLIQUE_CAP) == []
 
     def test_never_adds_edges(self):
         H, _ = build_linear_tf_hypergraph(40, 3, seed=6)
@@ -520,7 +521,7 @@ class TestPipeline:
         bundle = construct_upper_bound_instance(params, 32)
         assert params.ell == 1
         assert bundle.coloring.colors_used() <= {1}
-        assert enumerate_cliques(bundle.final, 3) == []
+        assert enumerate_cliques(bundle.final, 3, CLIQUE_CAP) == []
 
     @pytest.mark.parametrize(_POINT, [*_BATTERY_POINTS, (2, 3, 1, 32, 1, 3, 1.0, 1)])
     def test_coloring_matches_reference(self, s, b, t, n, k, R, retention_p, seed):

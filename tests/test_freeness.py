@@ -402,6 +402,10 @@ class TestMonoFreePattern:
         pattern = mono_free_pattern(4, 3, 2)
         assert find_mono_clique(Graph.complete(4), pattern, 3) is None
 
+    def test_repeated_call_returns_the_same_object(self):
+        for key in ((5, 3, 2), (4, 3, 2), (7, 4, 2)):
+            assert mono_free_pattern(*key) is mono_free_pattern(*key)
+
     def test_unsupported_parameters(self):
         with pytest.raises(UnsupportedParametersError):
             mono_free_pattern(6, 3, 2)  # r_2(3) = 6 is not > 6
