@@ -288,9 +288,6 @@ class ExtractionResult:
     vertices: tuple[int, ...]
     path: list[str] = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.vertices)
-
 
 def _check_precondition(graph: Graph, coloring: EdgeColoring):
     mono = find_mono_clique(graph, coloring, 3)

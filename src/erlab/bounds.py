@@ -41,11 +41,16 @@ class GTable:
 
 
 @functools.cache
-def default_g_table() -> GTable:
-    """g(2)..g(6) from the default table; memoised per process."""
+def _default_g_pairs() -> tuple[tuple[int, int], ...]:
     table = default_table()
-    return GTable({i: next(k for k in range(i + 2) if table.local_greater(k, i))
-                   for i in range(2, 7)})
+    return tuple((i, next(k for k in range(i + 2) if table.local_greater(k, i)))
+                 for i in range(2, 7))
+
+
+def default_g_table() -> GTable:
+    """g(2)..g(6) from the default table, memoised per process; each call
+    returns a fresh table, so a caller's writes reach no other caller."""
+    return GTable(dict(_default_g_pairs()))
 
 
 @functools.cache

@@ -171,9 +171,8 @@ def dyadic_profile(a_values: dict[int, int]) -> tuple[dict[int, list[int]], int 
 
 @dataclass(frozen=True)
 class DensityProfile:
-    a: dict[int, int]                      # clique id -> |X ∩ K_v|, only a_v >= 1
-    dyadic_classes: dict[int, tuple[int, ...]]
     ell_dyadic: int | None
+    dominant: tuple[int, ...]              # I_ell
     evenly_partitioned: tuple[int, ...]    # I'_ell
 
 
@@ -183,27 +182,22 @@ def density_profile(
     x_mask: int,
     s: int,
 ) -> DensityProfile:
-    """a_v = |X ∩ K_v| for every clique meeting X, the dyadic classes of those
-    a_v, and the cliques of the dominant class that X meets evenly: in every
-    one of the s parts, in at least a_v/(s+1) vertices."""
+    """The dominant dyadic class of a_v = |X ∩ K_v| over the cliques meeting
+    X, and its cliques that X meets evenly: in every one of the s parts, in
+    at least a_v/(s+1) vertices."""
     a_values = {}
     for v, member in member_masks.items():
         a = (x_mask & member).bit_count()
         if a:
             a_values[v] = a
     classes, ell = dyadic_profile(a_values)
+    dominant = tuple(classes.get(ell, ()))
     evenly = []
-    if ell is not None:
-        for v in classes[ell]:
-            counts = [(x_mask & pm).bit_count() for pm in part_masks[v]]
-            if evenly_partitioned(a_values[v], counts, s):
-                evenly.append(v)
-    return DensityProfile(
-        a=a_values,
-        dyadic_classes={i: tuple(vs) for i, vs in classes.items()},
-        ell_dyadic=ell,
-        evenly_partitioned=tuple(evenly),
-    )
+    for v in dominant:
+        counts = [(x_mask & pm).bit_count() for pm in part_masks[v]]
+        if evenly_partitioned(a_values[v], counts, s):
+            evenly.append(v)
+    return DensityProfile(ell, dominant, tuple(evenly))
 
 
 def sample_sets(rng, n: int, threshold: int, count: int) -> list[int]:
@@ -272,7 +266,7 @@ def sparsify(
             if ell is None:
                 sample_records.append({"size": mask.bit_count(), "ell": None, "ok": True})
                 continue
-            dominant = len(profile.dyadic_classes[ell])
+            dominant = len(profile.dominant)
             even = len(profile.evenly_partitioned)
             ok = 2 * even >= dominant
             sample_records.append(

@@ -25,7 +25,6 @@ class WitnessSubgraph:
     hyperedges: tuple[tuple[int, ...], ...] | None  # None when above MATERIALIZE_LIMIT
     e_count: int
     codegrees: dict[int, int]
-    params: tuple  # (N, m, alpha, lam)
 
 
 def density_witness(sparsified: SparsifiedIncidence, X) -> tuple[DensityProfile, WitnessSubgraph]:
@@ -56,25 +55,12 @@ def density_witness(sparsified: SparsifiedIncidence, X) -> tuple[DensityProfile,
         hyperedges = tuple(sorted(
             tuple(sorted(combo)) for v in evenly for combo in itertools.product(*part_lists[v])
         ))
-
-    codegrees = _exact_codegrees(evenly, part_lists, s, e_count)
-    m = len(X)
-    alpha_min = Fraction(e_count, m ** s)
-    lam_min = _minimal_lambda(codegrees, e_count, m, s)
-    witness = WitnessSubgraph(
-        hyperedges=hyperedges,
-        e_count=e_count,
-        codegrees=codegrees,
-        params=(sparsified.graph.n, m, alpha_min, lam_min),
-    )
-    return profile, witness
+    codegrees = _exact_codegrees(evenly, part_lists, s)
+    return profile, WitnessSubgraph(hyperedges, e_count, codegrees)
 
 
-def _exact_codegrees(evenly, part_lists, s, e_count) -> dict[int, int]:
+def _exact_codegrees(evenly, part_lists, s) -> dict[int, int]:
     codegrees = {i: 0 for i in range(1, s + 1)}
-    if e_count == 0:
-        return codegrees
-
     # an evenly partitioned clique meets X in every part: (s+1)|part| >= a_v >= 1
     # i = 1: a vertex may lie in several cliques; sum its per-clique counts
     per_vertex: dict[int, int] = {}
@@ -94,17 +80,9 @@ def _exact_codegrees(evenly, part_lists, s, e_count) -> dict[int, int]:
     return codegrees
 
 
-def _minimal_lambda(codegrees, e_count, m, s) -> float:
-    if e_count == 0:
-        return 0.0
-    density = e_count / m
-    lam = 0.0
-    for i in range(1, s + 1):
-        exponent = 1 - (i - 1) / (s - 1) if s > 1 else 1.0
-        bound_unit = density ** exponent
-        if bound_unit > 0:
-            lam = max(lam, codegrees[i] / bound_unit)
-    return lam
+def _codegree_units(density: float, s: int) -> list[float]:
+    """density^(1-(i-1)/(s-1)) for i = 1..s: the codegree bounds at lam = 1."""
+    return [density ** (1 - (i - 1) / (s - 1) if s > 1 else 1.0) for i in range(1, s + 1)]
 
 
 @dataclass(frozen=True)
@@ -123,32 +101,33 @@ def check_uniform_density(
     lam=None,
 ) -> DensityReport:
     """Evaluate the edge-count and codegree inequality families at the given
-    (alpha, lam), defaulting to the witness's stored parameters.  Margins are
-    achieved/required ratios: >= 1 passes, 0 means an empty witness."""
+    (alpha, lam), defaulting to the least pair the witness meets at
+    |X| = X_size: alpha = e/|X|^s and lam = max_i Delta_i/(e/|X|)^(1-(i-1)/(s-1)).
+    Margins are achieved/required ratios: >= 1 passes, 0 means an empty witness."""
     if X_size <= 0:
         raise GraphError("X_size must be positive")
-    _, _, alpha_stored, lam_stored = witness.params
+    e_count, codegrees = witness.e_count, witness.codegrees
+    s = max(codegrees) if codegrees else 1
+    units = _codegree_units(e_count / X_size, s)
+
+    minimal_alpha = Fraction(e_count, X_size ** s)
+    minimal_lambda = 0.0
+    for i, unit in enumerate(units, 1):
+        if unit > 0:
+            minimal_lambda = max(minimal_lambda, codegrees.get(i, 0) / unit)
     if alpha is None:
-        alpha = alpha_stored
+        alpha = minimal_alpha
     if lam is None:
-        lam = lam_stored
-    s = max(witness.codegrees) if witness.codegrees else 1
+        lam = minimal_lambda
 
     required_edges = float(alpha) * X_size ** s
-    edge_margin = witness.e_count / required_edges if required_edges > 0 else math.inf
-
+    edge_margin = e_count / required_edges if required_edges > 0 else math.inf
     codegree_margins = {}
-    density = witness.e_count / X_size
-    for i in range(1, s + 1):
-        exponent = 1 - (i - 1) / (s - 1) if s > 1 else 1.0
-        bound = float(lam) * density ** exponent
-        delta = witness.codegrees.get(i, 0)
-        codegree_margins[i] = math.inf if delta == 0 else bound / delta
+    for i, unit in enumerate(units, 1):
+        delta = codegrees.get(i, 0)
+        codegree_margins[i] = math.inf if delta == 0 else float(lam) * unit / delta
 
     passes = edge_margin >= 1.0 and all(mg >= 1.0 for mg in codegree_margins.values())
-    X = X_size
-    minimal_alpha = Fraction(witness.e_count, X ** s)
-    minimal_lambda = _minimal_lambda(witness.codegrees, witness.e_count, X, s)
     return DensityReport(edge_margin, codegree_margins, passes, minimal_alpha, minimal_lambda)
 
 

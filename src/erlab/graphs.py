@@ -211,11 +211,7 @@ def coloring_covers(graph: Graph, coloring: EdgeColoring):
 
 def _cliques(rows: list[int], cand: int, need: int, prefix: tuple[int, ...]):
     """Every ``need``-clique inside ``cand`` (adjacency ``rows``), each
-    extending ``prefix``, in lexicographic order; ``prefix`` once when
-    ``need <= 0``."""
-    if need <= 0:
-        yield prefix
-        return
+    extending ``prefix``, in lexicographic order; ``need`` is at least 1."""
     while cand.bit_count() >= need:
         low = cand & -cand
         v = low.bit_length() - 1

@@ -111,6 +111,12 @@ class TestGTable:
         with pytest.raises(UnresolvedRamseyError):
             default_g_table().value(7)
 
+    def test_writes_reach_no_other_caller(self):
+        default_g_table().g[3] = 1
+        exponent_lower.cache_clear()
+        assert exponent_lower(5, 4).value == Fraction(20, 61)
+        assert default_g_table().value(3) == 2
+
 
 def coloring_of(k, assignment, t):
     return EdgeColoring(t, dict(zip(itertools.combinations(range(k), 2), assignment)))
@@ -186,8 +192,27 @@ class TestCheckers:
     def test_bad_ordering_reported(self):
         col = coloring_of(3, [1, 2, 1], 2)
         assert check_ordering(3, col, [0, 0, 1], {2: 1, 3: 2}) is not None
+        # vertex 2 sees colors {2, 1}: ell = [1, 2], and g(3) is missing
+        assert check_ordering(3, col, range(3), {2: 1}) == "no g value for position 3"
+        # vertex 2 sees color 2 twice: ell = [1, 1], below g(3) = 2
+        col = coloring_of(3, [1, 2, 2], 2)
+        assert check_ordering(3, col, range(3), default_g_table().g) == (
+            "ell(3) = 1 < g(3) = 2")
+        # vertex 2 sees colors {1, 2}, vertex 3 only color 3
+        col = coloring_of(4, [1, 2, 3, 1, 3, 3], 3)
+        assert check_ordering(4, col, range(4), {2: 1, 3: 2, 4: 2}) == (
+            "ell not non-decreasing at position 3: [1, 2, 1]")
 
     def test_bad_sequence_reported(self):
         col = coloring_of(4, [1, 1, 2, 3, 2, 2], 3)
         assert check_half_sequence(4, col, (0,)) is not None  # wrong length
         assert check_half_sequence(4, col, (0, 0)) is not None  # repeat
+        assert check_half_sequence(4, col, (0, 4)) == "vertex out of range in [0, 4]"
+        # color 1 is on two of vertex 0's three edges, and on (0, 1)
+        assert check_half_sequence(4, col, (0, 1)) == (
+            "first edge (0,1) carries the most frequent color 1 at 0")
+        # vertex 0's most frequent color is 2, not the first edge's 1; vertex
+        # 2 meets 0 and 1 both in color 2
+        col = coloring_of(5, [1, 2, 2, 2, 2, 1, 1, 1, 1, 2], 2)
+        assert check_half_sequence(5, col, (0, 1, 2)) == (
+            "vertex 2 (position 3) sees fewer than 2 colors")

@@ -143,6 +143,44 @@ class TestRunExperiment:
             # what greedy would have given is already in the row's lower bound
             assert row.alpha_lo == max(res.size, len(greedy_set))
 
+    def test_failed_construction_is_a_flagged_row(self, tmp_path):
+        config = tiny_config(tmp_path, n_list=[8], seeds=[0],
+                             r_policy={"kind": "fixed", "value": 9})
+        (row,) = run_experiment(config).rows
+        assert row.note == "construction failed: uniformity 9 exceeds ground-set size 8"
+        assert not row.cert_ok and not row.exact
+        assert (row.alpha_lo, row.alpha_hi) == (0, 0)
+
+    def test_construction_over_budget_is_a_flagged_row(self, tmp_path):
+        config = tiny_config(tmp_path, n_list=[24], seeds=[1],
+                             budgets={"alpha_nodes": 50_000, "construct_ms": 0})
+        (row,) = run_experiment(config).rows
+        assert row.note == "construction budget exceeded"
+        assert not row.cert_ok
+
+    def test_extracted_set_enters_the_lower_bound(self, tmp_path, monkeypatch):
+        """The (5,3,4) k=4 n=64 seed-1 row stops its search at 2 000 nodes,
+        so the recursive extractor runs and its set is a lower bound."""
+        calls = []
+
+        def record(name, func):
+            def wrapped(*args, **kwargs):
+                calls.append((name, func(*args, **kwargs)))
+                return calls[-1][1]
+            monkeypatch.setattr(experiment, name, wrapped)
+
+        record("alpha_exact", alpha_exact)
+        record("recursive_free_subset", experiment.recursive_free_subset)
+        config = tiny_config(tmp_path, t=4, n_list=[64], seeds=[1],
+                             k_policy={"kind": "fixed", "value": 4},
+                             r_policy={"kind": "default"},
+                             budgets={"alpha_nodes": 2000})
+        (row,) = run_experiment(config).rows
+        (_, res), (_, extraction) = calls
+        assert not res.complete and row.note == ""
+        assert len(extraction.vertices) == 12
+        assert row.alpha_lo == max(res.size, 12) == 54
+
     def test_deterministic_modulo_timing(self, tmp_path):
         a = run_experiment(tiny_config(tmp_path))
         b = run_experiment(tiny_config(tmp_path))
@@ -414,6 +452,27 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == "20/61"
 
+    def test_exponents_plain(self, capsys):
+        assert main(["exponents", "--s", "5", "--t", "4"]) == 0
+        assert capsys.readouterr().out == "20/61 regime=recursive\n"
+
+    def test_alpha_count_min_size(self, tmp_path, capsys):
+        from erlab import io as eio
+        from erlab.graphs import Graph
+
+        path = tmp_path / "k4.txt"
+        eio.write_graph(path, Graph.complete(4))
+        # the triangle-free subsets of K_4 with at least 2 vertices: its 6 edges
+        assert main(["alpha", "--graph", str(path), "--s", "3", "--count",
+                     "--min-size", "2"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"count": 6, "min_size": 2, "s": 3}
+
+    def test_verify_fast(self, capsys):
+        assert main(["verify", "--level", "fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("[PASS] ") for line in lines[:-1])
+        assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
     def test_order_and_halfseq(self, tmp_path, capsys):
         from erlab import io as eio
         from erlab.freeness import double_c5_coloring
@@ -586,6 +645,23 @@ class TestCli:
         assert payload["valid"]
         cert = json.loads((tmp_path / "witness.txt.cert.json").read_text())
         assert cert["valid"] and cert["method"] == "alteration"
+
+    def test_extract_lay3_writes_certificate(self, tmp_path, capsys):
+        from erlab import io as eio
+        from oracles import mono_free_colored_graph
+
+        g, col = mono_free_colored_graph(20, 2, 0.3, seed=3)
+        eio.write_graph(tmp_path / "g.txt", g)
+        eio.write_coloring(tmp_path / "c.txt", col)
+        out = tmp_path / "witness.txt"
+        assert main(["extract", "--graph", str(tmp_path / "g.txt"),
+                     "--coloring", str(tmp_path / "c.txt"), "--s", "5",
+                     "--method", "lay3", "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["valid"] and payload["method"] == "lay3"
+        assert payload["path"][0].startswith("families ")
+        assert [int(v) for v in out.read_text().split()] == payload["vertices"]
+        assert json.loads((tmp_path / "witness.txt.cert.json").read_text()) == payload
 
     @pytest.mark.parametrize("extra, reason", [
         pytest.param({"seed": [1]}, "unexpected keyword argument 'seed'", id="misspelled-key"),
