@@ -226,7 +226,7 @@ def _cmd_extract(args) -> int:
     }
     if args.out:
         out = Path(args.out)
-        out.write_text("".join(f"{v}\n" for v in verts), encoding="utf-8", newline="\n")
+        eio.write_lines(out, map(str, verts))
         eio.write_json(out.with_suffix(out.suffix + ".cert.json"), certificate)
     _print_json(certificate)
     return 0 if valid else 1

@@ -152,21 +152,21 @@ def evenly_partitioned(a_v: int, part_counts: list[int], s: int) -> bool:
     return all((s + 1) * c >= a_v for c in part_counts)
 
 
-def dyadic_profile(a_values: dict[int, int]) -> tuple[dict[int, list[int]], int | None]:
-    """Dyadic classes I_i = {v : 2^(i-1) <= a_v < 2^i} over cliques with a_v >= 1,
-    plus the index maximizing sum of a_v (ties toward the smaller index)."""
-    classes: dict[int, list[int]] = {}
-    sums: dict[int, int] = {}
-    for v in sorted(a_values):
-        a = a_values[v]
-        if a <= 0:
-            continue
-        i = a.bit_length()
-        classes.setdefault(i, []).append(v)
-        sums[i] = sums.get(i, 0) + a
-    if not sums:
-        return {}, None
-    return classes, max(sorted(sums), key=sums.get)  # max keeps the first of a tie
+def dyadic_profile(member_masks: dict[int, int], x_mask: int) -> tuple[int | None, dict[int, int]]:
+    """The dominant dyadic class of a_v = |X ∩ K_v| over the cliques meeting
+    X: the index ell maximizing the sum of a_v over I_ell = {v : 2^(ell-1) <=
+    a_v < 2^ell} (ties toward the smaller index) and {v: a_v} over I_ell in
+    ascending v; (None, {}) when X meets no clique.  It depends on X alone."""
+    classes: dict[int, dict[int, int]] = {}
+    for v in sorted(member_masks):
+        a = (x_mask & member_masks[v]).bit_count()
+        if a:
+            classes.setdefault(a.bit_length(), {})[v] = a
+    if not classes:
+        return None, {}
+    # max keeps the first of a tie
+    ell = max(sorted(classes), key=lambda i: sum(classes[i].values()))
+    return ell, classes[ell]
 
 
 @dataclass(frozen=True)
@@ -176,33 +176,23 @@ class DensityProfile:
     evenly_partitioned: tuple[int, ...]    # I'_ell
 
 
-def density_profile(
-    member_masks: dict[int, int],
-    part_masks: dict[int, list[int]],
-    x_mask: int,
-    s: int,
-) -> DensityProfile:
-    """The dominant dyadic class of a_v = |X ∩ K_v| over the cliques meeting
-    X, and its cliques that X meets evenly: in every one of the s parts, in
-    at least a_v/(s+1) vertices."""
-    a_values = {}
-    for v, member in member_masks.items():
-        a = (x_mask & member).bit_count()
-        if a:
-            a_values[v] = a
-    classes, ell = dyadic_profile(a_values)
-    dominant = tuple(classes.get(ell, ()))
-    evenly = []
-    for v in dominant:
-        counts = [(x_mask & pm).bit_count() for pm in part_masks[v]]
-        if evenly_partitioned(a_values[v], counts, s):
-            evenly.append(v)
-    return DensityProfile(ell, dominant, tuple(evenly))
+def density_profile(ell: int | None, dominant: dict[int, int],
+                    part_masks: dict[int, tuple[int, ...]], x_mask: int, s: int) -> DensityProfile:
+    """The dominant class ``dyadic_profile`` found for X and its cliques that
+    X meets evenly under ``part_masks``: in every one of the s parts, in at
+    least a_v/(s+1) vertices."""
+    evenly = tuple(
+        v for v, a in dominant.items()
+        if evenly_partitioned(a, [(x_mask & pm).bit_count() for pm in part_masks[v]], s)
+    )
+    return DensityProfile(ell, tuple(dominant), evenly)
 
 
 def sample_sets(rng, n: int, threshold: int, count: int) -> list[int]:
     """``count`` subsets of range(n) as bitmasks, each of a size drawn
     uniformly from threshold..n; none when ``threshold`` exceeds n."""
+    if count < 0:
+        raise GraphError(f"sample count must be non-negative, got {count}")
     if threshold > n:
         return []
     sets = []
@@ -247,6 +237,8 @@ def sparsify(
     clique_ids = sorted(cover.cliques)
     member_masks = {v: cover.member_mask(v) for v in clique_ids}
     samples = sample_sets(make_rng(seed, "samples"), graph.n, threshold, certification_samples)
+    # a_v and the dominant class depend on X alone: profile each X once
+    profiles = [(mask, *dyadic_profile(member_masks, mask)) for mask in samples]
 
     worst = None
     for attempt in range(RETRY_LIMIT):
@@ -259,32 +251,18 @@ def sparsify(
             part_masks[v] = tuple(masks)
 
         sample_records = []
-        all_ok = True
-        for mask in samples:
-            profile = density_profile(member_masks, part_masks, mask, s)
-            ell = profile.ell_dyadic
-            if ell is None:
-                sample_records.append({"size": mask.bit_count(), "ell": None, "ok": True})
-                continue
-            dominant = len(profile.dominant)
-            even = len(profile.evenly_partitioned)
-            ok = 2 * even >= dominant
-            sample_records.append(
-                {
-                    "size": mask.bit_count(),
-                    "ell": ell,
-                    "dominant": dominant,
-                    "evenly_partitioned": even,
-                    "ok": ok,
-                }
-            )
-            if not ok:
-                all_ok = False
-                frac = even / dominant
-                if worst is None or frac < worst.get("fraction", 1.0):
-                    worst = dict(sample_records[-1], fraction=frac, attempt=attempt)
+        for mask, ell, dominant in profiles:
+            record = {"size": mask.bit_count(), "ell": ell, "ok": True}
+            if ell is not None:
+                even = len(density_profile(ell, dominant, part_masks, mask, s).evenly_partitioned)
+                record.update(dominant=len(dominant), evenly_partitioned=even,
+                              ok=2 * even >= len(dominant))
+                frac = even / len(dominant)
+                if not record["ok"] and (worst is None or frac < worst["fraction"]):
+                    worst = dict(record, fraction=frac, attempt=attempt)
+            sample_records.append(record)
 
-        if all_ok:
+        if all(record["ok"] for record in sample_records):
             # each member of K_v is joined to the members outside its part
             rows = [0] * graph.n
             for v in clique_ids:
@@ -448,7 +426,6 @@ class InstanceBundle:
     incidence: Graph
     cover: CliqueCover
     sparsified: SparsifiedIncidence
-    blown: Graph
     overlay: OverlayRecord
     final: Graph
     coloring: EdgeColoring
@@ -491,11 +468,9 @@ def construct_upper_bound_instance(
         certification_samples=certification_samples,
         threshold=threshold,
     )
-    g_star = sparsified.graph
-
-    blown = blow_up(g_star, k)
     final, overlay = overlay_and_retain(
-        blown, params.beta + 1, params.retention_p, derive_seed(params.seed, "overlay")
+        blow_up(sparsified.graph, k), params.beta + 1, params.retention_p,
+        derive_seed(params.seed, "overlay"),
     )
 
     # G_* joins K_v's parts i < j, and the blow-up their fibers, in pattern
@@ -530,18 +505,16 @@ def construct_upper_bound_instance(
         for rows in palette:
             done = [d | r for d, r in zip(done, rows)]
 
-    # every colored edge (u, v), u < v, with its color, in ascending edge order
+    # every colored edge (u, v), u < v, with its color
     used = [c for c, rows in enumerate(color_rows, 1) if any(rows)]
     colored = []
     for u in range(N):
-        start = len(colored)
         for c in used:
             high = color_rows[c - 1][u] >> (u + 1)
             while high:
                 low = high & -high
                 colored.append(((u, u + low.bit_length()), c))
                 high ^= low
-        colored[start:] = sorted(colored[start:])
     coloring = EdgeColoring(t, colored)
     # done is now the union of the color rows, which must be final's rows
     if done != final._rows:
@@ -595,7 +568,6 @@ def construct_upper_bound_instance(
         incidence=incidence,
         cover=cover,
         sparsified=sparsified,
-        blown=blown,
         overlay=overlay,
         final=final,
         coloring=coloring,

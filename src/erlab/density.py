@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alpha import CLIQUE_CAP
-from .construct import DensityProfile, SparsifiedIncidence, blow_up, density_profile
+from .construct import DensityProfile, SparsifiedIncidence, blow_up, density_profile, dyadic_profile
 from .graphs import Graph, GraphError, enumerate_cliques
 from .util import iter_bits
 
@@ -44,7 +44,8 @@ def density_witness(sparsified: SparsifiedIncidence, X) -> tuple[DensityProfile,
 
     s, part_masks = sparsified.s, sparsified.part_masks
     # a clique's parts are disjoint, so their sum is its member mask
-    profile = density_profile({v: sum(pm) for v, pm in part_masks.items()}, part_masks, x_mask, s)
+    ell, dominant = dyadic_profile({v: sum(pm) for v, pm in part_masks.items()}, x_mask)
+    profile = density_profile(ell, dominant, part_masks, x_mask, s)
     evenly = profile.evenly_partitioned
     part_lists = {v: [list(iter_bits(pm & x_mask)) for pm in part_masks[v]] for v in evenly}
 
@@ -102,33 +103,38 @@ def check_uniform_density(
 ) -> DensityReport:
     """Evaluate the edge-count and codegree inequality families at the given
     (alpha, lam), defaulting to the least pair the witness meets at
-    |X| = X_size: alpha = e/|X|^s and lam = max_i Delta_i/(e/|X|)^(1-(i-1)/(s-1)).
-    Margins are achieved/required ratios: >= 1 passes, 0 means an empty witness."""
+    |X| = X_size: alpha = e/|X|^s, and lam = max_i Delta_i/(e/|X|)^(1-(i-1)/(s-1))
+    stepped up to the first float at which every codegree margin reads >= 1.
+    Margins are achieved/required ratios, the edge margin rounded once from
+    the exact ratio: >= 1 passes, 0 means an empty witness."""
     if X_size <= 0:
         raise GraphError("X_size must be positive")
     e_count, codegrees = witness.e_count, witness.codegrees
     s = max(codegrees) if codegrees else 1
     units = _codegree_units(e_count / X_size, s)
 
+    def codegree_margins(lam) -> dict[int, float]:
+        return {i: math.inf if not codegrees.get(i) else float(lam) * unit / codegrees[i]
+                for i, unit in enumerate(units, 1)}
+
     minimal_alpha = Fraction(e_count, X_size ** s)
-    minimal_lambda = 0.0
-    for i, unit in enumerate(units, 1):
-        if unit > 0:
-            minimal_lambda = max(minimal_lambda, codegrees.get(i, 0) / unit)
+    minimal_lambda = max(
+        (codegrees.get(i, 0) / unit for i, unit in enumerate(units, 1) if unit > 0), default=0.0
+    )
+    # the quotient can round so that its margin reads below 1: step up (a
+    # zero unit's margin is 0 at every lam)
+    while any(0.0 < m < 1.0 for m in codegree_margins(minimal_lambda).values()):
+        minimal_lambda = math.nextafter(minimal_lambda, math.inf)
     if alpha is None:
         alpha = minimal_alpha
     if lam is None:
         lam = minimal_lambda
 
-    required_edges = float(alpha) * X_size ** s
-    edge_margin = e_count / required_edges if required_edges > 0 else math.inf
-    codegree_margins = {}
-    for i, unit in enumerate(units, 1):
-        delta = codegrees.get(i, 0)
-        codegree_margins[i] = math.inf if delta == 0 else float(lam) * unit / delta
-
-    passes = edge_margin >= 1.0 and all(mg >= 1.0 for mg in codegree_margins.values())
-    return DensityReport(edge_margin, codegree_margins, passes, minimal_alpha, minimal_lambda)
+    required_edges = Fraction(alpha) * X_size ** s
+    edge_margin = float(e_count / required_edges) if required_edges > 0 else math.inf
+    margins = codegree_margins(lam)
+    passes = edge_margin >= 1.0 and all(mg >= 1.0 for mg in margins.values())
+    return DensityReport(edge_margin, margins, passes, minimal_alpha, minimal_lambda)
 
 
 # ---------------------------------------------------------------------------

@@ -256,8 +256,7 @@ def write_report(report: RunReport, out_dir) -> None:
             f"{r.n},{r.seed},{r.s},{r.b},{r.t},{r.alpha_lo},{r.alpha_hi},"
             f"{int(r.exact)},{int(r.cert_ok)},{r.ms}"
         )
-    (out / "report.csv").write_text("".join(ln + "\n" for ln in lines),
-                                    encoding="utf-8", newline="\n")
+    eio.write_lines(out / "report.csv", lines)
     payload = {
         "label": report.label,
         "config": report.config,
@@ -265,11 +264,12 @@ def write_report(report: RunReport, out_dir) -> None:
         "rows": [asdict(r) for r in report.rows],
     }
     eio.write_json(out / "report.json", payload)
-    (out / "plot.svg").write_text(render_loglog_svg(report), encoding="utf-8", newline="\n")
+    eio.write_lines(out / "plot.svg", render_loglog_svg(report))
 
 
-def render_loglog_svg(report: RunReport) -> str:
-    """Minimal 480x360 log-log scatter with the fitted line; no plotting dependency."""
+def render_loglog_svg(report: RunReport) -> list[str]:
+    """The lines of a minimal 480x360 log-log scatter with the fitted line;
+    no plotting dependency."""
     width, height = 480, 360
     pts = []
     for row in report.rows:
@@ -325,7 +325,7 @@ def render_loglog_svg(report: RunReport) -> str:
     else:
         parts.append(f'<text x="{margin}" y="{height // 2}">no fit-eligible rows</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ class SearchResult:
     status: str  # found | none | inconclusive
     coloring: EdgeColoring | None
     nodes: int
-    transcript: dict
 
 
 def _edge_order(graph: Graph) -> tuple[list[tuple[int, int]], int, int]:
@@ -215,10 +214,10 @@ def search_free_coloring(
     palette_cap = t if local_bound is None else max(n_edges, 1)
 
     if n_edges == 0:
-        return SearchResult(FOUND, EdgeColoring(t or 1, {}), 0, {"edges": 0})
+        return SearchResult(FOUND, EdgeColoring(t or 1, {}), 0)
     if local_bound == 0:
         # an edge must receive a color, so its endpoints see one color each
-        return SearchResult(NONE, None, 0, {"edges": n_edges, "reason": "zero local bound"})
+        return SearchResult(NONE, None, 0)
 
     steps = [(u, v, 1 << u, 1 << v) for u, v in edges]
     others = [u if v == last else v for u, v in edges[start:]]
@@ -310,23 +309,15 @@ def search_free_coloring(
         used = len(rows_by_color)
         c = 0
 
-    transcript = {
-        "edges": n_edges,
-        "nodes": nodes,
-        "palette_cap": palette_cap,
-        "local_bound": local_bound,
-        "b": b,
-        "t": t,
-    }
     if status != FOUND:
-        return SearchResult(status, None, nodes, transcript)
+        return SearchResult(status, None, nodes)
     assignment = [step[0] for step in undo]
     coloring = EdgeColoring(t if t is not None else max(assignment), dict(zip(edges, assignment)))
     # round-trip soundness: a returned witness is always re-checked
     assert find_mono_clique(graph, coloring, b) is None
     if local_bound is not None:
         assert all(cs.bit_count() <= local_bound for cs in seen)
-    return SearchResult(FOUND, coloring, nodes, transcript)
+    return SearchResult(FOUND, coloring, nodes)
 
 
 @dataclass

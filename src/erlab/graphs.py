@@ -87,13 +87,14 @@ class Graph:
     def degree(self, u: int) -> int:
         return self._rows[u].bit_count()
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
+    def iter_edges(self):
+        """Each edge (u, v), u < v, in ascending order."""
         for u in range(self.n):
-            high = self._rows[u] >> (u + 1)
-            for off in iter_bits(high):
-                out.append((u, u + 1 + off))
-        return out
+            for off in iter_bits(self._rows[u] >> (u + 1)):
+                yield u, u + 1 + off
+
+    def edges(self) -> list[tuple[int, int]]:
+        return list(self.iter_edges())
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -13,6 +13,7 @@ writes and reads.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -32,17 +33,18 @@ HEADER_LIMIT = 1 << 20
 MASK_BYTES_LIMIT = 1 << 24
 
 
-def _write(path, lines):
-    # line by line, so no copy of the whole text is held: the final graph and
-    # its coloring are the largest objects a construction writes
+def write_lines(path, lines) -> None:
+    """The one writer of every artifact: each of ``lines`` (any iterable of
+    str) and a LF, in UTF-8.  It streams, so a writer that passes a generator
+    holds no list of the lines: the final graph and its coloring are the
+    largest objects a construction writes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
 
 
 def write_graph(path, graph: Graph) -> None:
-    lines = [f"graph {graph.n} {graph.m}"]
-    lines += [f"{u} {v}" for u, v in graph.edges()]
-    _write(path, lines)
+    edges = (f"{u} {v}" for u, v in graph.iter_edges())
+    write_lines(path, itertools.chain([f"graph {graph.n} {graph.m}"], edges))
 
 
 def _lines(path) -> list[tuple[int, str]]:
@@ -116,9 +118,8 @@ def read_graph(path) -> Graph:
 
 
 def write_hypergraph(path, H: LinearHypergraph) -> None:
-    lines = [f"hypergraph {H.n} {H.R} {H.m}"]
-    lines += [" ".join(map(str, e)) for e in H.edges]
-    _write(path, lines)
+    edges = (" ".join(map(str, e)) for e in H.edges)
+    write_lines(path, itertools.chain([f"hypergraph {H.n} {H.R} {H.m}"], edges))
 
 
 def read_hypergraph(path) -> LinearHypergraph:
@@ -135,8 +136,7 @@ def read_hypergraph(path) -> LinearHypergraph:
 
 
 def write_coloring(path, coloring: EdgeColoring) -> None:
-    lines = [f"{u} {v} {c}" for (u, v), c in sorted(coloring.colors.items())]
-    _write(path, lines)
+    write_lines(path, (f"{u} {v} {c}" for (u, v), c in sorted(coloring.colors.items())))
 
 
 def read_coloring(path, t: int | None = None) -> EdgeColoring:
@@ -183,7 +183,7 @@ def dumps(payload) -> str:
 
 def write_json(path, payload) -> None:
     """``payload`` as ``dumps`` formats it, with a final newline."""
-    _write(path, [dumps(payload)])
+    write_lines(path, [dumps(payload)])
 
 
 def write_structure(path, bundle) -> None:

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from erlab.alpha import AlphaResult
-from erlab.construct import OverlayRecord
+from erlab.construct import RETRY_LIMIT, OverlayRecord, blow_up
 from erlab.freeness import (
     FOUND,
     INCONCLUSIVE,
@@ -269,6 +269,50 @@ def part_of(part_masks: dict) -> dict[int, dict[int, int]]:
             for v, masks in part_masks.items()}
 
 
+def naive_sparsify_certificate(n: int, cliques: dict, s: int, seed: int, samples: int,
+                               threshold: int):
+    """(True, certificate) of ``construct.sparsify`` on a graph with n
+    vertices and cover ``cliques``, or (False, worst sample) when no part
+    assignment certifies: the same draws, with every sampled set's a_v,
+    dyadic classes and even splits recomputed from sets on every attempt."""
+    rng = make_rng(seed, "samples")
+    sets = []
+    for _ in range(samples if threshold <= n else 0):
+        size = rng.randint(threshold, n)
+        sets.append(set(rng.sample(range(n), size)))
+    worst = None
+    for attempt in range(RETRY_LIMIT):
+        rng = make_rng(seed, "partition", attempt)
+        part = {v: {u: rng.randrange(s) for u in cliques[v]} for v in sorted(cliques)}
+        records = []
+        for X in sets:
+            a = {v: len(X & set(cliques[v])) for v in cliques}
+            sums = collections.Counter()
+            for v in a:
+                if a[v]:
+                    sums[a[v].bit_length()] += a[v]
+            if not sums:
+                records.append({"size": len(X), "ell": None, "ok": True})
+                continue
+            best = max(sums.values())
+            ell = min(i for i in sums if sums[i] == best)
+            dominant = [v for v in a if a[v] and a[v].bit_length() == ell]
+            even = sum(
+                all((s + 1) * sum(1 for u in X & set(cliques[v]) if part[v][u] == p) >= a[v]
+                    for p in range(s))
+                for v in dominant
+            )
+            records.append({"size": len(X), "ell": ell, "dominant": len(dominant),
+                            "evenly_partitioned": even, "ok": 2 * even >= len(dominant)})
+            frac = even / len(dominant)
+            if not records[-1]["ok"] and (worst is None or frac < worst["fraction"]):
+                worst = dict(records[-1], fraction=frac, attempt=attempt)
+        if all(r["ok"] for r in records):
+            return True, {"attempt": attempt, "samples": len(sets), "threshold": threshold,
+                          "vacuous": not sets, "sample_records": records}
+    return False, worst or {}
+
+
 def naive_s_partite_witness(graph: Graph, cliques: dict, part_masks: dict):
     """The lexicographically first pair of the lowest clique whose adjacency
     in ``graph`` differs from "in different parts", as {"clique", "edge"},
@@ -293,8 +337,9 @@ def reference_instance_coloring(bundle) -> dict[tuple[int, int], int]:
     hyperedges = [set(e) for e in bundle.hypergraph.edges]
     index = {x: a for a, x in enumerate(bundle.overlay.retained)}
     colors: dict[tuple[int, int], int] = {}
+    blown = blow_up(bundle.sparsified.graph, k)
     for copy_idx, perm in enumerate(bundle.overlay.permutations):
-        for u, v in bundle.blown.edges():
+        for u, v in blown.edges():
             a, b = index.get(perm[u]), index.get(perm[v])
             if a is None or b is None or (min(a, b), max(a, b)) in colors:
                 continue
@@ -513,9 +558,9 @@ def reference_search_free_coloring(
 
     if n_edges == 0:
         result = EdgeColoring(t or 1, {})
-        return SearchResult(FOUND, result, 0, {"edges": 0})
+        return SearchResult(FOUND, result, 0)
     if local_bound == 0:
-        return SearchResult(NONE, None, 0, {"edges": n_edges, "reason": "zero local bound"})
+        return SearchResult(NONE, None, 0)
 
     rows_by_color: list[list[int]] = []
     vertex_colors: list[set[int]] = [set() for _ in range(graph.n)]
@@ -589,14 +634,6 @@ def reference_search_free_coloring(
         return False
 
     ok = assign(0)
-    transcript = {
-        "edges": n_edges,
-        "nodes": nodes,
-        "palette_cap": palette_cap,
-        "local_bound": local_bound,
-        "b": b,
-        "t": t,
-    }
     if ok:
         coloring = EdgeColoring(
             t if t is not None else max(assignment), dict(zip(edges, assignment))
@@ -604,10 +641,10 @@ def reference_search_free_coloring(
         assert find_mono_clique(graph, coloring, b) is None
         if local_bound is not None:
             assert all(len(cs) <= local_bound for cs in vertex_colors)
-        return SearchResult(FOUND, coloring, nodes, transcript)
+        return SearchResult(FOUND, coloring, nodes)
     if exhausted:
-        return SearchResult(INCONCLUSIVE, None, nodes, transcript)
-    return SearchResult(NONE, None, nodes, transcript)
+        return SearchResult(INCONCLUSIVE, None, nodes)
+    return SearchResult(NONE, None, nodes)
 
 
 def naive_last_vertex_tries(others, rows_by_color, seen, used, palette_cap, local_bound, b):

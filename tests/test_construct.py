@@ -26,6 +26,7 @@ from erlab.construct import (
     dyadic_profile,
     evenly_partitioned,
     overlay_and_retain,
+    sample_sets,
     sparsify,
 )
 from erlab.freeness import UnsupportedParametersError, find_mono_clique
@@ -41,13 +42,14 @@ from erlab.graphs import (
     validate_hypergraph,
 )
 
-from erlab.util import derive_seed
+from erlab.util import derive_seed, make_rng
 
 from oracles import (
     indexed_linear_triangle_free,
     naive_linear_triangle_free,
     naive_overlay,
     naive_s_partite_witness,
+    naive_sparsify_certificate,
     part_of,
     random_graph,
     reference_instance_coloring,
@@ -226,14 +228,15 @@ class TestEvenPartition:
         assert evenly_partitioned(0, [0, 0], 2)       # vacuous
 
     def test_dyadic_classes(self):
-        classes, ell = dyadic_profile({1: 3, 2: 0, 3: 1, 4: 8})
-        assert classes == {2: [1], 1: [3], 4: [4]}
-        assert ell == 4  # sums: class2=3, class1=1, class4=8
+        x_mask = (1 << 16) - 1
+        # a_v = 3, 0, 1, 8 put cliques 1, 3, 4 in classes 2, 1, 4
+        masks = {4: 0xFF << 8, 1: 0b111, 2: 1 << 20, 3: 1 << 3}
+        assert dyadic_profile(masks, x_mask) == (4, {4: 8})  # sums: 3, 1, 8
         # tie goes to the smaller index: class 2 and class 3 both sum to 4
-        _, ell2 = dyadic_profile({1: 4, 2: 2, 3: 2})
-        assert ell2 == 2
-        _, ell3 = dyadic_profile({1: 4, 2: 4})
-        assert ell3 == 3
+        assert dyadic_profile({3: 0b11 << 6, 1: 0b1111, 2: 0b11 << 4}, x_mask) == (2, {2: 2, 3: 2})
+        ell, dominant = dyadic_profile({2: 0b1111 << 4, 1: 0b1111}, x_mask)
+        assert (ell, list(dominant)) == (3, [1, 2])  # ascending clique ids
+        assert dyadic_profile(masks, 1 << 30) == (None, {})
 
 
 class TestSparsify:
@@ -302,6 +305,44 @@ class TestSparsify:
             "size": 63, "ell": 2, "dominant": 38, "evenly_partitioned": 0,
             "ok": False, "fraction": 0.0, "attempt": 0,
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), st.integers(8, 24), st.integers(0, 2**16), st.integers(0, 12),
+           st.data())
+    def test_certificate_matches_naive_reference(self, s, n, seed, samples, data):
+        H, _ = build_linear_tf_hypergraph(n, 3, seed=seed)
+        g, cover = incidence_graph(H)
+        threshold = data.draw(st.integers(0, g.n - 1))
+        try:
+            sp = sparsify(g, cover, s, seed, certification_samples=samples, threshold=threshold)
+            got = True, sp.certificate
+        except CertificationError as err:
+            got = False, err.worst_sample
+        assert got == naive_sparsify_certificate(g.n, cover.cliques, s, seed, samples, threshold)
+
+    @pytest.mark.parametrize("retry_limit", [1, 3, 32])
+    def test_each_sample_profiled_once(self, monkeypatch, retry_limit):
+        # (2, 3, 1) at n = 32, R = 3, seed 11 certifies at attempt 29
+        monkeypatch.setattr(construct, "RETRY_LIMIT", retry_limit)
+        calls = []
+        profile = construct.dyadic_profile
+        monkeypatch.setattr(construct, "dyadic_profile",
+                            lambda *args: calls.append(args) or profile(*args))
+        H, _ = build_linear_tf_hypergraph(32, 3, derive_seed(11, "hyper"))
+        g, cover = incidence_graph(H)
+        try:
+            attempts = sparsify(g, cover, 2, derive_seed(11, "sparsify"),
+                                threshold=16).certificate["attempt"] + 1
+        except CertificationError:
+            attempts = retry_limit
+        assert attempts == min(retry_limit, 30)
+        assert len(calls) == 100
+
+    @pytest.mark.parametrize("threshold", [3, 11])
+    def test_negative_sample_count_rejected(self, threshold):
+        with pytest.raises(GraphError, match="^sample count must be non-negative, got -1$"):
+            sample_sets(make_rng(0, "samples"), 10, threshold, -1)
+        assert sample_sets(make_rng(0, "samples"), 10, threshold, 0) == []
 
     def test_inconsistent_cover_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -496,14 +537,15 @@ class TestPipeline:
                                            seed=11)
         bundle = construct_upper_bound_instance(params, 32)
         assert params.beta == 1
-        assert (bundle.final.n < bundle.blown.n) == (retention_p < 1)
+        blown = blow_up(bundle.sparsified.graph, params.k)
+        assert (bundle.final.n < blown.n) == (retention_p < 1)
         used = bundle.coloring.colors_used()
         assert used <= {1, 2, 3, 4}
         assert bundle.certificate["checks"]["palette_disjoint"]["witness"] is None
         assert find_mono_clique(bundle.final, bundle.coloring, 3) is None
         # per-copy palettes are disjoint ranges; every edge takes the color of
         # its lowest contributing copy
-        prov = overlay_provenance(bundle.blown, bundle.overlay.permutations)
+        prov = overlay_provenance(blown, bundle.overlay.permutations)
         lowest_copies = set()
         for a, b in bundle.final.edges():
             x, y = bundle.overlay.retained[a], bundle.overlay.retained[b]

@@ -2,6 +2,7 @@
 and the blow-up transfer identity."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from erlab.construct import (
     sparsify,
 )
 from erlab.density import (
+    WitnessSubgraph,
+    _codegree_units,
     blow_up_transfer_report,
     check_uniform_density,
     density_witness,
@@ -112,6 +115,33 @@ class TestCheckUniformDensity:
             witness, 5, alpha=report.minimal_alpha, lam=report.minimal_lambda
         )
         assert rerun.passes
+
+    def test_minimal_lambda_steps_past_a_rounded_quotient(self):
+        # e = 3 at |X| = 58, s = 3: Delta_1/unit_1 = 19.333333333333332, at
+        # which the i = 1 margin reads 0.9999999999999999
+        witness = WitnessSubgraph(None, 3, {1: 1, 2: 1, 3: 1})
+        unit = _codegree_units(3 / 58, 3)[0]
+        assert 1 / unit * unit < 1.0
+        report = check_uniform_density(witness, 58)
+        assert report.minimal_lambda == math.nextafter(1 / unit, math.inf)
+        assert report.codegree_margins[1] == 1.0 and report.edge_margin == 1.0
+        assert report.passes
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.integers(2, 5), st.integers(0, 10**6), st.data())
+    def test_minimal_pair_passes(self, x_size, s, e_count, data):
+        # a witness with edges has codegrees up to e; one without has none
+        codegrees = {i: data.draw(st.integers(0, e_count)) for i in range(1, s + 1)}
+        witness = WitnessSubgraph(None, e_count, codegrees)
+        report = check_uniform_density(witness, x_size)
+        assert report.passes
+        assert report.minimal_alpha == Fraction(e_count, x_size ** s)
+        # lam is the quotient, or the float below it fails
+        units = _codegree_units(e_count / x_size, s)
+        quotient = max((d / u for d, u in zip(codegrees.values(), units) if u > 0), default=0.0)
+        below = check_uniform_density(witness, x_size,
+                                      lam=math.nextafter(report.minimal_lambda, 0.0))
+        assert report.minimal_lambda == quotient or not below.passes
 
     def test_zero_x_size_rejected(self):
         _, witness = density_witness(bipartite_2_3_witness(), range(5))

@@ -447,6 +447,26 @@ class TestCli:
         assert out == ""
         assert err == f"erlab {command}: error: --threshold must be non-negative, got {value}\n"
 
+    @pytest.mark.parametrize("command", ["construct", "density"])
+    def test_negative_samples_rejected(self, tmp_path, capsys, command):
+        # without the check, construct certified vacuously on no sampled set
+        inst = tmp_path / "inst"
+        construct = ["construct", "--s", "5", "--b", "3", "--t", "4", "--n", "64", "--k", "4",
+                     "--R", "5", "--seed", "7", "--out-dir", str(inst)]
+        if command == "construct":
+            argv = construct + ["--samples", "-5", "--threshold", "16"]
+        else:
+            assert main(construct) == 0
+            capsys.readouterr()
+            argv = ["density", "--instance", str(inst), "--samples", "-5", "--threshold", "16"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"erlab {command}: error: sample count must be non-negative, got -5\n"
+        assert (command == "density") == inst.exists()
+
     def test_exponents_json(self, capsys):
         assert main(["exponents", "--s", "5", "--t", "4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
