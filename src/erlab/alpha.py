@@ -279,8 +279,9 @@ def alteration_set(n: int, families, seed: int) -> tuple[int, ...]:
 
 # factor on both extractors' branch thresholds, n^(a_t / a_{t-g(i)}) and n^beta
 THRESHOLD_SCALE = 1.0
-# most K_s copies an extractor enumerates before it raises BudgetError
-CLIQUE_CAP = 500_000
+# most (i-1)-tuples one recursive extraction scans, over every i and depth,
+# before it raises BudgetError
+SCAN_CAP = 2_000_000
 
 
 @dataclass
@@ -300,8 +301,6 @@ def recursive_free_subset(
     coloring: EdgeColoring,
     s: int,
     t: int | None = None,
-    scan_cap: int = 2_000_000,
-    clique_cap: int = CLIQUE_CAP,
     seed: int = 0,
 ) -> ExtractionResult:
     """K_s-free subset via the recursive dichotomy: look for an (i-1)-tuple
@@ -311,7 +310,7 @@ def recursive_free_subset(
     alteration sampler on the K_s-copy hypergraph.
 
     Thresholds are n^(a_t / a_{t-g(i)}) from the exact exponent table,
-    scaled by ``THRESHOLD_SCALE``.  ``scan_cap`` bounds the tuples scanned
+    scaled by ``THRESHOLD_SCALE``.  ``SCAN_CAP`` bounds the tuples scanned
     by the whole extraction, over every size i and recursion depth.
     """
     if s < 2:
@@ -320,13 +319,13 @@ def recursive_free_subset(
         t = coloring.t
     _check_precondition(graph, coloring)
 
-    result = _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, depth=0)
+    result = _recursive_step(graph, coloring, s, t, SCAN_CAP, seed, depth=0)
     if not is_free_set(graph, result.vertices, s):
         raise ExtractionError("extractor produced a set containing a clique", result.vertices)
     return result
 
 
-def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, depth) -> ExtractionResult:
+def _recursive_step(graph, coloring, s, t, scan_budget, seed, depth) -> ExtractionResult:
     n = graph.n
     if n == 0:
         return ExtractionResult((), [f"depth {depth}: empty graph"])
@@ -346,7 +345,7 @@ def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, depth) ->
         a_prev = exponent_lower(s, t - gi).value
         threshold = THRESHOLD_SCALE * n ** float(exponent.value / a_prev)
         need = max(1, math.ceil(threshold))
-        hit, used = _scan_tuples(graph, coloring, i, gi, need, scan_cap - scanned)
+        hit, used = _scan_tuples(graph, coloring, i, gi, need, scan_budget - scanned)
         scanned += used
         if hit is None:
             continue
@@ -362,7 +361,7 @@ def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, depth) ->
             {v: idx for idx, v in enumerate(old_ids)}
         )
         inner = _recursive_step(
-            sub, sub_coloring, s, t - gi, scan_cap - scanned, clique_cap, seed, depth + 1
+            sub, sub_coloring, s, t - gi, scan_budget - scanned, seed, depth + 1
         )
         verts = tuple(sorted(old_ids[v] for v in inner.vertices))
         path = [
@@ -371,7 +370,7 @@ def _recursive_step(graph, coloring, s, t, scan_cap, clique_cap, seed, depth) ->
         ] + inner.path
         return ExtractionResult(verts, path)
 
-    cliques = enumerate_cliques(graph, s, clique_cap)
+    cliques = enumerate_cliques(graph, s)
     verts = alteration_set(n, [cliques], seed)
     return ExtractionResult(verts, [f"depth {depth}: alteration over {len(cliques)} cliques"])
 
@@ -464,9 +463,9 @@ def lay3_free_subset(
     power = (s - 1) / (s + s_half - 2)
     scale = n ** (float(alpha) * (s - s_half) / (s + s_half - 2))
     small = [d_st[x] <= xis[x] ** power / scale for x in range(n)]
-    family_s = {cl for cl in enumerate_cliques(graph, s, CLIQUE_CAP)
+    family_s = {cl for cl in enumerate_cliques(graph, s)
                 if any(small[x] and _ordering_satisfies(coloring, x, cl, None) for x in cl)}
-    family_half = {cl for cl in enumerate_cliques(graph, s_half, CLIQUE_CAP)
+    family_half = {cl for cl in enumerate_cliques(graph, s_half)
                    if any(not small[x] and _ordering_satisfies(coloring, x, cl, tallies[x][0][1])
                           for x in cl)}
     verts = alteration_set(n, [sorted(family_s), sorted(family_half)], seed)

@@ -10,7 +10,6 @@ from pathlib import Path
 
 from . import io as eio
 from .alpha import (
-    CLIQUE_CAP,
     BudgetError,
     ExtractionError,
     alpha_exact,
@@ -211,7 +210,7 @@ def _cmd_extract(args) -> int:
         result = lay3_free_subset(graph, coloring, args.s, seed=args.seed)
         verts, path = result.vertices, result.path
     else:
-        cliques = enumerate_cliques(graph, args.s, CLIQUE_CAP)
+        cliques = enumerate_cliques(graph, args.s)
         verts = alteration_set(graph.n, [cliques], args.seed)
         path = [f"alteration over {len(cliques)} cliques"]
     valid = is_free_set(graph, verts, args.s)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alpha import CLIQUE_CAP
 from .construct import DensityProfile, SparsifiedIncidence, blow_up, density_profile, dyadic_profile
 from .graphs import Graph, GraphError, enumerate_cliques
 from .util import iter_bits
@@ -154,10 +153,10 @@ def hypergraph_blow_up(hyperedges, k: int) -> set[tuple[int, ...]]:
 def blow_up_transfer_report(graph: Graph, k: int, s: int) -> dict:
     """Compare the K_s-hypergraph of the k-blow-up with the k-blow-up of the
     K_s-hypergraph, plus the exact vertex/edge count identities; BudgetError
-    when either graph holds more than ``CLIQUE_CAP`` copies of K_s."""
+    when either graph holds more copies of K_s than ``enumerate_cliques`` lists."""
     blown = blow_up(graph, k)
-    lifted = hypergraph_blow_up(enumerate_cliques(graph, s, CLIQUE_CAP), k)
-    direct = set(enumerate_cliques(blown, s, CLIQUE_CAP))
+    lifted = hypergraph_blow_up(enumerate_cliques(graph, s), k)
+    direct = set(enumerate_cliques(blown, s))
     return {
         "equal": lifted == direct,
         "lifted_count": len(lifted),

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import io as eio
 from .alpha import (
-    CLIQUE_CAP,
     BudgetError,
     ExtractionError,
     alpha_exact,
@@ -44,7 +43,7 @@ from .io import FormatError
 from .util import derive_seed
 
 ASYMPTOTIC_LABEL = "asymptotic — reported, not asserted"
-BUDGET_KEYS = ("alpha_nodes", "scan_cap", "clique_cap", "construct_ms")
+BUDGET_KEYS = ("alpha_nodes", "construct_ms")
 
 
 def _is_int(value) -> bool:
@@ -172,8 +171,6 @@ def _fit_with_ci(points):
 def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
     budgets = config.budgets
     alpha_nodes = budgets.get("alpha_nodes", 2_000_000)
-    scan_cap = budgets.get("scan_cap", 2_000_000)
-    clique_cap = budgets.get("clique_cap", CLIQUE_CAP)
     construct_ms = budgets.get("construct_ms")
 
     t0 = time.monotonic()
@@ -205,10 +202,7 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
         if alpha_nodes < g.n:
             lo = max(lo, len(greedy_free_subset(g, config.s)))
         try:
-            extraction = recursive_free_subset(
-                g, bundle.coloring, config.s, t=config.t,
-                scan_cap=scan_cap, clique_cap=clique_cap, seed=seed,
-            )
+            extraction = recursive_free_subset(g, bundle.coloring, config.s, t=config.t, seed=seed)
             lo = max(lo, len(extraction.vertices))
         except (BudgetError, ExtractionError) as exc:
             note = (note + "; " if note else "") + f"extractor: {exc}"

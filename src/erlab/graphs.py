@@ -223,15 +223,20 @@ def _cliques(rows: list[int], cand: int, need: int, prefix: tuple[int, ...]):
             yield from _cliques(rows, cand & rows[v], need - 1, prefix + (v,))
 
 
-def enumerate_cliques(graph: Graph, s: int, cap: int) -> list[tuple[int, ...]]:
+# most K_s copies enumerate_cliques lists before it raises BudgetError
+CLIQUE_CAP = 500_000
+
+
+def enumerate_cliques(graph: Graph, s: int) -> list[tuple[int, ...]]:
     """All s-element vertex sets inducing a complete subgraph, in
-    lexicographic order; BudgetError once cap + 1 of them are found, before
-    any more."""
+    lexicographic order; BudgetError once ``CLIQUE_CAP`` + 1 of them are
+    found, before any more."""
     if s < 2:
         raise GraphError("clique order must be at least 2")
-    cliques = list(itertools.islice(_cliques(graph._rows, graph.full_mask(), s, ()), cap + 1))
-    if len(cliques) > cap:
-        raise BudgetError(f"{len(cliques)} K_{s} copies exceed the cap {cap}")
+    found = _cliques(graph._rows, graph.full_mask(), s, ())
+    cliques = list(itertools.islice(found, CLIQUE_CAP + 1))
+    if len(cliques) > CLIQUE_CAP:
+        raise BudgetError(f"{len(cliques)} K_{s} copies exceed the cap {CLIQUE_CAP}")
     return cliques
 
 

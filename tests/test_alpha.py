@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlab import alpha, graphs
+from erlab import io as eio
 from erlab.alpha import (
-    CLIQUE_CAP,
     BudgetError,
     ExtractionError,
     alpha_exact,
@@ -23,7 +23,9 @@ from erlab.alpha import (
     lay3_free_subset,
     recursive_free_subset,
 )
+from erlab.cli import main
 from erlab.construct import ConstructionParams, construct_upper_bound_instance
+from erlab.density import blow_up_transfer_report
 from erlab.graphs import EdgeColoring, Graph, GraphError, enumerate_cliques, first_clique
 
 from oracles import (
@@ -299,43 +301,50 @@ class TestRecursiveExtractor:
 
     def test_scan_budget(self, monkeypatch):
         monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
+        monkeypatch.setattr(alpha, "SCAN_CAP", 0)
+        monkeypatch.setattr(graphs, "CLIQUE_CAP", 0)
         g, col = mono_free_colored_graph(40, 2, 0.3, seed=9)
         with pytest.raises(BudgetError):
-            recursive_free_subset(g, col, 5, scan_cap=0, clique_cap=0)
+            recursive_free_subset(g, col, 5)
 
     def test_scan_cap_is_cumulative(self, monkeypatch):
         # no tuple reaches the threshold, so sizes i = 2, 3, 4 scan all
         # C(16, 1) + C(16, 2) + C(16, 3) = 16 + 120 + 560 = 696 tuples
         monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.3, seed=9)
-        res = recursive_free_subset(g, col, 4, scan_cap=696)
+        monkeypatch.setattr(alpha, "SCAN_CAP", 696)
+        res = recursive_free_subset(g, col, 4)
         assert res.path[0].startswith("depth 0: alteration")
+        monkeypatch.setattr(alpha, "SCAN_CAP", 695)
         with pytest.raises(BudgetError):
-            recursive_free_subset(g, col, 4, scan_cap=695)
+            recursive_free_subset(g, col, 4)
 
     def test_alteration_over_every_clique(self, monkeypatch):
         monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
-        count = len(enumerate_cliques(g, 4, CLIQUE_CAP))
+        count = len(enumerate_cliques(g, 4))
         assert count > 0
         res = recursive_free_subset(g, col, 4, seed=3)
         assert res.path == [f"depth 0: alteration over {count} cliques"]
-        assert res.vertices == alteration_set(16, [enumerate_cliques(g, 4, CLIQUE_CAP)], seed=3)
+        assert res.vertices == alteration_set(16, [enumerate_cliques(g, 4)], seed=3)
 
     def test_clique_cap(self, monkeypatch):
         monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
         g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
-        count = len(enumerate_cliques(g, 4, CLIQUE_CAP))
-        recursive_free_subset(g, col, 4, clique_cap=count)
+        count = len(enumerate_cliques(g, 4))
+        monkeypatch.setattr(graphs, "CLIQUE_CAP", count)
+        recursive_free_subset(g, col, 4)
+        monkeypatch.setattr(graphs, "CLIQUE_CAP", count - 1)
         with pytest.raises(BudgetError, match=f"^{count} K_4 copies exceed the cap {count - 1}$"):
-            recursive_free_subset(g, col, 4, clique_cap=count - 1)
+            recursive_free_subset(g, col, 4)
 
 
 class TestCappedCliques:
-    def test_lists_every_clique_within_the_cap(self):
+    def test_lists_every_clique_within_the_cap(self, monkeypatch):
         g = random_graph(14, 0.6, seed=4)
         cliques = naive_cliques(g, 4)
-        assert enumerate_cliques(g, 4, len(cliques)) == cliques
+        monkeypatch.setattr(graphs, "CLIQUE_CAP", len(cliques))
+        assert enumerate_cliques(g, 4) == cliques
 
     @pytest.mark.parametrize("cap", [0, 1, 10, 494])
     def test_raises_after_at_most_cap_plus_one(self, monkeypatch, cap):
@@ -351,21 +360,47 @@ class TestCappedCliques:
                 yield clique
 
         monkeypatch.setattr(graphs, "_cliques", counted)
+        monkeypatch.setattr(graphs, "CLIQUE_CAP", cap)
         # K_12 holds C(12, 4) = 495 copies of K_4
         with pytest.raises(BudgetError, match=f"^{cap + 1} K_4 copies exceed the cap {cap}$"):
-            enumerate_cliques(Graph.complete(12), 4, cap)
+            enumerate_cliques(Graph.complete(12), 4)
         assert len(drawn) == cap + 1
 
     def test_clique_order_below_2_rejected(self):
         with pytest.raises(GraphError):
-            enumerate_cliques(Graph.complete(3), 1, CLIQUE_CAP)
+            enumerate_cliques(Graph.complete(3), 1)
 
     def test_lay3_families_branch_is_capped(self, monkeypatch):
         edges = {(2 * i, 2 * i + 1): i + 1 for i in range(5)}  # 5 copies of K_2
         g, col = Graph(10, edges), EdgeColoring(5, edges)
-        monkeypatch.setattr(alpha, "CLIQUE_CAP", 4)
+        monkeypatch.setattr(graphs, "CLIQUE_CAP", 4)
         with pytest.raises(BudgetError, match="^5 K_2 copies exceed the cap 4$"):
             lay3_free_subset(g, col, 3)
+
+    def test_one_cap_rules_every_caller(self, monkeypatch, tmp_path, capsys):
+        # graphs.CLIQUE_CAP is read at call time by the one lister, so one
+        # patch caps every caller: each stops after 5 copies against a cap of 4
+        monkeypatch.setattr(graphs, "CLIQUE_CAP", 4)
+        monkeypatch.setattr(alpha, "THRESHOLD_SCALE", 1e9)
+        g, col = mono_free_colored_graph(16, 2, 0.5, seed=2)
+        k2s = {(2 * i, 2 * i + 1): i + 1 for i in range(5)}  # 5 copies of K_2
+        message = "^5 K_{} copies exceed the cap 4$"
+        for call, s in [
+            (lambda: enumerate_cliques(Graph.complete(12), 4), 4),
+            (lambda: recursive_free_subset(g, col, 4), 4),
+            (lambda: lay3_free_subset(Graph(10, k2s), EdgeColoring(5, k2s), 3), 2),
+            (lambda: blow_up_transfer_report(Graph.complete(12), 2, 4), 4),
+        ]:
+            with pytest.raises(BudgetError, match=message.format(s)):
+                call()
+
+        eio.write_graph(tmp_path / "g.txt", g)
+        eio.write_coloring(tmp_path / "c.txt", col)
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--graph", str(tmp_path / "g.txt"), "--coloring",
+                  str(tmp_path / "c.txt"), "--s", "4", "--method", "alteration"])
+        assert exc.value.code == 3
+        assert capsys.readouterr() == ("", "erlab extract: error: 5 K_4 copies exceed the cap 4\n")
 
 
 class TestLay3Extractor:

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erlab import construct
-from erlab.alpha import CLIQUE_CAP
+from erlab import construct, graphs
 from erlab.construct import (
     CertificationError,
     ConstructionParams,
@@ -250,7 +249,7 @@ class TestSparsify:
     def test_no_k_s_plus_1_within_clique(self):
         g, cover = incidence_graph(sunflower(12))
         sp = sparsify(g, cover, 4, seed=5, threshold=g.n + 1)
-        assert enumerate_cliques(sp.graph, 5, CLIQUE_CAP) == []
+        assert enumerate_cliques(sp.graph, 5) == []
 
     def test_never_adds_edges(self):
         H, _ = build_linear_tf_hypergraph(40, 3, seed=6)
@@ -563,7 +562,7 @@ class TestPipeline:
         bundle = construct_upper_bound_instance(params, 32)
         assert params.ell == 1
         assert bundle.coloring.colors_used() <= {1}
-        assert enumerate_cliques(bundle.final, 3, CLIQUE_CAP) == []
+        assert enumerate_cliques(bundle.final, 3) == []
 
     @pytest.mark.parametrize(_POINT, [*_BATTERY_POINTS, (2, 3, 1, 32, 1, 3, 1.0, 1)])
     def test_coloring_matches_reference(self, s, b, t, n, k, R, retention_p, seed):
@@ -639,3 +638,25 @@ class TestPipeline:
         ):
             assert name in checks
             assert checks[name]["pass"] is True
+
+    def test_two_cover_searches_per_instance(self, monkeypatch):
+        # validation's triangle search is order 3's cover check, since a
+        # linear H's incidence graph is the graph that search runs on; only
+        # order 4 is searched again
+        orders = []
+        real = graphs.uncovered_clique
+
+        def counted(graph, cover, b):
+            orders.append(b)
+            return real(graph, cover, b)
+
+        monkeypatch.setattr(graphs, "uncovered_clique", counted)
+        monkeypatch.setattr(construct, "uncovered_clique", counted)
+        params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=7)
+        bundle = construct_upper_bound_instance(params, 64)
+        assert orders == [3, 4]
+        checks = bundle.certificate["checks"]
+        for order in (3, 4):
+            witness = uncovered_clique(bundle.incidence, bundle.cover, order)
+            assert checks[f"cliques_of_order_{order}_covered"] == {"pass": witness is None,
+                                                                   "witness": witness}

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erlab import experiment
-from erlab.alpha import CLIQUE_CAP, BudgetError, alpha_exact, greedy_free_subset
+from erlab import experiment, graphs
+from erlab.alpha import BudgetError, alpha_exact, greedy_free_subset
 from erlab.cli import load_instance, main
 from erlab.construct import ConstructionParams, construct_upper_bound_instance
 from erlab.experiment import (
@@ -214,9 +214,12 @@ class TestRunExperiment:
             ("seeds", {"seeds": 5}),
             ("seeds", {"seeds": [1, "2"]}),
             ("n_list", {"n_list": [16, True]}),
-            ("scan_cap", {"budgets": {"scan_cap": "x"}}),
+            ("^budgets key 'scan_cap' is not one of alpha_nodes, construct_ms$",
+             {"budgets": {"scan_cap": 10}}),
+            ("^budgets key 'clique_cap' is not one of alpha_nodes, construct_ms$",
+             {"budgets": {"clique_cap": 10}}),
             ("'exact_threshold' is not one of", {"budgets": {"exact_threshold": 64}}),
-            ("alpha_nodes", {"budgets": {"alpha_nodes": 1.5}}),
+            ("^budgets 'alpha_nodes' must be an integer", {"budgets": {"alpha_nodes": 1.5}}),
             ("alpha_node", {"budgets": {"alpha_node": 5}}),
             ("budgets", {"budgets": [5]}),
         ]:
@@ -224,7 +227,7 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match=field_name):
                 ExperimentConfig(**base)
         config = ExperimentConfig(s=5, b=3, t=2, n_list=[16], seeds=[1],
-                                  budgets={"construct_ms": None, "scan_cap": 10})
+                                  budgets={"construct_ms": None, "alpha_nodes": 10})
         assert config.budgets["construct_ms"] is None
 
     @pytest.mark.parametrize("name, policy", [
@@ -599,7 +602,7 @@ class TestCli:
         assert err.startswith(f"erlab {argv[0]}: error: ") and err.count("\n") == 1
 
     def test_alteration_over_the_clique_cap_exits_3(self, tmp_path, capsys):
-        # K_40 holds C(40, 5) = 658 008 copies of K_5, above CLIQUE_CAP
+        # K_40 holds C(40, 5) = 658 008 copies of K_5, above graphs.CLIQUE_CAP
         pairs = list(itertools.combinations(range(40), 2))
         (tmp_path / "k40.txt").write_text(f"graph 40 {len(pairs)}\n"
                                           + "".join(f"{u} {v}\n" for u, v in pairs))
@@ -610,8 +613,8 @@ class TestCli:
         assert exc.value.code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"erlab extract: error: {CLIQUE_CAP + 1} K_5 copies exceed "
-                       f"the cap {CLIQUE_CAP}\n")
+        assert err == (f"erlab extract: error: {graphs.CLIQUE_CAP + 1} K_5 copies exceed "
+                       f"the cap {graphs.CLIQUE_CAP}\n")
 
     @pytest.mark.parametrize("name", sorted(_BAD_STRUCTURES))
     def test_density_names_the_structure_fault(self, tmp_path, capsys, name):
@@ -692,9 +695,15 @@ class TestCli:
                      id="fixed-without-value"),
         pytest.param({"seeds": 5}, "seeds must be a non-empty list of integers, got 5",
                      id="seeds-not-a-list"),
-        pytest.param({"budgets": {"scan_cap": "x"}},
-                     "budgets 'scan_cap' must be an integer, got 'x'",
+        pytest.param({"budgets": {"alpha_nodes": "x"}},
+                     "budgets 'alpha_nodes' must be an integer, got 'x'",
                      id="budget-not-an-integer"),
+        pytest.param({"budgets": {"scan_cap": 10}},
+                     "budgets key 'scan_cap' is not one of alpha_nodes, construct_ms",
+                     id="scan-cap-not-a-budget"),
+        pytest.param({"budgets": {"clique_cap": 10}},
+                     "budgets key 'clique_cap' is not one of alpha_nodes, construct_ms",
+                     id="clique-cap-not-a-budget"),
         pytest.param({"s": "5"}, "s must be an integer, got '5'", id="s-not-an-integer"),
         pytest.param({"out_dir": 7}, "out_dir must be a string, got 7", id="out-dir-not-a-string"),
     ])

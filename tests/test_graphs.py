@@ -26,7 +26,6 @@ from erlab.graphs import (
     validate_hypergraph,
 )
 from erlab import graphs
-from erlab.alpha import CLIQUE_CAP
 from erlab import io as eio
 from erlab.checkers import _naive_most_frequent
 from erlab.util import iter_bits
@@ -110,20 +109,20 @@ class TestGraph:
 
 class TestEnumerateCliques:
     def test_k4_triangles(self):
-        assert enumerate_cliques(Graph.complete(4), 3, CLIQUE_CAP) == [
+        assert enumerate_cliques(Graph.complete(4), 3) == [
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
         ]
 
     def test_c5_triangle_free(self):
-        assert enumerate_cliques(cycle(5), 3, CLIQUE_CAP) == []
+        assert enumerate_cliques(cycle(5), 3) == []
 
     def test_seeded_random_matches_naive_oracle(self):
         g = random_graph(18, 0.5, seed=42)
-        assert enumerate_cliques(g, 4, CLIQUE_CAP) == naive_cliques(g, 4)
+        assert enumerate_cliques(g, 4) == naive_cliques(g, 4)
 
     def test_rejects_s_below_2(self):
         with pytest.raises(GraphError):
-            enumerate_cliques(Graph.complete(3), 1, CLIQUE_CAP)
+            enumerate_cliques(Graph.complete(3), 1)
 
     @given(st.integers(0, 9), st.integers(0, 4), st.data())
     @settings(max_examples=80, deadline=None)
@@ -148,11 +147,11 @@ class TestEnumerateCliques:
         ]
         if s < 2:
             with pytest.raises(GraphError):
-                enumerate_cliques(g, s, CLIQUE_CAP)
+                enumerate_cliques(g, s)
             with pytest.raises(GraphError):
                 uncovered_clique(g, cover, s)
         else:
-            assert enumerate_cliques(g, s, CLIQUE_CAP) == naive
+            assert enumerate_cliques(g, s) == naive
             assert uncovered_clique(g, cover, s) == (uncovered[0] if uncovered else None)
 
 
@@ -243,7 +242,7 @@ class TestIncidenceGraph:
     def test_sunflower_triangle_is_covered(self):
         H = LinearHypergraph(8, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
         g, cover = incidence_graph(H)
-        assert enumerate_cliques(g, 3, CLIQUE_CAP) == [(0, 1, 2)]
+        assert enumerate_cliques(g, 3) == [(0, 1, 2)]
         assert uncovered_clique(g, cover, 3) is None
 
     def test_rejects_nonlinear(self):
