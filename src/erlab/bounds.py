@@ -62,7 +62,8 @@ def exponent_lower(s: int, t: int) -> ExponentResult:
     1/a_t = 1 + (1/(s-1)) * sum_{i=2..s} 1/a_{t-g(i)}.
 
     Reads the default table and g table, and is memoised per process: the
-    recursive extractor asks it again at every step.
+    recursive extractor asks it again at every step.  The recursion runs on
+    an explicit stack, so t is not bounded by Python's recursion limit.
     """
     if s < 2:
         raise GraphError("s must be at least 2")
@@ -74,7 +75,9 @@ def exponent_lower(s: int, t: int) -> ExponentResult:
     memo: dict[int, tuple[Fraction, str]] = {}
     trace: list[tuple] = []
 
-    def a(tt: int) -> Fraction:
+    # a(tt) yields each index it recurses on and is sent back that index's
+    # value; the loop below keeps the pending calls on ``stack``
+    def a(tt: int):
         if tt < 0:
             raise UnresolvedRamseyError(
                 f"recursion reached negative color count t={tt}"
@@ -94,13 +97,22 @@ def exponent_lower(s: int, t: int) -> ExponentResult:
             for i in range(2, s + 1):
                 gi = g_table.value(i)
                 trace.append(("g", i, gi))
-                inv += Fraction(1, s - 1) / a(tt - gi)
+                inv += Fraction(1, s - 1) / (yield tt - gi)
             val, regime = 1 / inv, RECURSIVE
         memo[tt] = (val, regime)
         trace.append(("a", tt, str(val), regime))
         return val
 
-    value = a(t)
+    stack, value = [a(t)], None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(a(child))
+            value = None
     return ExponentResult(value, memo[t][1], tuple(trace))
 
 

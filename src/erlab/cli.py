@@ -98,6 +98,9 @@ def load_instance(instance_dir) -> SparsifiedIncidence:
 
 def _cmd_density(args) -> int:
     _reject_negative_threshold(args)
+    if args.threshold == 0:
+        # sizes are drawn from threshold..n, and an empty X has no witness
+        raise GraphError("--threshold must be positive, got 0")
     sparsified = load_instance(args.instance)
     threshold = args.threshold if args.threshold is not None else sparsified.cover.n_ground
     n = sparsified.graph.n

@@ -25,7 +25,6 @@ from .graphs import (
     GraphError,
     LinearHypergraph,
     cover_partitions_edges,
-    incidence_graph,
     uncovered_clique,
     validate_hypergraph,
 )
@@ -454,7 +453,7 @@ def construct_upper_bound_instance(
     validation = validate_hypergraph(H)
     if not (validation.linear and validation.triangle_free):
         raise CertificationError("packed hypergraph failed validation", {"witness": validation.witness})
-    incidence, cover = incidence_graph(H)
+    incidence, cover = validation.incidence, validation.cover
 
     sparsified = sparsify(
         incidence,
@@ -521,8 +520,8 @@ def construct_upper_bound_instance(
     over = next((c for c in used if c > t), None)
 
     s_partite = _check_complete_s_partite(sparsified)
-    # H is linear, so validation's triangle search ran on this incidence
-    # graph and cover: it is the order-3 check, and only order 4 runs here
+    # validation's triangle search ran on this incidence graph and cover:
+    # it is the order-3 check, and only order 4 runs here
     uncovered_k4 = uncovered_clique(incidence, cover, 4)
 
     certificate = {

@@ -353,7 +353,7 @@ def _naive_alpha(graph: Graph, s: int) -> int:
     return best
 
 
-def verify_suite(level: str = "fast") -> list[CheckOutcome]:
+def verify_suite(level: str) -> list[CheckOutcome]:
     """Run the self-verification checks; ``full`` adds pipeline certification
     and ordering sweeps.  Callers decide process exit from the outcomes."""
     if level not in ("fast", "full"):

@@ -276,6 +276,8 @@ class HypergraphReport:
     linear: bool
     triangle_free: bool
     witness: tuple[int, ...] | None  # edge index pair (linearity) or triple (triangle)
+    cover: CliqueCover  # each ground vertex's hyperedges, K_v
+    incidence: Graph | None  # H's incidence graph when H is linear, else None
 
 
 def check_hypergraph_shape(H: LinearHypergraph) -> None:
@@ -334,7 +336,8 @@ def validate_hypergraph(H: LinearHypergraph) -> HypergraphReport:
     graph of edges meeting in exactly one vertex that no K_v (the edges
     through ground vertex v) holds.  The witness is the first violation in
     lexicographic order on edge indices; linearity violations take
-    precedence in the report's ``witness`` field.
+    precedence in the report's ``witness`` field.  The report also carries
+    the cover and, for linear H, the incidence graph it checked.
     """
     check_hypergraph_shape(H)
     cover = _edges_through(H)
@@ -346,22 +349,24 @@ def validate_hypergraph(H: LinearHypergraph) -> HypergraphReport:
         linear=linear_witness is None,
         triangle_free=triangle_witness is None,
         witness=linear_witness or triangle_witness,
+        cover=cover,
+        incidence=single if linear_witness is None else None,
     )
 
 
 def incidence_graph(H: LinearHypergraph) -> tuple[Graph, CliqueCover]:
-    """Edge-vertex incidence graph of a certified-linear H.
+    """Edge-vertex incidence graph of a certified-linear H, read from its
+    ``validate_hypergraph`` report.
 
     Vertices are hyperedge indices, adjacent iff the hyperedges intersect;
     the cover maps each ground vertex v to the clique K_v of hyperedges
-    through v.  Rejects non-linear input with the first violating pair.
+    through v.  Rejects malformed input with MalformedHypergraphError and
+    non-linear input with the first violating pair.
     """
-    cover = _edges_through(H)
-    once, twice = _meets(cover.cliques.values(), H.m)
-    pair = _first_pair(twice)
-    if pair is not None:
-        raise NonLinearError(pair)
-    return Graph.from_rows(once), cover
+    report = validate_hypergraph(H)
+    if report.incidence is None:
+        raise NonLinearError(report.witness)
+    return report.incidence, report.cover
 
 
 def cover_partitions_edges(graph: Graph, cover: CliqueCover):

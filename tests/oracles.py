@@ -11,8 +11,10 @@ bound and counting enumeration as they were before their clique tests were
 memoised and the branch and bound became one loop: they recurse, and ask
 ``first_clique`` afresh at every node.  The reference coloring search is the
 package's recursive backtrack over per-vertex color sets, as it was before
-it became one loop over bitmask state.  The recursive searches raise the
-interpreter's recursion limit to their depth.
+it became one loop over bitmask state.  The reference lower exponent is
+``bounds.exponent_lower`` as it was before its recursion moved onto an
+explicit stack.  The recursive searches raise the interpreter's recursion
+limit to their depth.
 """
 
 from __future__ import annotations
@@ -21,17 +23,21 @@ import collections
 import functools
 import itertools
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from erlab.alpha import AlphaResult
+from erlab.bounds import HALF, LAY3, RECURSIVE, SATURATED, default_g_table
 from erlab.construct import RETRY_LIMIT, OverlayRecord, blow_up
 from erlab.freeness import (
     FOUND,
     INCONCLUSIVE,
     NONE,
     SearchResult,
+    UnresolvedRamseyError,
     _edge_order,
+    default_table,
     find_mono_clique,
     mono_free_pattern,
 )
@@ -678,3 +684,37 @@ def naive_last_vertex_tries(others, rows_by_color, seen, used, palette_cap, loca
         return False
 
     return None if visit(0, {}, used) else tries
+
+
+def reference_exponent_lower(s: int, t: int) -> tuple:
+    """(value, regime, trace) of the lower exponent by direct recursion on
+    a(t), one Python frame per color count."""
+    ensure_recursion_depth(t)
+    table, g_table = default_table(), default_g_table()
+    memo: dict[int, tuple] = {}
+    trace: list[tuple] = []
+
+    def a(tt: int):
+        if tt < 0:
+            raise UnresolvedRamseyError(f"recursion reached negative color count t={tt}")
+        if tt in memo:
+            return memo[tt][0]
+        if table.r_le(tt, 3, s):
+            val, regime = Fraction(1), SATURATED
+        elif table.r_le(tt - 1, 3, s):
+            val, regime = Fraction(1, 2), HALF
+        elif s >= 3 and table.r_le(tt - 2, 3, s):
+            half_up = (s + 1) // 2
+            val, regime = Fraction(s + half_up - 3, 2 * s + 2 * half_up - 5), LAY3
+        else:
+            inv = Fraction(1)
+            for i in range(2, s + 1):
+                gi = g_table.value(i)
+                trace.append(("g", i, gi))
+                inv += Fraction(1, s - 1) / a(tt - gi)
+            val, regime = 1 / inv, RECURSIVE
+        memo[tt] = (val, regime)
+        trace.append(("a", tt, str(val), regime))
+        return val
+
+    return a(t), memo[t][1], tuple(trace)

@@ -22,7 +22,7 @@ from erlab.checkers import check_half_sequence, check_ordering
 from erlab.freeness import UnresolvedRamseyError, default_table, find_mono_clique
 from erlab.graphs import EdgeColoring, Graph, GraphError
 
-from oracles import sample_mono_free_coloring
+from oracles import reference_exponent_lower, sample_mono_free_coloring
 
 
 class TestExponentLower:
@@ -56,6 +56,12 @@ class TestExponentLower:
         for i in range(2, 6):
             inv += Fraction(1, 4) / consumed[4 - g_used[i]]
         assert 1 / inv == res.value
+
+    def test_large_t_matches_recursion(self):
+        # the recursion needs about 1 200 frames here, beyond Python's default limit
+        res = exponent_lower(5, 1200)
+        assert res.regime == RECURSIVE
+        assert (res.value, res.regime, res.trace) == reference_exponent_lower(5, 1200)
 
     def test_regime_consistency(self):
         table = default_table()

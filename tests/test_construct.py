@@ -639,6 +639,25 @@ class TestPipeline:
             assert name in checks
             assert checks[name]["pass"] is True
 
+    def test_one_cover_and_two_meet_passes_per_instance(self, monkeypatch):
+        # validation builds H's cover and incidence graph for the pipeline;
+        # only sparsification's cover check makes the meet pass again
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(graphs, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("_edges_through", "_meets"):
+            monkeypatch.setattr(graphs, name, counted(name))
+        params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=7)
+        construct_upper_bound_instance(params, 64)
+        assert calls == {"_edges_through": 1, "_meets": 2}
+
     def test_two_cover_searches_per_instance(self, monkeypatch):
         # validation's triangle search is order 3's cover check, since a
         # linear H's incidence graph is the graph that search runs on; only

@@ -450,6 +450,21 @@ class TestCli:
         assert out == ""
         assert err == f"erlab {command}: error: --threshold must be non-negative, got {value}\n"
 
+    def test_density_rejects_zero_threshold(self, tmp_path, capsys):
+        # sizes are drawn from threshold..n, and seed 1 draws an empty set,
+        # which has no density witness: the threshold is refused up front
+        inst = tmp_path / "inst"
+        assert main(["construct", "--s", "5", "--b", "3", "--t", "4", "--n", "64", "--k", "4",
+                     "--R", "5", "--seed", "7", "--out-dir", str(inst)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--instance", str(inst), "--samples", "5", "--seed", "1",
+                  "--threshold", "0"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "erlab density: error: --threshold must be positive, got 0\n"
+
     @pytest.mark.parametrize("command", ["construct", "density"])
     def test_negative_samples_rejected(self, tmp_path, capsys, command):
         # without the check, construct certified vacuously on no sampled set

@@ -250,6 +250,29 @@ class TestIncidenceGraph:
             incidence_graph(LinearHypergraph(5, 3, [(1, 2, 3), (2, 3, 4)]))
         assert err.value.pair == (0, 1)
 
+    def test_rejects_malformed(self):
+        for edges, index in (([(0, 1, 2), (1, 2, 2)], 1), ([(0, 1, 2, 3)], 0),
+                             ([(0, 1, 2), (3, 4, 5)], 1)):
+            with pytest.raises(MalformedHypergraphError) as err:
+                incidence_graph(LinearHypergraph(5, 3, edges))
+            assert err.value.index == index
+
+    @given(_families())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_the_validation(self, family):
+        H = LinearHypergraph(*family)
+        rep = validate_hypergraph(H)
+        if not rep.linear:
+            assert rep.incidence is None
+            with pytest.raises(NonLinearError) as err:
+                incidence_graph(H)
+            assert err.value.pair == rep.witness
+            return
+        g, cover = incidence_graph(H)
+        assert [rep.incidence.row(u) for u in range(rep.incidence.n)] == [
+            g.row(u) for u in range(g.n)]
+        assert rep.cover == cover
+
     def test_cover_partitions_edges(self):
         H = LinearHypergraph(9, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)])
         g, cover = incidence_graph(H)

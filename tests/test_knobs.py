@@ -11,7 +11,7 @@ from pathlib import Path
 
 import erlab
 
-KNOBS = 68
+KNOBS = 67
 
 
 def count_knobs(paths) -> int:
