@@ -106,68 +106,104 @@ def _edge_order(graph: Graph) -> tuple[list[tuple[int, int]], int, int]:
     return edges, last, len(edges) - graph.degree(last)
 
 
-def _count_last_vertex(
-    others: list[int],
-    rows_by_color: list[list[int]],
-    seen: list[int],
-    used: int,
-    palette_cap: int,
-    local_bound: int | None,
-    b: int,
-    n: int,
-    limit: int,
-) -> int | None:
-    """The colors a failing visit to the last vertex w's edges tries,
-    counted breadth-first; None once the count reaches ``limit``, or when
-    some state survives the last edge (a complete coloring exists).
+class _LastVertexFrontier:
+    """The breadth-first count of visits to the last vertex w's edges, kept
+    between the visits of one search.
 
-    ``others[i]`` is the other end x of the visit's i-th edge.  The check on
-    (x, w) reads x's color rows and colors, which the visit leaves alone,
-    and w's colored neighbours so far.  So a state is just those neighbours,
-    color c's packed at bits (c-1)*n .. c*n-1, and each position's states
-    are grouped by (colors at w, colors in play), which fix the local check
-    and the number of colors tried.
+    ``count`` returns the colors a failing visit tries; None once the count
+    reaches ``limit``, or when some state survives the last edge (a complete
+    coloring exists).  ``others[i]`` is the other end x of the visit's i-th
+    edge.  The check on (x, w) reads x's color rows and colors, which the
+    visit leaves alone, and w's colored neighbours so far.  So a state is
+    just those neighbours, color c's packed at bits (c-1)*n .. c*n-1, and
+    each position's states are grouped by (colors at w, colors in play),
+    which fix the local check and the number of colors tried.
+
+    The states entering position i depend only on the colors in play at the
+    visit and, for each earlier position j, x_j's rows among the others
+    before it (with rows symmetric, these hold every row a K_b check reads)
+    and, under a local bound, x_j's colors.  The frontier keeps those inputs,
+    the layer entering each position and the colors tried before it, and a
+    visit recounts only from the first position whose inputs changed.
+    ``expanded`` counts the states of the layers it has counted from.
     """
-    layer = {(0, used): [0]}
-    tries = 0
-    final = len(others) - 1
-    for i, x in enumerate(others):
-        sx = seen[x]
-        x_full = local_bound is not None and sx.bit_count() >= local_bound
-        rows_x = [rows[x] for rows in rows_by_color]
-        after: dict[tuple[int, int], list[int]] = {}
-        for (sw, in_play), states in layer.items():
-            top = in_play + 1 if in_play < palette_cap else palette_cap
-            tries += len(states) * top
-            if tries >= limit:
-                return None
-            w_full = local_bound is not None and sw.bit_count() >= local_bound
-            for c in range(1, top + 1):
-                bit = 1 << c
-                if x_full and not sx & bit or w_full and not sw & bit:
-                    continue
-                off = (c - 1) * n
-                kids = states
-                # colors new since the visit began have no rows at x
-                if c <= used and rows_x[c - 1]:
-                    mask = rows_x[c - 1] << off
-                    if b == 3:
-                        kids = [s for s in states if not s & mask]
-                    else:
-                        rows = rows_by_color[c - 1]
-                        kids = [s for s in states if not s & mask
-                                or first_clique(rows, (s & mask) >> off, b - 2) is None]
-                    if not kids:
-                        continue
-                if i == final:
+
+    def __init__(self, others: list[int], palette_cap: int, local_bound: int | None,
+                 b: int, n: int):
+        self.others = others
+        self.palette_cap = palette_cap
+        self.local_bound = local_bound
+        self.b = b
+        self.n = n
+        self.prefix = [0]  # prefix[i]: the bits of others[:i]
+        for x in others[:-1]:
+            self.prefix.append(self.prefix[-1] | 1 << x)
+        self.used = None
+        self.keys: list[tuple[list[int], int]] = []  # keys[i]: position i's inputs
+        self.layers: list[dict[tuple[int, int], list[int]]] = [{}]  # entering each position
+        self.tries = [0]  # the colors tried before each position
+        self.expanded = 0
+
+    def count(self, rows_by_color: list[list[int]], seen: list[int], used: int,
+              limit: int) -> int | None:
+        others, layers, tries_at = self.others, self.layers, self.tries
+        palette_cap, local_bound, b, n = self.palette_cap, self.local_bound, self.b, self.n
+        keys = [([rows[x] & pre for rows in rows_by_color],
+                 seen[x] if local_bound is not None else 0)
+                for x, pre in zip(others, self.prefix)]
+        i = 0
+        if used == self.used:
+            while i < len(layers) - 1 and keys[i] == self.keys[i]:
+                i += 1
+        else:  # every layer holds the colors in play
+            self.used = used
+            layers[0] = {(0, used): [0]}
+        self.keys = keys
+        del layers[i + 1:], tries_at[i + 1:]
+        tries = tries_at[i]
+        if tries >= limit:
+            return None
+        layer = layers[i]
+        final = len(others) - 1
+        while layer:
+            x = others[i]
+            rows_x, sx = keys[i]
+            x_full = local_bound is not None and sx.bit_count() >= local_bound
+            self.expanded += sum(map(len, layer.values()))
+            after: dict[tuple[int, int], list[int]] = {}
+            for (sw, in_play), states in layer.items():
+                top = in_play + 1 if in_play < palette_cap else palette_cap
+                tries += len(states) * top
+                if tries >= limit:
                     return None
-                add = 1 << (x + off)
-                key = (sw | bit, c if c > in_play else in_play)
-                after.setdefault(key, []).extend([s | add for s in kids])
-        if not after:
-            break
-        layer = after
-    return tries
+                w_full = local_bound is not None and sw.bit_count() >= local_bound
+                for c in range(1, top + 1):
+                    bit = 1 << c
+                    if x_full and not sx & bit or w_full and not sw & bit:
+                        continue
+                    off = (c - 1) * n
+                    kids = states
+                    # colors new since the visit began have no rows at x
+                    if c <= used and rows_x[c - 1]:
+                        mask = rows_x[c - 1] << off
+                        if b == 3:
+                            kids = [s for s in states if not s & mask]
+                        else:
+                            rows = rows_by_color[c - 1]
+                            kids = [s for s in states if not s & mask
+                                    or first_clique(rows, (s & mask) >> off, b - 2) is None]
+                        if not kids:
+                            continue
+                    if i == final:
+                        return None
+                    add = 1 << (x + off)
+                    group = (sw | bit, c if c > in_play else in_play)
+                    after.setdefault(group, []).extend([s | add for s in kids])
+            layers.append(after)
+            tries_at.append(tries)
+            layer = after
+            i += 1
+        return tries
 
 
 def _check_search_parameters(t: int | None, b: int, local_bound: int | None) -> None:
@@ -201,12 +237,14 @@ def search_free_coloring(
 
     Most nodes of a large search lie on the last vertex's edges, which end
     the order.  Each fresh visit to them is first expanded breadth-first,
-    counting exactly the colors the loop would try there.  When no coloring
-    of them passes, the search adds that count to its nodes and backtracks.
-    The loop runs the visit itself when a coloring passes, so the witness is
-    the loop's, or when the count would reach ``node_budget`` or the next
-    clock read.  Nodes, witnesses and the budget and clock stops are thus
-    the loop's alone, node for node.
+    counting exactly the colors the loop would try there; the expansion is
+    kept between visits and recounted from the first edge whose inputs
+    changed.  When no coloring of them passes, the search adds that count
+    to its nodes, reading the clock at each multiple of 1024 it passes, and
+    backtracks.  The loop runs the visit itself when a coloring passes, so
+    the witness is the loop's, or when the count would reach
+    ``node_budget``.  Nodes, witnesses and the budget and clock stops are
+    thus the loop's alone, node for node.
     """
     _check_search_parameters(t, b, local_bound)
     edges, last, start = _edge_order(graph)
@@ -220,7 +258,8 @@ def search_free_coloring(
         return SearchResult(NONE, None, 0)
 
     steps = [(u, v, 1 << u, 1 << v) for u, v in edges]
-    others = [u if v == last else v for u, v in edges[start:]]
+    frontier = _LastVertexFrontier([u if v == last else v for u, v in edges[start:]],
+                                   palette_cap, local_bound, b, graph.n)
     rows_by_color: list[list[int]] = []
     seen = [0] * graph.n  # per vertex, bit c is set when an edge of color c meets it
     # per depth: (its color, colors in play on entry, seen[u] and seen[v] before)
@@ -247,13 +286,22 @@ def search_free_coloring(
         top = used + 1 if used < palette_cap else palette_cap
         if idx == start and not c:
             # a fresh visit to the last vertex's edges: count it in bulk if it
-            # fails before the budget and the next clock read
-            tries = _count_last_vertex(others, rows_by_color, seen, used, palette_cap,
-                                       local_bound, b, graph.n,
-                                       min(budget, next_check) - nodes)
+            # fails before the budget
+            tries = frontier.count(rows_by_color, seen, used, budget - nodes)
             if tries is not None:
-                nodes += tries
-                c = top  # every color has been tried here: backtrack
+                # read the clock at each multiple of 1024 the count passes
+                end = nodes + tries
+                while next_check <= end:
+                    nodes = next_check
+                    next_check += 1024
+                    if time.monotonic() > deadline:
+                        status = INCONCLUSIVE
+                        break
+                else:
+                    nodes = end
+                    c = top  # every color has been tried here: backtrack
+                if status:
+                    break
         while c < top:
             c += 1
             nodes += 1

@@ -179,14 +179,66 @@ class TestSearchFreeColoring:
         local_bound = data.draw(st.sampled_from([None, 1, 2, 3]), label="local bound")
         palette_cap = data.draw(st.integers(used, used + 3), label="palette cap")
         b = data.draw(st.sampled_from([3, 4, 5]), label="b")
-        args = (others, rows_by_color, seen, used, palette_cap, local_bound, b)
-        want = naive_last_vertex_tries(*args)
-        assert freeness._count_last_vertex(*args, n, 1 << 62) == want
+        want = naive_last_vertex_tries(others, rows_by_color, seen, used, palette_cap,
+                                       local_bound, b)
+
+        def count(limit):
+            frontier = freeness._LastVertexFrontier(others, palette_cap, local_bound, b, n)
+            return frontier.count(rows_by_color, seen, used, limit)
+
+        assert count(1 << 62) == want
         if want is not None:
             # the count stops, as None, on reaching the limit
             for limit in (want, want + 1, data.draw(st.integers(1, want), label="limit")):
-                got = freeness._count_last_vertex(*args, n, limit)
+                got = count(limit)
                 assert got == (want if want < limit else None)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_last_vertex_frontier_reuse_is_exact(self, data):
+        # one frontier counts a sequence of visits; between visits the inputs
+        # of a random prefix of positions are kept and the rest redrawn
+        n = data.draw(st.integers(2, 8), label="n")
+        w = n - 1
+        others = data.draw(st.permutations(range(w)), label="others")
+        others = others[:data.draw(st.integers(1, w), label="degree of w")]
+        local_bound = data.draw(st.sampled_from([None, 1, 2, 3]), label="local bound")
+        b = data.draw(st.sampled_from([3, 4, 5]), label="b")
+        palette_cap = data.draw(st.integers(1, 6), label="palette cap")
+        frontier = freeness._LastVertexFrontier(others, palette_cap, local_bound, b, n)
+        used = data.draw(st.integers(1, palette_cap), label="colors in play")
+        rows_by_color = [[0] * n for _ in range(palette_cap)]
+        seen = [0] * n
+        keep = 0
+        for visit in range(data.draw(st.integers(1, 8), label="visits")):
+            if visit and data.draw(st.integers(0, 4), label=f"new colors in play {visit}") == 0:
+                used = data.draw(st.integers(1, palette_cap), label=f"colors in play {visit}")
+            # from position keep on, redraw x's rows among the earlier others,
+            # its colors, or both
+            for i in range(keep, len(others)):
+                x = others[i]
+                part = data.draw(st.sampled_from(["rows", "colors", "both"]))
+                if part != "colors":
+                    for y in others[:i]:
+                        for rows in rows_by_color:
+                            if data.draw(st.booleans()):
+                                rows[x] ^= 1 << y
+                                rows[y] ^= 1 << x
+                if part != "rows":
+                    seen[x] = data.draw(st.integers(0, (1 << (palette_cap + 1)) - 1)) & ~1
+            in_play = [rows[:] for rows in rows_by_color[:used]]
+            seen_now = [s & ((1 << (used + 1)) - 2) for s in seen]
+            want = naive_last_vertex_tries(others, in_play, seen_now, used, palette_cap,
+                                           local_bound, b)
+            if want is None:
+                limit = data.draw(st.sampled_from([1, 1 << 62]), label=f"limit {visit}")
+            else:
+                # a limit of want or less stops the count, often in mid-layer
+                limit = data.draw(st.sampled_from([want, want + 1, 1 << 62])
+                                  | st.integers(1, want), label=f"limit {visit}")
+            got = frontier.count(in_play, seen_now, used, limit)
+            assert got == (want if want is not None and want < limit else None)
+            keep = data.draw(st.integers(0, len(others)), label=f"kept positions {visit}")
 
     @pytest.mark.parametrize("t, local_bound, nodes", [
         (3, None, 1_254_438),
@@ -245,6 +297,19 @@ class TestSearchFreeColoring:
         assert find_mono_clique(g, swapped, 3) is None
 
 
+def bulk_counts(monkeypatch) -> list:
+    """The answers of every last-vertex frontier count made from now on."""
+    results = []
+    count = freeness._LastVertexFrontier.count
+
+    def counted(self, *args):
+        results.append(count(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(freeness._LastVertexFrontier, "count", counted)
+    return results
+
+
 class TestSearchEquivalence:
     """The loop search visits the same nodes in the same order as the
     recursive reference, so every field of the result agrees."""
@@ -294,19 +359,46 @@ class TestSearchEquivalence:
         # On K_11 over 90% of the loop's visits are to the last vertex's 10
         # edges: every visit but the one that completes a coloring is counted
         # breadth-first, with the loop's node counts unchanged.
-        results = []
-        count = freeness._count_last_vertex
-
-        def counted(*args):
-            results.append(count(*args))
-            return results[-1]
-
-        monkeypatch.setattr(freeness, "_count_last_vertex", counted)
+        results = bulk_counts(monkeypatch)
         entry = ramsey_oracle(kind, parameter, 11)
         assert entry.transcript["per_n"][11] == {"status": FOUND, "nodes": nodes}
         # one visit per n = 2..11 finds a coloring and is run by the loop
         assert len(results) == 877
         assert results.count(None) == 10
+
+    @pytest.mark.parametrize("kind, parameter, nodes", [
+        ("multicolor", (3, 3), 1_254_438),
+        ("local", 3, 1_672_550),
+    ])
+    def test_k11_budgeted_sweep_counted_in_bulk(self, monkeypatch, kind, parameter, nodes):
+        # Under a time budget the bulk count reads the clock at each multiple
+        # of 1024 it passes, so the loop runs the same 10 visits as without.
+        results = bulk_counts(monkeypatch)
+        entry = ramsey_oracle(kind, parameter, 11, time_budget_ms=10**6)
+        assert entry.transcript["per_n"][11] == {"status": FOUND, "nodes": nodes}
+        assert len(results) == 877
+        assert results.count(None) == 10
+
+    @pytest.mark.parametrize("kind, parameter, expanded", [
+        ("multicolor", (3, 3), 18_090),
+        ("local", 3, 18_243),
+    ])
+    def test_k11_frontier_recounts_only_what_changed(self, monkeypatch, kind, parameter,
+                                                      expanded):
+        # Consecutive visits mostly differ in the last position's inputs, so
+        # the frontier expands some 18k states per sweep; a recount of every
+        # layer on each visit expands 381 126 (multicolor) and 381 279 (local).
+        frontiers = []
+        init = freeness._LastVertexFrontier.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            frontiers.append(self)
+
+        monkeypatch.setattr(freeness._LastVertexFrontier, "__init__", kept)
+        ramsey_oracle(kind, parameter, 11)
+        assert len(frontiers) == 10  # one per search, n = 2..11
+        assert sum(f.expanded for f in frontiers) == expanded
 
     @pytest.mark.parametrize("kind, parameter", [("multicolor", (3, 3)), ("local", 3)])
     def test_oracle_transcripts_match(self, monkeypatch, kind, parameter):
