@@ -7,6 +7,7 @@ All exponents are exact rationals; no floats enter the recursion.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,12 +144,15 @@ class OrderingResult:
     n_pi: int
 
 
-def _require_complete_mono_free(k: int, coloring: EdgeColoring) -> Graph:
-    graph = Graph.complete(k)
-    mono = find_mono_clique(graph, coloring, 3)
+def _require_complete_mono_free(k: int, coloring: EdgeColoring) -> None:
+    # K_k is built only once the coloring has every pair: the first missing
+    # one lies within the first |coloring| + 1 pairs in lexicographic order
+    for e in itertools.combinations(range(k), 2):
+        if e not in coloring.colors:
+            raise GraphError(f"coloring does not match graph: missing edge {e}")
+    mono = find_mono_clique(Graph.complete(k), coloring, 3)
     if mono is not None:
         raise GraphError(f"coloring has a monochromatic triangle: {mono}")
-    return graph
 
 
 def _ell_at(coloring: EdgeColoring, pi: list[int], j: int) -> int:

@@ -592,6 +592,10 @@ class TestCli:
                      id="construct-s-1"),
         pytest.param(["exponents", "--s", "1", "--t", "2"], 2, id="exponents-s-1"),
         pytest.param(["order", "--k", "3", "--coloring", "k3.txt"], 2, id="order-not-a-coloring"),
+        # a --k far above the coloring's 5 vertices exits before K_k is built
+        pytest.param(["order", "--k", "100000", "--coloring", "k5.txt"], 2, id="order-k-mismatch"),
+        pytest.param(["halfseq", "--k", "100000", "--coloring", "k5.txt"], 2,
+                     id="halfseq-k-mismatch"),
         pytest.param(["density", "--instance", "missing-dir"], 2, id="density-missing-instance"),
         *[pytest.param(["density", "--instance", name], 2, id=f"density-{name}")
           for name in _BAD_STRUCTURES],
@@ -603,7 +607,11 @@ class TestCli:
                       "--threshold", "20", "--seed", "7"], 1, id="construct-certification-fails"),
     ])
     def test_failure_exit_code(self, tmp_path, monkeypatch, capsys, argv, code):
+        from erlab import io as eio
+        from erlab.freeness import double_c5_coloring
+
         monkeypatch.chdir(tmp_path)
+        eio.write_coloring("k5.txt", double_c5_coloring())
         Path("edge-out-of-range.txt").write_text("graph 3 1\n0 5\n")
         Path("k3.txt").write_text("graph 3 3\n0 1\n0 2\n1 2\n")
         Path("k3-mono.txt").write_text("0 1 1\n0 2 1\n1 2 1\n")
@@ -615,6 +623,8 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"erlab {argv[0]}: error: ") and err.count("\n") == 1
+        if "k5.txt" in argv:
+            assert err.endswith(": coloring does not match graph: missing edge (0, 5)\n")
 
     def test_alteration_over_the_clique_cap_exits_3(self, tmp_path, capsys):
         # K_40 holds C(40, 5) = 658 008 copies of K_5, above graphs.CLIQUE_CAP

@@ -309,6 +309,25 @@ class TestIncidenceGraph:
         cover = CliqueCover(6, {v: tuple(ms) for v, ms in cliques.items()})
         assert cover_partitions_edges(g, cover) == naive_cover_failure(g, cliques)
 
+    @given(_families())
+    @example((5, 2, [(0, 1), (0, 2), (0, 3), (0, 4)]))  # a 4-petal sunflower: a covered K_4
+    @settings(max_examples=300, deadline=None)
+    def test_linear_triangle_free_covers_every_k4(self, family):
+        # a K_4 abcd has abc in some K_x and abd in some K_y; hyperedges a
+        # and b then share x and y, so linearity gives x = y
+        rep = validate_hypergraph(LinearHypergraph(*family))
+        if rep.linear and rep.triangle_free:
+            assert uncovered_clique(rep.incidence, rep.cover, 4) is None
+
+    def test_k4_cover_needs_linearity(self):
+        # the tetrahedron's faces pairwise share two vertices: each triangle of
+        # its meet graph lies in one K_v, but the K_4 lies in none
+        cover = graphs._edges_through(LinearHypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                                              (1, 2, 3)]))
+        g = Graph.from_rows(graphs._meets(cover.cliques.values(), 4)[0])
+        assert uncovered_clique(g, cover, 3) is None
+        assert uncovered_clique(g, cover, 4) == (0, 1, 2, 3)
+
     def test_uncovered_clique_detects_planted_violation(self):
         # cover missing one clique: the triangle on {0,1,2} is uncovered
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
