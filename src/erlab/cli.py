@@ -142,6 +142,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
+    for flag, budget in (("--budget-nodes", args.budget_nodes), ("--budget-ms", args.budget_ms)):
+        if budget is not None and budget < 0:
+            raise GraphError(f"{flag} must be non-negative, got {budget}")
     try:
         if args.kind == "multicolor":
             t, b = (int(x) for x in args.param.split(","))

@@ -23,8 +23,9 @@ from .graphs import (
     EdgeColoring,
     Graph,
     GraphError,
+    HypergraphReport,
     LinearHypergraph,
-    cover_partitions_edges,
+    NonLinearError,
     validate_hypergraph,
 )
 from .util import derive_seed, iter_bits, make_rng
@@ -208,27 +209,30 @@ RETRY_LIMIT = 32
 
 
 def sparsify(
-    graph: Graph,
-    cover: CliqueCover,
+    validation: HypergraphReport,
     s: int,
     seed: int,
     certification_samples: int = 100,
     threshold: int | None = None,
 ) -> SparsifiedIncidence:
-    """Replace each clique K_v by a complete s-partite graph via a random
-    part assignment, certifying on sampled vertex sets X (|X| >= threshold)
-    that at least half of the dominant-dyadic-class cliques are evenly
-    partitioned.  The assignment is resampled up to ``RETRY_LIMIT`` times
-    until certification passes.
+    """Replace each clique K_v of a linear hypergraph's incidence graph, read
+    from its ``validate_hypergraph`` report, by a complete s-partite graph via
+    a random part assignment, certifying on sampled vertex sets X
+    (|X| >= threshold) that at least half of the dominant-dyadic-class
+    cliques are evenly partitioned.  The assignment is resampled up to
+    ``RETRY_LIMIT`` times until certification passes.
+
+    A non-linear report raises NonLinearError with its first violating pair.
+    A linear report needs no input check: its members are hyperedge indices
+    below ``incidence.n``, and its incidence rows are the cover's meets with
+    no pair meeting twice, so every within-clique pair is an edge, every edge
+    lies in a clique, and no pair lies in two.
     """
     if s < 2:
         raise GraphError("sparsification order must be at least 2")
-    bad = [(v, u) for v in sorted(cover.cliques) for u in cover.cliques[v] if not 0 <= u < graph.n]
-    if bad:
-        raise GraphError(f"clique {bad[0][0]} member {bad[0][1]} is not a vertex of the graph")
-    bad = cover_partitions_edges(graph, cover)
-    if bad is not None:
-        raise GraphError(f"cover inconsistent with graph: {bad[0]} edge {bad[1]}")
+    if validation.incidence is None:
+        raise NonLinearError(validation.witness)
+    graph, cover = validation.incidence, validation.cover
     if threshold is None:
         threshold = cover.n_ground
 
@@ -455,8 +459,7 @@ def construct_upper_bound_instance(
     incidence, cover = validation.incidence, validation.cover
 
     sparsified = sparsify(
-        incidence,
-        cover,
+        validation,
         s,
         derive_seed(params.seed, "sparsify"),
         certification_samples=certification_samples,

@@ -173,9 +173,6 @@ class EdgeColoring:
     def color_of(self, u: int, v: int) -> int:
         return self.colors[(min(u, v), max(u, v))]
 
-    def colors_used(self) -> set[int]:
-        return set(self.colors.values())
-
     def tally(self, x: int, ys) -> list[tuple[int, int]]:
         """(count, color) for each color on the edges from x to the vertices
         ``ys``, most frequent first: by descending count, then ascending
@@ -367,26 +364,6 @@ def incidence_graph(H: LinearHypergraph) -> tuple[Graph, CliqueCover]:
     if report.incidence is None:
         raise NonLinearError(report.witness)
     return report.incidence, report.cover
-
-
-def cover_partitions_edges(graph: Graph, cover: CliqueCover):
-    """Check that within-clique edge sets partition E(graph).
-
-    Returns None on success, else a witness ("doubly"|"uncovered"|"missing",
-    edge): the lexicographically first pair in two cliques, else the first
-    edge in none, else the first within-clique pair that is not an edge.
-    """
-    once, twice = _meets(cover.cliques.values(), graph.n)
-    rows = graph._rows
-    for kind, pairs in (
-        ("doubly", twice),
-        ("uncovered", [r & ~c for r, c in zip(rows, once)]),
-        ("missing", [c & ~r for r, c in zip(rows, once)]),
-    ):
-        pair = _first_pair(pairs)
-        if pair is not None:
-            return (kind, pair)
-    return None
 
 
 def uncovered_clique(graph: Graph, cover: CliqueCover, b: int):

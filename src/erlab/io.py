@@ -217,8 +217,8 @@ def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
     of an instance's ``structure.json`` over its sparsified graph on n
     vertices.  A file that is not JSON, lacks or mistypes a field, names a
     cover clique outside 0..ground_n-1, a vertex outside 0..n-1 or a part
-    outside 0..s-1, or does not split each cover clique into parts exactly
-    is a FormatError."""
+    outside 0..s-1, sizes its part masks above ``MASK_BYTES_LIMIT``, or does
+    not split each cover clique into parts exactly is a FormatError."""
     try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         st = json.loads(Path(path).read_text(encoding="utf-8"))
         kinds = {"s": int, "ground_n": int, "cover": dict, "partition": dict}
@@ -229,6 +229,11 @@ def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
         s, ground_n = st["s"], st["ground_n"]
         if s < 2 or ground_n < 0:
             raise ValueError(f"need s >= 2 and ground_n >= 0, got s={s}, ground_n={ground_n}")
+        need = 8 * s * len(st["cover"])  # an s-tuple of part masks per cover clique
+        if need > MASK_BYTES_LIMIT:
+            raise ValueError(
+                f"part masks would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
+            )
         cover = {int(v): tuple(members) for v, members in st["cover"].items()}
         bad = sorted(v for v in cover if not 0 <= v < ground_n)
         if bad:
@@ -250,8 +255,12 @@ def read_structure(path, n: int) -> tuple[int, int, dict, dict]:
         bad = sorted(set(parts) - set(cover))
         if bad:
             raise ValueError(f"partition names clique {bad[0]}, which is not in the cover")
-        part_masks = {v: tuple(sum(1 << u for u, q in parts.get(v, {}).items() if q == p)
-                               for p in range(s)) for v in sorted(cover)}
+        part_masks = {}
+        for v in sorted(cover):
+            masks = [0] * s
+            for u, p in parts.get(v, {}).items():
+                masks[p] |= 1 << u
+            part_masks[v] = tuple(masks)
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return s, ground_n, cover, part_masks

@@ -52,7 +52,6 @@ from erlab.freeness import (
 from erlab.graphs import (
     EdgeColoring,
     Graph,
-    incidence_graph,
     uncovered_clique,
     validate_hypergraph,
 )
@@ -143,7 +142,7 @@ def test_criterion_03_pipeline_certification(pipeline_bundles):
         assert checks["complete_s_partite"]["pass"], key
         mono = find_mono_clique(bundle.final, bundle.coloring, bundle.params.b)
         assert mono is None, key
-        used = bundle.coloring.colors_used()
+        used = set(bundle.coloring.colors.values())
         assert len(used) <= bundle.params.t and max(used, default=0) <= bundle.params.t
         assert checks["palette_disjoint"]["pass"], key
         assert certificate_passes(bundle.certificate), key
@@ -157,9 +156,9 @@ def test_criterion_03_pipeline_certification(pipeline_bundles):
 def test_criterion_04_sparsification_certificate():
     t0 = time.monotonic()
     H, _ = build_linear_tf_hypergraph(256, 3, seed=7)
-    g, cover = incidence_graph(H)
-    threshold = (4 * g.n) // 5
-    sp = sparsify(g, cover, 2, seed=11, certification_samples=100,
+    rep = validate_hypergraph(H)
+    threshold = (4 * rep.incidence.n) // 5
+    sp = sparsify(rep, 2, seed=11, certification_samples=100,
                   threshold=threshold)
     cert = sp.certificate
     assert not cert["vacuous"]
@@ -182,8 +181,9 @@ def test_criterion_04_sparsification_certificate():
 def test_criterion_05_density_witness_consistency():
     t0 = time.monotonic()
     H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
-    g, cover = incidence_graph(H)
-    sp = sparsify(g, cover, 3, seed=11, threshold=g.n + 1)
+    rep = validate_hypergraph(H)
+    g, cover = rep.incidence, rep.cover
+    sp = sparsify(rep, 3, seed=11, threshold=g.n + 1)
     rng = make_rng(123, "acceptance-density")
     min_alpha, max_lambda = None, 0.0
     for _ in range(20):

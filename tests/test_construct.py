@@ -35,6 +35,7 @@ from erlab.graphs import (
     Graph,
     GraphError,
     LinearHypergraph,
+    NonLinearError,
     enumerate_cliques,
     incidence_graph,
     uncovered_clique,
@@ -240,28 +241,29 @@ class TestEvenPartition:
 
 class TestSparsify:
     def test_single_clique_complete_s_partite(self):
-        g, cover = incidence_graph(sunflower(10))
-        sp = sparsify(g, cover, 5, seed=3, threshold=g.n + 1)
+        rep = validate_hypergraph(sunflower(10))
+        sp = sparsify(rep, 5, seed=3, threshold=rep.incidence.n + 1)
         parts = part_of(sp.part_masks)[0]
         for a, b in itertools.combinations(range(10), 2):
             assert sp.graph.has_edge(a, b) == (parts[a] != parts[b])
 
     def test_no_k_s_plus_1_within_clique(self):
-        g, cover = incidence_graph(sunflower(12))
-        sp = sparsify(g, cover, 4, seed=5, threshold=g.n + 1)
+        rep = validate_hypergraph(sunflower(12))
+        sp = sparsify(rep, 4, seed=5, threshold=rep.incidence.n + 1)
         assert enumerate_cliques(sp.graph, 5) == []
 
     def test_never_adds_edges(self):
         H, _ = build_linear_tf_hypergraph(40, 3, seed=6)
-        g, cover = incidence_graph(H)
-        sp = sparsify(g, cover, 3, seed=6, threshold=g.n + 1)
+        rep = validate_hypergraph(H)
+        g = rep.incidence
+        sp = sparsify(rep, 3, seed=6, threshold=g.n + 1)
         for u, v in sp.graph.edges():
             assert g.has_edge(u, v)
 
     def test_nonvacuous_certificate_passes(self):
         H, _ = build_linear_tf_hypergraph(128, 3, seed=7)
-        g, cover = incidence_graph(H)
-        sp = sparsify(g, cover, 2, seed=8, threshold=(4 * g.n) // 5,
+        rep = validate_hypergraph(H)
+        sp = sparsify(rep, 2, seed=8, threshold=(4 * rep.incidence.n) // 5,
                       certification_samples=25)
         cert = sp.certificate
         assert not cert["vacuous"]
@@ -272,10 +274,10 @@ class TestSparsify:
         # all five parts, so the dominant class never certifies
         monkeypatch.setattr(construct, "RETRY_LIMIT", 3)
         H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
-        g, cover = incidence_graph(H)
+        rep = validate_hypergraph(H)
         with pytest.raises(CertificationError) as err:
-            sparsify(g, cover, 5, seed=1, certification_samples=10,
-                     threshold=g.n // 2)
+            sparsify(rep, 5, seed=1, certification_samples=10,
+                     threshold=rep.incidence.n // 2)
         assert err.value.worst_sample
 
     @pytest.mark.parametrize("n,seed,samples,digest", [
@@ -287,19 +289,19 @@ class TestSparsify:
         # the benchmark's certificates are all vacuous, so these pin the
         # sample records and the sparsified rows byte for byte
         H, _ = build_linear_tf_hypergraph(n, 3, seed=7)
-        g, cover = incidence_graph(H)
-        sp = sparsify(g, cover, 2, seed=seed, certification_samples=samples,
-                      threshold=(4 * g.n) // 5)
+        rep = validate_hypergraph(H)
+        sp = sparsify(rep, 2, seed=seed, certification_samples=samples,
+                      threshold=(4 * rep.incidence.n) // 5)
         blob = json.dumps(sp.certificate, sort_keys=True) + json.dumps(sp.graph.edges())
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
     def test_worst_sample_golden(self, monkeypatch):
         monkeypatch.setattr(construct, "RETRY_LIMIT", 3)
         H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
-        g, cover = incidence_graph(H)
+        rep = validate_hypergraph(H)
         with pytest.raises(CertificationError) as err:
-            sparsify(g, cover, 5, seed=1, certification_samples=10,
-                     threshold=g.n // 2)
+            sparsify(rep, 5, seed=1, certification_samples=10,
+                     threshold=rep.incidence.n // 2)
         assert err.value.worst_sample == {
             "size": 63, "ell": 2, "dominant": 38, "evenly_partitioned": 0,
             "ok": False, "fraction": 0.0, "attempt": 0,
@@ -310,10 +312,11 @@ class TestSparsify:
            st.data())
     def test_certificate_matches_naive_reference(self, s, n, seed, samples, data):
         H, _ = build_linear_tf_hypergraph(n, 3, seed=seed)
-        g, cover = incidence_graph(H)
+        rep = validate_hypergraph(H)
+        g, cover = rep.incidence, rep.cover
         threshold = data.draw(st.integers(0, g.n - 1))
         try:
-            sp = sparsify(g, cover, s, seed, certification_samples=samples, threshold=threshold)
+            sp = sparsify(rep, s, seed, certification_samples=samples, threshold=threshold)
             got = True, sp.certificate
         except CertificationError as err:
             got = False, err.worst_sample
@@ -328,9 +331,9 @@ class TestSparsify:
         monkeypatch.setattr(construct, "dyadic_profile",
                             lambda *args: calls.append(args) or profile(*args))
         H, _ = build_linear_tf_hypergraph(32, 3, derive_seed(11, "hyper"))
-        g, cover = incidence_graph(H)
+        rep = validate_hypergraph(H)
         try:
-            attempts = sparsify(g, cover, 2, derive_seed(11, "sparsify"),
+            attempts = sparsify(rep, 2, derive_seed(11, "sparsify"),
                                 threshold=16).certificate["attempt"] + 1
         except CertificationError:
             attempts = retry_limit
@@ -343,20 +346,18 @@ class TestSparsify:
             sample_sets(make_rng(0, "samples"), 10, threshold, -1)
         assert sample_sets(make_rng(0, "samples"), 10, threshold, 0) == []
 
-    def test_inconsistent_cover_rejected(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(GraphError):
-            sparsify(g, CliqueCover(1, {0: (0, 1)}), 2, seed=0)
-
-    @pytest.mark.parametrize("member", [5, -1])
-    def test_cover_member_outside_the_graph_rejected(self, member):
-        with pytest.raises(GraphError, match=f"^clique 0 member {member} is not a vertex"):
-            sparsify(Graph(2, [(0, 1)]), CliqueCover(1, {0: (0, 1, member)}), 2, 0)
+    def test_nonlinear_report_rejected(self):
+        # as incidence_graph does: the report's first pair meeting twice
+        rep = validate_hypergraph(LinearHypergraph(4, 3, [(0, 1, 2), (0, 1, 3)]))
+        with pytest.raises(NonLinearError) as err:
+            sparsify(rep, 2, 0)
+        assert err.value.pair == (0, 1)
 
     def test_part_masks_split_each_clique(self):
         H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
-        g, cover = incidence_graph(H)
-        sp = sparsify(g, cover, 3, seed=11, threshold=g.n + 1)
+        rep = validate_hypergraph(H)
+        g, cover = rep.incidence, rep.cover
+        sp = sparsify(rep, 3, seed=11, threshold=g.n + 1)
         assert sorted(sp.part_masks) == sorted(cover.cliques)
         for v, masks in sp.part_masks.items():
             assert len(masks) == 3
@@ -538,7 +539,7 @@ class TestPipeline:
         assert params.beta == 1
         blown = blow_up(bundle.sparsified.graph, params.k)
         assert (bundle.final.n < blown.n) == (retention_p < 1)
-        used = bundle.coloring.colors_used()
+        used = set(bundle.coloring.colors.values())
         assert used <= {1, 2, 3, 4}
         assert bundle.certificate["checks"]["palette_disjoint"]["witness"] is None
         assert find_mono_clique(bundle.final, bundle.coloring, 3) is None
@@ -561,7 +562,7 @@ class TestPipeline:
         params = ConstructionParams.derive(2, 3, 1, 32, R=3, seed=1)
         bundle = construct_upper_bound_instance(params, 32)
         assert params.ell == 1
-        assert bundle.coloring.colors_used() <= {1}
+        assert set(bundle.coloring.colors.values()) <= {1}
         assert enumerate_cliques(bundle.final, 3) == []
 
     @pytest.mark.parametrize(_POINT, [*_BATTERY_POINTS, (2, 3, 1, 32, 1, 3, 1.0, 1)])
@@ -639,9 +640,9 @@ class TestPipeline:
             assert name in checks
             assert checks[name]["pass"] is True
 
-    def test_one_cover_and_two_meet_passes_per_instance(self, monkeypatch):
-        # validation builds H's cover and incidence graph for the pipeline;
-        # only sparsification's cover check makes the meet pass again
+    def test_one_meet_pass_per_instance(self, monkeypatch):
+        # validation builds H's cover and incidence graph for the pipeline,
+        # and sparsification reads them from its report
         calls = collections.Counter()
 
         def counted(name):
@@ -656,7 +657,7 @@ class TestPipeline:
             monkeypatch.setattr(graphs, name, counted(name))
         params = ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=7)
         construct_upper_bound_instance(params, 64)
-        assert calls == {"_edges_through": 1, "_meets": 2}
+        assert calls == {"_edges_through": 1, "_meets": 1}
 
     def test_one_cover_search_per_instance(self, monkeypatch):
         # validation's triangle search is order 3's cover check, since a

@@ -22,7 +22,7 @@ from erlab.density import (
     density_witness,
     hypergraph_blow_up,
 )
-from erlab.graphs import CliqueCover, Graph, GraphError, incidence_graph
+from erlab.graphs import CliqueCover, Graph, GraphError, validate_hypergraph
 from erlab.util import make_rng
 
 from oracles import random_graph
@@ -60,8 +60,9 @@ class TestDensityWitness:
 
     def test_pipeline_witness_matches_enumeration_oracle(self):
         H, _ = build_linear_tf_hypergraph(64, 3, seed=7)
-        g, cover = incidence_graph(H)
-        sp = sparsify(g, cover, 3, seed=11, threshold=g.n + 1)
+        rep = validate_hypergraph(H)
+        g, cover = rep.incidence, rep.cover
+        sp = sparsify(rep, 3, seed=11, threshold=g.n + 1)
         rng = make_rng(123, "density-test")
         for _ in range(8):
             size = rng.randint(64, g.n)

@@ -299,6 +299,9 @@ _BAD_STRUCTURES = {
                        "field 'cover' is missing or not of type dict"),
     "s-below-2": (json.dumps({**_STRUCTURE, "s": 1}),
                   "need s >= 2 and ground_n >= 0, got s=1, ground_n=4"),
+    # one clique's 2**21 + 1 part masks at 8 bytes each
+    "s-over-the-mask-limit": (json.dumps({**_STRUCTURE, "s": 2**21 + 1}),
+                              "part masks would take 16777224 bytes, above the limit 16777216"),
     "cover-id-beyond-ground-n": (
         json.dumps({**_STRUCTURE, "cover": {"9": [0, 1, 2]},
                     "partition": {"9": _STRUCTURE["partition"]["0"]}}),
@@ -596,6 +599,10 @@ class TestCli:
         pytest.param(["order", "--k", "100000", "--coloring", "k5.txt"], 2, id="order-k-mismatch"),
         pytest.param(["halfseq", "--k", "100000", "--coloring", "k5.txt"], 2,
                      id="halfseq-k-mismatch"),
+        pytest.param(["ramsey", "--kind", "multicolor", "--param", "2,3", "--nmax", "6",
+                      "--budget-nodes", "-1"], 2, id="ramsey-negative-node-budget"),
+        pytest.param(["ramsey", "--kind", "local", "--param", "2", "--nmax", "6",
+                      "--budget-ms", "-1"], 2, id="ramsey-negative-time-budget"),
         pytest.param(["density", "--instance", "missing-dir"], 2, id="density-missing-instance"),
         *[pytest.param(["density", "--instance", name], 2, id=f"density-{name}")
           for name in _BAD_STRUCTURES],
