@@ -180,9 +180,12 @@ def density_profile(ell: int | None, dominant: dict[int, int],
     """The dominant class ``dyadic_profile`` found for X and its cliques that
     X meets evenly under ``part_masks``: in every one of the s parts, in at
     least a_v/(s+1) vertices."""
+    # a_v < s leaves one of the s parts without a vertex of X, short of
+    # a_v/(s+1) > 0, so such a clique is never even and is not popcounted
     evenly = tuple(
         v for v, a in dominant.items()
-        if evenly_partitioned(a, [(x_mask & pm).bit_count() for pm in part_masks[v]], s)
+        if a >= s
+        and evenly_partitioned(a, [(x_mask & pm).bit_count() for pm in part_masks[v]], s)
     )
     return DensityProfile(ell, tuple(dominant), evenly)
 

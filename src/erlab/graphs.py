@@ -87,14 +87,13 @@ class Graph:
     def degree(self, u: int) -> int:
         return self._rows[u].bit_count()
 
-    def iter_edges(self):
+    def edges(self) -> list[tuple[int, int]]:
         """Each edge (u, v), u < v, in ascending order."""
+        out = []
         for u in range(self.n):
             for off in iter_bits(self._rows[u] >> (u + 1)):
-                yield u, u + 1 + off
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(self.iter_edges())
+                out.append((u, u + 1 + off))
+        return out
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1

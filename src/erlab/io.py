@@ -35,16 +35,21 @@ MASK_BYTES_LIMIT = 1 << 24
 
 def write_lines(path, lines) -> None:
     """The one writer of every artifact: each of ``lines`` (any iterable of
-    str) and a LF, in UTF-8.  It streams, so a writer that passes a generator
-    holds no list of the lines: the final graph and its coloring are the
-    largest objects a construction writes."""
+    str) and a LF, in UTF-8; an item may hold several LF-joined lines.  It
+    streams, so a writer that passes a generator holds no list of the lines:
+    the final graph and its coloring are the largest objects a construction
+    writes, and their writers pass one chunk per vertex row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in lines)
 
 
 def write_graph(path, graph: Graph) -> None:
-    edges = (f"{u} {v}" for u, v in graph.iter_edges())
-    write_lines(path, itertools.chain([f"graph {graph.n} {graph.m}"], edges))
+    # one chunk per vertex u with a higher neighbour v: its lines "u v"
+    rows = (
+        f"{u} " + f"\n{u} ".join([str(u + 1 + off) for off in iter_bits(high)])
+        for u in range(graph.n) if (high := graph.row(u) >> (u + 1))
+    )
+    write_lines(path, itertools.chain([f"graph {graph.n} {graph.m}"], rows))
 
 
 def _lines(path) -> list[tuple[int, str]]:
@@ -81,19 +86,26 @@ def _header(path, lines, form: str) -> list[int]:
 
 
 def _edge_lines(path, lines, form: str, width: int) -> list[list[int]]:
-    """Fields of each edge line; its first ``width`` fields name the edge,
-    which may appear only once, in any vertex order."""
+    """Fields of each edge line, which must be integers at every place of
+    ``form``; its first ``width`` fields name the edge, which may appear only
+    once, in any vertex order."""
+    count = len(form.split())
     first: dict[tuple[int, ...], int] = {}
     rows = []
     for i, ln in lines:
-        fields = _fields(path, i, ln, form)
+        tokens = ln.split()
+        try:
+            if len(tokens) != count:
+                raise ValueError
+            fields = list(map(int, tokens))
+        except ValueError:
+            raise FormatError(f"{path}:{i}: expected '{form}', got {ln!r}") from None
         edge = tuple(sorted(fields[:width]))
-        if edge in first:
+        at = first.setdefault(edge, i)
+        if at != i:
             raise FormatError(
-                f"{path}:{i}: duplicate edge {' '.join(map(str, edge))} "
-                f"(first on line {first[edge]})"
+                f"{path}:{i}: duplicate edge {' '.join(map(str, edge))} (first on line {at})"
             )
-        first[edge] = i
         rows.append(fields)
     return rows
 
@@ -101,11 +113,16 @@ def _edge_lines(path, lines, form: str, width: int) -> list[list[int]]:
 def read_graph(path) -> Graph:
     lines = _lines(path)
     n, _ = _header(path, lines, "graph <n> <m>")
-    edges = _edge_lines(path, lines[1:], "<u> <v>", 2)
+    body = lines[1:]
+    edges = _edge_lines(path, body, "<u> <v>", 2)
     top: dict[int, int] = {}  # vertex -> its largest neighbour
-    for u, v in edges:
-        top[u] = max(top.get(u, v), v)
-        top[v] = max(top.get(v, u), u)
+    for (i, _), (u, v) in zip(body, edges):
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"{path}:{i}: edge ({u},{v}) out of range for n={n}")
+        if top.get(u, -1) < v:
+            top[u] = v
+        if top.get(v, -1) < u:
+            top[v] = u
     need = sum(t // 8 + 1 for t in top.values())  # ceil((t + 1) / 8) bytes a row
     if need > MASK_BYTES_LIMIT:
         raise FormatError(
@@ -136,7 +153,15 @@ def read_hypergraph(path) -> LinearHypergraph:
 
 
 def write_coloring(path, coloring: EdgeColoring) -> None:
-    write_lines(path, (f"{u} {v} {c}" for (u, v), c in sorted(coloring.colors.items())))
+    # one chunk per smaller endpoint u: its lines "u v c" in ascending v
+    colors = coloring.colors
+    higher: dict[int, list[int]] = {}
+    for u, v in colors:
+        higher.setdefault(u, []).append(v)
+    write_lines(path, (
+        f"{u} " + f"\n{u} ".join([f"{v} {colors[u, v]}" for v in sorted(vs)])
+        for u, vs in sorted(higher.items())
+    ))
 
 
 def read_coloring(path, t: int | None = None) -> EdgeColoring:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks (the first-clique
 query, the hypergraph witnesses, the incidence graph, the cover check and
 the induced subgraph among them) go over all pairs and triples with
-itertools, the naive overlay maps one edge at a time, the instance
-generators only rely on adjacency bookkeeping, and the reference packer
-keeps plain sets and recomputes compatibility from its definition.  The reference alpha searches are the package's branch and
+itertools, the naive overlay maps one edge at a time, the naive writers
+write one line per edge, the instance generators only rely on adjacency
+bookkeeping, and the reference packer keeps plain sets and recomputes
+compatibility from its definition.  The reference alpha searches are the package's branch and
 bound and counting enumeration as they were before their clique tests were
 memoised and the branch and bound became one loop: they recurse, and ask
 ``first_clique`` afresh at every node.  The reference coloring search is the
@@ -365,6 +366,22 @@ def naive_induced(graph: Graph, vertices) -> tuple[list[tuple[int, int]], list[i
         if graph.has_edge(keep[i], keep[j])
     ]
     return edges, keep
+
+
+def naive_write_graph(path, graph: Graph) -> None:
+    """``io.write_graph`` as it was: the header, then one ``u v`` line per
+    edge u < v, found by asking every pair."""
+    edges = [f"{u} {v}" for u, v in itertools.combinations(range(graph.n), 2)
+             if graph.has_edge(u, v)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in [f"graph {graph.n} {graph.m}", *edges])
+
+
+def naive_write_coloring(path, coloring: EdgeColoring) -> None:
+    """``io.write_coloring`` as it was: one ``u v c`` line per item of the
+    sorted colour map."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{u} {v} {c}\n" for (u, v), c in sorted(coloring.colors.items()))
 
 
 def naive_overlay(graph: Graph, copies: int, retention_p: float, seed: int):

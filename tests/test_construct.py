@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from erlab.construct import (
     build_linear_tf_hypergraph,
     certificate_passes,
     construct_upper_bound_instance,
+    density_profile,
     dyadic_profile,
     evenly_partitioned,
     overlay_and_retain,
@@ -226,6 +228,33 @@ class TestEvenPartition:
         assert evenly_partitioned(6, [3, 3], 2)       # 3 >= 6/3
         assert not evenly_partitioned(6, [6, 0], 2)   # 0 < 6/3
         assert evenly_partitioned(0, [0, 0], 2)       # vacuous
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_fewer_than_s_vertices_never_even(self, s):
+        # density_profile skips these cliques without counting their parts
+        for a in range(1, s):
+            for counts in itertools.product(range(a + 1), repeat=s):
+                if sum(counts) == a:
+                    assert not evenly_partitioned(a, list(counts), s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 24), st.integers(1, 6), st.data())
+    def test_density_profile_matches_naive_filter(self, s, n, cliques, data):
+        # each clique's members split into s disjoint part masks; part -1 is a non-member
+        part_masks = {}
+        for v in range(cliques):
+            parts = data.draw(st.lists(st.integers(-1, s - 1), min_size=n, max_size=n))
+            part_masks[v] = tuple(sum(1 << u for u in range(n) if parts[u] == p)
+                                  for p in range(s))
+        x_mask = data.draw(st.integers(0, (1 << n) - 1))
+        member_masks = {v: functools.reduce(operator.or_, masks)
+                        for v, masks in part_masks.items()}
+        ell, dominant = dyadic_profile(member_masks, x_mask)
+        profile = density_profile(ell, dominant, part_masks, x_mask, s)
+        assert profile.evenly_partitioned == tuple(
+            v for v, a in dominant.items()
+            if evenly_partitioned(a, [(x_mask & pm).bit_count() for pm in part_masks[v]], s)
+        )
 
     def test_dyadic_classes(self):
         x_mask = (1 << 16) - 1

@@ -36,6 +36,8 @@ from oracles import (
     naive_hypergraph_witnesses,
     naive_incidence,
     naive_induced,
+    naive_write_coloring,
+    naive_write_graph,
     random_graph,
 )
 
@@ -437,7 +439,10 @@ class TestFileFormats:
             ("read_graph", "graph 3 1\n0 x\n", ":2:"),            # non-integer edge token
             ("read_graph", "graph three 1\n0 1\n", ":1:"),        # non-integer header token
             ("read_graph", "graph 3 1 1\n0 1\n", ":1:"),          # header token count
-            ("read_graph", "graph 3 1\n0 3\n", "out of range"),   # GraphError, wrapped
+            ("read_graph", "graph 3 1\n0 3\n", "out of range"),   # vertex above n - 1
+            # checked before the adjacency masks are sized by the vertex
+            ("read_graph", "graph 3 1\n0 100000000000\n",
+             ":2: edge (0,100000000000) out of range for n=3"),
             ("read_hypergraph", "hypergraph 7 3 1\n0 1\n", ":2:"),
             ("read_hypergraph", "hypergraph 7 3 1\n0 1 2.0\n", ":2:"),
             ("read_hypergraph", "hypergraph 7 3.5 1\n0 1 2\n", ":1:"),
@@ -524,6 +529,61 @@ class TestFileFormats:
                 getattr(eio, reader)(path)
             except eio.FormatError:
                 pass
+
+    @staticmethod
+    def _assert_writes_match_oracle(graph, colorings):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.txt", Path(tmp) / "want.txt"
+            eio.write_graph(got, graph)
+            naive_write_graph(want, graph)
+            assert got.read_bytes() == want.read_bytes()
+            for coloring in colorings:
+                eio.write_coloring(got, coloring)
+                naive_write_coloring(want, coloring)
+                assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("graph", [
+        Graph(0),
+        Graph(5),                                  # isolated vertices only
+        Graph(6, [(0, 5), (1, 5), (2, 5)]),        # 5's neighbours are all lower
+        Graph(7, [(1, 2), (4, 6), (2, 6), (0, 3)]),  # isolated 5 between rows
+        Graph.complete(5),
+    ])
+    def test_writers_match_per_edge_oracle(self, graph):
+        colors = {(u, v): 1 + (7 * u + v) % 3 for u, v in graph.edges()}
+        self._assert_writes_match_oracle(graph, [
+            EdgeColoring(3, colors),
+            EdgeColoring(3, [((v, u), c) for (u, v), c in reversed(list(colors.items()))]),
+        ])
+
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_writers_match_per_edge_oracle_property(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        colors = data.draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+        # a list of (pair, colour) items in drawn order, some pairs reversed
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        items = [((v, u) if flip else (u, v), c) for (u, v), c, flip in zip(edges, colors, flips)]
+        self._assert_writes_match_oracle(Graph(n, edges), [
+            EdgeColoring(4, dict(zip(edges, colors))),
+            EdgeColoring(4, items),
+        ])
+
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_coloring_write_read_write_round_trip(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        items = [((v, u), data.draw(st.integers(1, 5))) for u, v in edges]
+        coloring = EdgeColoring(5, items)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.txt", Path(tmp) / "second.txt"
+            eio.write_coloring(first, coloring)
+            loaded = eio.read_coloring(first, t=5)
+            assert loaded.colors == coloring.colors
+            eio.write_coloring(second, loaded)
+            assert second.read_bytes() == first.read_bytes()
 
     @given(st.integers(0, 8), st.data())
     @settings(max_examples=25, deadline=None)
