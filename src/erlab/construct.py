@@ -28,6 +28,7 @@ from .graphs import (
     NonLinearError,
     validate_hypergraph,
 )
+from .io import MASK_BYTES_LIMIT
 from .util import derive_seed, iter_bits, make_rng
 
 
@@ -48,15 +49,26 @@ _STALL_LIMIT = 200
 
 
 def _random_member(rng, mask: int, n: int) -> int:
-    """A uniform random set bit of the non-empty ``mask`` over range(n): by
-    rejection while at least an eighth of range(n) is set, else by index."""
+    """A uniform random set bit of the non-empty ``mask`` over range(n),
+    drawn as ``rng.randrange`` draws on CPython 3.10-3.13: while c, the
+    member count, is at least n/8, ``getrandbits(n.bit_length())`` until a
+    member; else the member of rank ``getrandbits(c.bit_length())``, redrawn
+    until below c."""
+    getrandbits = rng.getrandbits
     count = mask.bit_count()
     if 8 * count >= n:
+        k = n.bit_length()
         while True:
-            y = rng.randrange(n)
+            y = getrandbits(k)
             if mask >> y & 1:
                 return y
-    return next(itertools.islice(iter_bits(mask), rng.randrange(count), None))
+    k = count.bit_length()
+    r = getrandbits(k)
+    while r >= count:
+        r = getrandbits(k)
+    for _ in range(r):
+        mask &= mask - 1  # clear the lowest member
+    return (mask & -mask).bit_length() - 1
 
 
 def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergraph, dict]:
@@ -78,12 +90,23 @@ def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergr
     after ``_STALL_LIMIT`` failed attempts in a row (Spencer's random greedy
     packing).  Returns the hypergraph and a report of its edge count against
     the n^2/R^2 ceiling and of the attempts made.
+
+    Start vertices are ``getrandbits(n.bit_length())`` until below n, and
+    members come from ``_random_member``: ``randrange``'s draws on CPython
+    3.10-3.13.  Raises GraphError if the n compat rows of n bits would
+    exceed ``io.MASK_BYTES_LIMIT`` bytes.
     """
     if R < 3:
         raise GraphError(f"uniformity must be at least 3, got {R}")
     if R > n:
         raise GraphError(f"uniformity {R} exceeds ground-set size {n}")
+    need = n * -(-n // 8)  # n compat rows of n bits
+    if need > MASK_BYTES_LIMIT:
+        raise GraphError(
+            f"packing n={n} needs {need} bytes of compat rows, above the limit {MASK_BYTES_LIMIT}"
+        )
     rng = make_rng(seed, "packing")
+    getrandbits, k = rng.getrandbits, n.bit_length()
 
     full = (1 << n) - 1
     compat = [full ^ (1 << x) for x in range(n)]  # C's rows, as bitmasks
@@ -92,7 +115,9 @@ def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergr
     tried = stall = 0
     while stall < _STALL_LIMIT:
         tried += 1
-        x = rng.randrange(n)
+        x = getrandbits(k)  # randrange(n), drawn as CPython draws it
+        while x >= n:
+            x = getrandbits(k)
         chosen, common = [x], compat[x]
         while common and len(chosen) < R:
             y = _random_member(rng, common, n)
@@ -111,10 +136,13 @@ def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergr
         for x in chosen:
             closed[x] |= mask
             reach |= closed[x]
+        # positive masks: a & (full ^ m) is cheaper than a & ~m on long rows
+        keep = full ^ reach
         for x in chosen:
-            compat[x] &= ~reach
+            compat[x] &= keep
+        keep = full ^ mask
         for y in iter_bits(reach):
-            compat[y] &= ~mask
+            compat[y] &= keep
 
     edges.sort()
     H = LinearHypergraph(n, R, edges)

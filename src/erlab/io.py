@@ -85,11 +85,10 @@ def _header(path, lines, form: str) -> list[int]:
     return fields
 
 
-def _edge_lines(path, lines, form: str, width: int) -> list[list[int]]:
-    """Fields of each edge line, which must be integers at every place of
-    ``form``; its first ``width`` fields name the edge, which may appear only
-    once, in any vertex order."""
-    count = len(form.split())
+def _edge_lines(path, lines, count: int, width: int) -> list[list[int]]:
+    """Fields of each edge line, which must be ``count`` integers; its first
+    ``width`` fields name the edge, which may appear only once, in any
+    vertex order."""
     first: dict[tuple[int, ...], int] = {}
     rows = []
     for i, ln in lines:
@@ -99,7 +98,7 @@ def _edge_lines(path, lines, form: str, width: int) -> list[list[int]]:
                 raise ValueError
             fields = list(map(int, tokens))
         except ValueError:
-            raise FormatError(f"{path}:{i}: expected '{form}', got {ln!r}") from None
+            raise FormatError(f"{path}:{i}: expected {count} integers, got {ln!r}") from None
         edge = tuple(sorted(fields[:width]))
         at = first.setdefault(edge, i)
         if at != i:
@@ -114,7 +113,7 @@ def read_graph(path) -> Graph:
     lines = _lines(path)
     n, _ = _header(path, lines, "graph <n> <m>")
     body = lines[1:]
-    edges = _edge_lines(path, body, "<u> <v>", 2)
+    edges = _edge_lines(path, body, 2, 2)
     top: dict[int, int] = {}  # vertex -> its largest neighbour
     for (i, _), (u, v) in zip(body, edges):
         if not (0 <= u < n and 0 <= v < n):
@@ -144,7 +143,7 @@ def read_hypergraph(path) -> LinearHypergraph:
     n, R, _ = _header(path, lines, "hypergraph <n> <R> <m>")
     if n < 0 or R < 1:
         raise FormatError(f"{path}:{lines[0][0]}: need n >= 0 and R >= 1, got n={n}, R={R}")
-    H = LinearHypergraph(n, R, _edge_lines(path, lines[1:], " ".join(["<v>"] * R), R))
+    H = LinearHypergraph(n, R, _edge_lines(path, lines[1:], R, R))
     try:
         check_hypergraph_shape(H)
     except GraphError as exc:
@@ -167,7 +166,7 @@ def write_coloring(path, coloring: EdgeColoring) -> None:
 def read_coloring(path, t: int | None = None) -> EdgeColoring:
     colors = {}
     lines = _lines(path)
-    for (i, _), (u, v, c) in zip(lines, _edge_lines(path, lines, "<u> <v> <c>", 2)):
+    for (i, _), (u, v, c) in zip(lines, _edge_lines(path, lines, 3, 2)):
         if u < 0 or v < 0:
             raise FormatError(f"{path}:{i}: negative vertex in edge {u} {v}")
         if c < 1 or (t is not None and c > t):

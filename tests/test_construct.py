@@ -44,7 +44,7 @@ from erlab.graphs import (
     validate_hypergraph,
 )
 
-from erlab.util import derive_seed, make_rng
+from erlab.util import derive_seed, iter_bits, make_rng
 
 from oracles import (
     indexed_linear_triangle_free,
@@ -79,6 +79,23 @@ class TestBuilder:
             build_linear_tf_hypergraph(5, 6, seed=0)
         with pytest.raises(GraphError):
             build_linear_tf_hypergraph(5, 2, seed=0)
+
+    def test_rejects_compat_rows_above_the_mask_limit(self, monkeypatch):
+        # n = 20 000 would allocate 20 000 rows of 2 500 bytes: refused before any row
+        def unseeded(*parts):
+            raise AssertionError("packing started")
+
+        monkeypatch.setattr(construct, "make_rng", unseeded)
+        with pytest.raises(GraphError, match="^packing n=20000 needs 50000000 bytes of compat "
+                                             "rows, above the limit 16777216$"):
+            build_linear_tf_hypergraph(20000, 5, seed=0)
+
+    def test_compat_row_limit_is_inclusive(self, monkeypatch):
+        # 64 rows of 8 bytes fill a 512-byte limit; 65 rows of 9 bytes exceed it
+        monkeypatch.setattr(construct, "MASK_BYTES_LIMIT", 64 * 8)
+        assert build_linear_tf_hypergraph(64, 5, seed=0)[0].n == 64
+        with pytest.raises(GraphError, match="n=65 needs 585 bytes"):
+            build_linear_tf_hypergraph(65, 5, seed=0)
 
     def test_deterministic(self):
         a, _ = build_linear_tf_hypergraph(30, 3, seed=9)
@@ -137,11 +154,32 @@ GRID_SHAPES = [(21, 5), (48, 6), (64, 6), (85, 7), (128, 7), (256, 7)]
 SPREAD_SHAPES = [(19, 5), (22, 5), (32, 6), (37, 5), (38, 5), (41, 3), (86, 7), (100, 4), (256, 8)]
 
 # _random_member's index branch (fewer than n/8 bits set), the switch
-# itself, and its rejection branch
+# itself, and its rejection branch; then the widths it draws by hand: a
+# power-of-two and a single-member count, a rejection range that is not a
+# power of two, and the switch at n = 1024
 MEMBER_MASKS = [
     (64, [5]), (64, [0, 9, 33, 40, 51, 60, 63]), (64, list(range(0, 64, 8))),
     (64, list(range(1, 64, 2))), (64, list(range(1, 64))), (1024, [3, 500, 1023]),
+    (1024, list(range(7, 1024, 16))), (1024, [700]), (1000, list(range(1, 1000, 2))),
+    (1024, list(range(3, 1024, 8))),
 ]
+
+
+def assert_randrange_replay(n, bits, seed, draws=50):
+    """``_random_member`` returns what the reference packer's ``randrange``
+    protocol returns and leaves the stream where it leaves it: rejection over
+    range(n) while at least an eighth of range(n) is set, else index by rank."""
+    mask = sum(1 << b for b in bits)
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        if 8 * len(bits) >= n:
+            expected = twin.randrange(n)
+            while not mask >> expected & 1:
+                expected = twin.randrange(n)
+        else:
+            expected = bits[twin.randrange(len(bits))]
+        assert construct._random_member(rng, mask, n) == expected
+    assert rng.getstate() == twin.getstate()
 
 
 class TestRandomExtension:
@@ -208,19 +246,17 @@ class TestRandomExtension:
 
     @pytest.mark.parametrize("n,bits", MEMBER_MASKS)
     def test_random_member_draw_protocol(self, n, bits):
-        # the protocol the reference packer replays: rejection over range(n)
-        # while at least an eighth of range(n) is set, else index by rank
-        mask = sum(1 << b for b in bits)
-        rng, twin = random.Random(5), random.Random(5)
-        for _ in range(50):
-            if 8 * len(bits) >= n:
-                expected = twin.randrange(n)
-                while expected not in bits:
-                    expected = twin.randrange(n)
-            else:
-                expected = bits[twin.randrange(len(bits))]
-            assert construct._random_member(rng, mask, n) == expected
-        assert rng.getstate() == twin.getstate()
+        assert_randrange_replay(n, bits, seed=5)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_member_draw_protocol_on_random_masks(self, data):
+        n = data.draw(st.integers(2, 2100), label="n")
+        bits = sorted(data.draw(st.one_of(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=n // 8 + 2),  # about the switch
+            st.integers(1, (1 << n) - 1).map(lambda m: set(iter_bits(m))),
+        ), label="bits"))
+        assert_randrange_replay(n, bits, seed=data.draw(st.integers(0, 2**32), label="seed"))
 
 
 class TestEvenPartition:

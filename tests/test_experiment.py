@@ -593,6 +593,9 @@ class TestCli:
         pytest.param(["alpha", "--graph", "k3.txt", "--s", "1"], 2, id="alpha-s-1"),
         pytest.param(["construct", "--s", "1", "--b", "3", "--t", "2", "--n", "24"], 2,
                      id="construct-s-1"),
+        # 20 000 compat rows of 2 500 bytes: refused before the packer allocates them
+        pytest.param(["construct", "--s", "5", "--b", "3", "--t", "2", "--n", "20000"], 2,
+                     id="construct-n-above-the-mask-limit"),
         pytest.param(["exponents", "--s", "1", "--t", "2"], 2, id="exponents-s-1"),
         pytest.param(["order", "--k", "3", "--coloring", "k3.txt"], 2, id="order-not-a-coloring"),
         # a --k far above the coloring's 5 vertices exits before K_k is built

@@ -465,6 +465,9 @@ class TestFileFormats:
              ":1: header field above"),
             ("read_hypergraph", f"hypergraph 7 {eio.HEADER_LIMIT + 1} 0\n",
              ":1: header field above"),
+            # R at the limit: the message names the field count, not R placeholders
+            ("read_hypergraph", f"hypergraph 7 {eio.HEADER_LIMIT} 1\n0 1\n",
+             f":2: expected {eio.HEADER_LIMIT} integers, got '0 1'"),
         ],
     )
     def test_malformed_input_raises_format_error(self, tmp_path, reader, text, where):
@@ -473,6 +476,7 @@ class TestFileFormats:
         with pytest.raises(eio.FormatError) as err:
             getattr(eio, reader)(path)
         assert str(path) in str(err.value) and where in str(err.value)
+        assert len(str(err.value)) < 200
 
     @pytest.mark.parametrize("reader", ["read_graph", "read_hypergraph", "read_coloring"])
     def test_non_utf8_raises_format_error(self, tmp_path, reader):
