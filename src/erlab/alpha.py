@@ -135,17 +135,19 @@ def alpha_exact(
     best: list[int] = []
     chosen: list[int] = []
     chosen_mask = 0
+    # len(chosen) and len(best), kept beside the lists
+    count = best_count = 0
     nodes = 0
     idx = 0
     while True:
         if idx == n:
-            if len(chosen) > len(best):
-                best = chosen.copy()
-        elif len(chosen) + (n - idx) > len(best):
+            if count > best_count:
+                best, best_count = chosen.copy(), count
+        elif count + (n - idx) > best_count:
             if nodes >= limit:
-                bounds = [len(best), len(chosen) + (n - idx)]
+                bounds = [best_count, count + (n - idx)]
                 bounds += [j + (n - v) - 1 for j, v in enumerate(chosen)]
-                return AlphaResult(len(best), tuple(best), False, max(bounds), nodes)
+                return AlphaResult(best_count, tuple(best), False, max(bounds), nodes)
             nodes += 1
             mask = chosen_mask & rows[idx]
             free = memo.get(mask)
@@ -154,11 +156,13 @@ def alpha_exact(
             if free:
                 chosen.append(idx)
                 chosen_mask |= 1 << idx
+                count += 1
             idx += 1
             continue
         if not chosen:
-            return AlphaResult(len(best), tuple(best), True, len(best), nodes)
+            return AlphaResult(best_count, tuple(best), True, best_count, nodes)
         v = chosen.pop()
+        count -= 1
         chosen_mask ^= 1 << v
         idx = v + 1
 

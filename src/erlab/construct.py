@@ -7,6 +7,7 @@ certificate material.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -164,13 +165,19 @@ def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergr
 @dataclass
 class SparsifiedIncidence:
     """Sparsified incidence graph together with its cover and s-partition:
-    ``part_masks[v][p]`` is the bitmask of K_v's members in part p."""
+    ``part_masks[v][p]`` is the bitmask of K_v's members in part p, and
+    ``member_masks[v]`` that of all K_v's members, derived on first read."""
 
     graph: Graph
     cover: CliqueCover
     part_masks: dict[int, tuple[int, ...]]
     s: int
     certificate: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def member_masks(self) -> dict[int, int]:
+        # a clique's parts are disjoint, so their sum is its member mask
+        return {v: sum(pm) for v, pm in self.part_masks.items()}
 
 
 def evenly_partitioned(a_v: int, part_counts: list[int], s: int) -> bool:
@@ -310,7 +317,10 @@ def sparsify(
                 "vacuous": not samples,
                 "sample_records": sample_records,
             }
-            return SparsifiedIncidence(Graph.from_rows(rows), cover, part_masks, s, certificate)
+            sparsified = SparsifiedIncidence(Graph.from_rows(rows), cover, part_masks, s,
+                                             certificate)
+            sparsified.member_masks = member_masks  # the masks the parts split
+            return sparsified
 
     raise CertificationError(
         f"even-partition certification failed after {RETRY_LIMIT} attempts", worst or {}
@@ -472,7 +482,8 @@ def construct_upper_bound_instance(
     a fixed monochromatic-K_b-free pattern on part indices; joint edges take
     the lowest contributing copy's color.  The coloring is assembled as
     per-color adjacency bit rows, whose union must be the final graph's rows
-    (else GraphError), and certified from them.  The certificate bundle
+    (else GraphError), certified from them, and kept in the bundle's
+    ``EdgeColoring.from_rows`` coloring.  The certificate bundle
     carries the per-color mono-clique search, the palette checks, the
     sparsification record, and all stage reports.
     """
@@ -533,22 +544,14 @@ def construct_upper_bound_instance(
         for rows in palette:
             done = [d | r for d, r in zip(done, rows)]
 
-    # every colored edge (u, v), u < v, with its color
     used = [c for c, rows in enumerate(color_rows, 1) if any(rows)]
-    colored = []
-    for u in range(N):
-        for c in used:
-            high = color_rows[c - 1][u] >> (u + 1)
-            while high:
-                low = high & -high
-                colored.append(((u, u + low.bit_length()), c))
-                high ^= low
-    coloring = EdgeColoring(t, colored)
+    by_color = {c: color_rows[c - 1] for c in used}
+    coloring = EdgeColoring.from_rows(t, by_color)
     # done is now the union of the color rows, which must be final's rows
     if done != final._rows:
         raise _coloring_mismatch(final, coloring)
 
-    mono = _first_mono_clique({c: color_rows[c - 1] for c in used}, N, b)
+    mono = _first_mono_clique(by_color, N, b)
     palettes = {i: list(range(i * ell + 1, (i + 1) * ell + 1)) for i in range(params.beta + 1)}
     over = next((c for c in used if c > t), None)
 

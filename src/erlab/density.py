@@ -42,8 +42,7 @@ def density_witness(sparsified: SparsifiedIncidence, X) -> tuple[DensityProfile,
         x_mask |= 1 << u
 
     s, part_masks = sparsified.s, sparsified.part_masks
-    # a clique's parts are disjoint, so their sum is its member mask
-    ell, dominant = dyadic_profile({v: sum(pm) for v, pm in part_masks.items()}, x_mask)
+    ell, dominant = dyadic_profile(sparsified.member_masks, x_mask)
     profile = density_profile(ell, dominant, part_masks, x_mask, s)
     evenly = profile.evenly_partitioned
     part_lists = {v: [list(iter_bits(pm & x_mask)) for pm in part_masks[v]] for v in evenly}

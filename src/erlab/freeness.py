@@ -41,18 +41,9 @@ def find_mono_clique(graph: Graph, coloring: EdgeColoring, b: int):
     if b < 2:
         raise GraphError("forbidden clique order must be at least 2")
     n = graph.n
-    by_color: dict[int, list[int]] = {}
-    try:
-        for (u, v), c in coloring.colors.items():
-            rows = by_color.get(c)
-            if rows is None:
-                rows = by_color[c] = [0] * n
-            # v > u, so a pair beyond the graph fails here before any shift
-            rows[v] |= 1 << u
-            rows[u] |= 1 << v
-    except (IndexError, ValueError):  # a vertex above n - 1 or below 0
-        union = None
-    else:
+    by_color = coloring.color_rows(n)
+    union = None
+    if by_color is not None:
         union = [0] * n
         for rows in by_color.values():
             union = [a | r for a, r in zip(union, rows)]

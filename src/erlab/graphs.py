@@ -5,6 +5,12 @@ construction and keep adjacency as one packed bit row (a Python int) per
 vertex; ``util.iter_bits`` lists a row's neighbours in ascending order.
 All enumeration is canonical (lexicographic on sorted vertex ids) so
 witnesses and tests are deterministic.
+
+An ``EdgeColoring`` has one of two origins.  Built from (pair, color) items,
+it keeps the normalized map ``colors``.  Built by ``EdgeColoring.from_rows``,
+as a construction builds its coloring, it keeps per-color adjacency bit rows
+and derives ``colors`` only when it is first read.  Its one rows accessor,
+``color_rows(n)``, hands out the kept rows, or rows built from ``colors``.
 """
 
 from __future__ import annotations
@@ -154,7 +160,13 @@ class CliqueCover:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Map from edges (sorted pairs) to colors in 1..t."""
+    """Map from edges (sorted pairs) to colors in 1..t.
+
+    A coloring has one of two origins.  Built from pairs, it normalizes
+    them into ``colors`` at once and keeps no rows.  Built by ``from_rows``,
+    it keeps per-color adjacency bit rows and derives ``colors`` on its first
+    read.  Either way ``color_rows(n)`` is the one way to its rows, and two
+    colorings are equal iff they have the same ``t`` and ``colors``."""
 
     t: int
     colors: dict[tuple[int, int], int]
@@ -168,6 +180,56 @@ class EdgeColoring:
             raise GraphError(f"loop edge ({loop[0]},{loop[1]}) in coloring")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "colors", norm)
+        object.__setattr__(self, "_rows", None)
+
+    @classmethod
+    def from_rows(cls, t: int, rows_by_color: dict[int, list[int]]) -> "EdgeColoring":
+        """Keep ``rows_by_color``, {color: its adjacency bit rows over the
+        same vertices}, as given: like ``Graph.from_rows``, the rows must be
+        symmetric and irreflexive, and no pair may have two colors."""
+        col = cls.__new__(cls)
+        object.__setattr__(col, "t", t)
+        object.__setattr__(col, "_rows", dict(rows_by_color))
+        return col
+
+    def __getattr__(self, name):
+        # runs only for a missing attribute: ``colors`` of a coloring built
+        # from rows, derived on its first read and then kept
+        if name != "colors":
+            raise AttributeError(name)
+        object.__setattr__(self, "colors", _colored_pairs(self._rows))
+        return self.colors
+
+    @property
+    def kept_span(self) -> int | None:
+        """How many vertices the kept rows span; None when built from pairs."""
+        if self._rows is None:
+            return None
+        return max(map(len, self._rows.values()), default=0)
+
+    def color_rows(self, n: int) -> dict[int, list[int]] | None:
+        """{color: its adjacency bit rows over vertices 0..n-1}, in new
+        lists, or None when a colored pair falls outside 0..n-1.  Kept rows
+        are cut or padded with zero rows to n; without them the rows are
+        built from ``colors``."""
+        if self._rows is not None:
+            # the rows are symmetric: a pair (u, v), v >= n, sets row v
+            if any(any(rows[n:]) for rows in self._rows.values()):
+                return None
+            return {c: rows[:n] + [0] * (n - len(rows)) for c, rows in self._rows.items()}
+        out = {}
+        try:
+            for (u, v), c in self.colors.items():
+                rows = out.get(c)
+                if rows is None:
+                    rows = out[c] = [0] * n
+                # v > u, so a pair beyond n fails here before any shift, and
+                # a negative u fails in the shift
+                rows[v] |= 1 << u
+                rows[u] |= 1 << v
+        except (IndexError, ValueError):
+            return None
+        return out
 
     def color_of(self, u: int, v: int) -> int:
         return self.colors[(min(u, v), max(u, v))]
@@ -192,6 +254,19 @@ class EdgeColoring:
         return EdgeColoring(
             self.t, {(mapping[u], mapping[v]): c for (u, v), c in self.colors.items()}
         )
+
+
+def _colored_pairs(rows_by_color: dict[int, list[int]]) -> dict[tuple[int, int], int]:
+    """Each edge (u, v), u < v, of the per-color rows with its color, by u
+    ascending, then color, then v."""
+    by_color = sorted(rows_by_color.items())
+    colors = {}
+    for u in range(max((len(rows) for _, rows in by_color), default=0)):
+        for c, rows in by_color:
+            if u < len(rows):
+                for off in iter_bits(rows[u] >> (u + 1)):
+                    colors[(u, u + 1 + off)] = c
+    return colors
 
 
 def coloring_covers(graph: Graph, coloring: EdgeColoring):

@@ -109,20 +109,27 @@ def _edge_lines(path, lines, count: int, width: int) -> list[list[int]]:
     return rows
 
 
+def _mask_bytes(pairs) -> int:
+    """Bytes the adjacency bit rows of ``pairs`` take: ceil((t + 1) / 8) for
+    each vertex, t its largest neighbour."""
+    top: dict[int, int] = {}
+    for u, v in pairs:
+        if top.get(u, -1) < v:
+            top[u] = v
+        if top.get(v, -1) < u:
+            top[v] = u
+    return sum(t // 8 + 1 for t in top.values())
+
+
 def read_graph(path) -> Graph:
     lines = _lines(path)
     n, _ = _header(path, lines, "graph <n> <m>")
     body = lines[1:]
     edges = _edge_lines(path, body, 2, 2)
-    top: dict[int, int] = {}  # vertex -> its largest neighbour
     for (i, _), (u, v) in zip(body, edges):
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"{path}:{i}: edge ({u},{v}) out of range for n={n}")
-        if top.get(u, -1) < v:
-            top[u] = v
-        if top.get(v, -1) < u:
-            top[v] = u
-    need = sum(t // 8 + 1 for t in top.values())  # ceil((t + 1) / 8) bytes a row
+    need = _mask_bytes(edges)
     if need > MASK_BYTES_LIMIT:
         raise FormatError(
             f"{path}: adjacency masks would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
@@ -152,15 +159,38 @@ def read_hypergraph(path) -> LinearHypergraph:
 
 
 def write_coloring(path, coloring: EdgeColoring) -> None:
-    # one chunk per smaller endpoint u: its lines "u v c" in ascending v
-    colors = coloring.colors
-    higher: dict[int, list[int]] = {}
-    for u, v in colors:
-        higher.setdefault(u, []).append(v)
-    write_lines(path, (
-        f"{u} " + f"\n{u} ".join([f"{v} {colors[u, v]}" for v in sorted(vs)])
-        for u, vs in sorted(higher.items())
-    ))
+    """Lines ``u v c`` in ascending (u, v), read from ``color_rows`` over the
+    vertices that kept rows span, else over 0..max vertex.  Rows built from
+    pairs raise GraphError first if their adjacency masks and row slots
+    would exceed ``MASK_BYTES_LIMIT`` bytes, since no header bounds them."""
+    n = coloring.kept_span
+    if n is None:
+        pairs = coloring.colors
+        n = max((v for _, v in pairs), default=-1) + 1
+        need = _mask_bytes(pairs) + 8 * n * len(set(pairs.values()))
+        if need > MASK_BYTES_LIMIT:
+            raise GraphError(
+                f"coloring rows would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
+            )
+    by_color = coloring.color_rows(n)
+    if by_color is None:
+        raise GraphError("coloring has a negative vertex")
+    labels = [(f" {c}", rows) for c, rows in sorted(by_color.items())]
+
+    def chunks():
+        # one chunk per smaller endpoint u: its lines "u v c" in ascending v,
+        # merged from the colors' rows, which share no pair
+        for u in range(n):
+            higher = {}
+            for label, rows in labels:
+                high = rows[u] >> (u + 1)
+                if high:
+                    for off in iter_bits(high):
+                        higher[u + 1 + off] = label
+            if higher:
+                yield f"{u} " + f"\n{u} ".join([f"{v}{higher[v]}" for v in sorted(higher)])
+
+    write_lines(path, chunks())
 
 
 def read_coloring(path, t: int | None = None) -> EdgeColoring:

@@ -5,7 +5,8 @@ works over all 2^n subsets with numpy, the naive checks (the first-clique
 query, the hypergraph witnesses, the incidence graph, the cover check and
 the induced subgraph among them) go over all pairs and triples with
 itertools, the naive overlay maps one edge at a time, the naive writers
-write one line per edge, the instance generators only rely on adjacency
+write one line per edge, the row-kept colorings are filled in one pair at a
+time, the instance generators only rely on adjacency
 bookkeeping, and the reference packer keeps plain sets and recomputes
 compatibility from its definition.  The reference alpha searches are the package's branch and
 bound and counting enumeration as they were before their clique tests were
@@ -382,6 +383,18 @@ def naive_write_coloring(path, coloring: EdgeColoring) -> None:
     sorted colour map."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{u} {v} {c}\n" for (u, v), c in sorted(coloring.colors.items()))
+
+
+def rows_coloring(coloring: EdgeColoring, n: int) -> EdgeColoring:
+    """``coloring`` kept as rows by ``EdgeColoring.from_rows``: one row list
+    over n vertices for each color 1..t, empty ones too, and for any other
+    color it uses, filled in one pair at a time."""
+    rows = {c: [0] * n for c in range(1, coloring.t + 1)}
+    for (u, v), c in coloring.colors.items():
+        rows.setdefault(c, [0] * n)
+        rows[c][u] |= 1 << v
+        rows[c][v] |= 1 << u
+    return EdgeColoring.from_rows(coloring.t, rows)
 
 
 def naive_overlay(graph: Graph, copies: int, retention_p: float, seed: int):

@@ -426,8 +426,12 @@ class TestSparsify:
         assert sorted(sp.part_masks) == sorted(cover.cliques)
         for v, masks in sp.part_masks.items():
             assert len(masks) == 3
-            assert sum(masks) == cover.member_mask(v)
+            assert sum(masks) == cover.member_mask(v) == sp.member_masks[v]
             assert all(a & b == 0 for a, b in itertools.combinations(masks, 2))
+        # sparsify hands on the masks it split; a copy derives them from the parts
+        copy = SparsifiedIncidence(g, cover, sp.part_masks, 3)
+        assert copy.member_masks == sp.member_masks
+        assert copy.member_masks is copy.member_masks
 
 
 class TestCompleteSPartite:

@@ -395,6 +395,7 @@ class TestCli:
         sparsified = construct_upper_bound_instance(params, 64).sparsified
         loaded = load_instance(inst)
         assert loaded.part_masks == sparsified.part_masks
+        assert loaded.member_masks == sparsified.member_masks
         assert loaded.cover == sparsified.cover and loaded.s == sparsified.s
         assert loaded.graph.edges() == sparsified.graph.edges()
 

@@ -18,14 +18,16 @@ from erlab.graphs import (
     LinearHypergraph,
     MalformedHypergraphError,
     NonLinearError,
+    coloring_covers,
     enumerate_cliques,
     first_clique,
     incidence_graph,
     uncovered_clique,
     validate_hypergraph,
 )
-from erlab import graphs
+from erlab import cli, graphs
 from erlab import io as eio
+from erlab.freeness import find_mono_clique
 from erlab.checkers import _naive_most_frequent
 from erlab.util import iter_bits
 
@@ -39,6 +41,7 @@ from oracles import (
     naive_write_coloring,
     naive_write_graph,
     random_graph,
+    rows_coloring,
 )
 
 
@@ -361,6 +364,73 @@ class TestColoring:
     def test_tally_over_no_vertices_is_empty(self):
         assert EdgeColoring(1, {(0, 1): 1}).tally(0, []) == []
 
+    @given(st.integers(0, 10), st.integers(2, 4), st.integers(0, 2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_built_colors_match_pairs_built_in_order(self, n, t, top, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        items = [(e, data.draw(st.integers(1, t))) for e in edges]
+        # the order the rows give: u ascending, then color, then v
+        items.sort(key=lambda item: (item[0][0], item[1], item[0][1]))
+        by_pairs = EdgeColoring(t, items)
+        by_rows = rows_coloring(by_pairs, n + top)
+        assert by_rows == by_pairs
+        assert list(by_rows.colors.items()) == list(by_pairs.colors.items())
+
+    @staticmethod
+    def _mono_outcome(graph, coloring, b):
+        try:
+            return find_mono_clique(graph, coloring, b)
+        except GraphError as exc:
+            return str(exc)
+
+    @given(st.integers(1, 8), st.sampled_from(["match", "missing", "extra", "beyond"]),
+           st.integers(-2, 2), st.integers(3, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_find_mono_clique_reads_both_forms_alike(self, n, kind, top, b, data):
+        # the rows span n + top vertices, or more to hold a pair beyond n
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        colors = {e: data.draw(st.integers(1, 2)) for e in sorted(edges)}
+        if kind == "missing" and edges:
+            del colors[data.draw(st.sampled_from(sorted(edges)))]
+        elif kind == "extra" and len(edges) < len(pairs):
+            colors[data.draw(st.sampled_from([e for e in pairs if e not in edges]))] = 1
+        elif kind == "beyond":
+            u = data.draw(st.integers(0, n + 1))
+            colors[(u, data.draw(st.integers(max(u + 1, n), n + 2)))] = 2
+        g, col = Graph(n, edges), EdgeColoring(2, colors)
+        span = max([n + top] + [v + 1 for _, v in colors])
+        got = self._mono_outcome(g, rows_coloring(col, span), b)
+        assert got == self._mono_outcome(g, col, b)
+        assert isinstance(got, str) == (coloring_covers(g, col) is not None)
+
+    def test_kept_rows_longer_or_shorter_than_the_graph(self):
+        triangle = {(0, 1): 1, (1, 2): 1, (0, 2): 1, (2, 3): 2}
+        g = Graph(6, triangle)  # vertices 4 and 5 are isolated
+        for span in (4, 5, 6, 8):
+            assert find_mono_clique(g, rows_coloring(EdgeColoring(2, triangle), span), 3) == (
+                1, (0, 1, 2))
+        beyond = rows_coloring(EdgeColoring(2, {**triangle, (3, 6): 2}), 7)
+        with pytest.raises(GraphError) as exc:
+            find_mono_clique(g, beyond, 3)
+        assert str(exc.value) == "coloring does not match graph: extra edge (3, 6)"
+
+    def test_construct_never_lists_the_pairs_of_its_rows(self, tmp_path, monkeypatch, capsys):
+        # the coloring goes from assembly to coloring.txt as rows
+        def refuse(rows_by_color):
+            raise AssertionError("colored pairs derived from rows")
+
+        monkeypatch.setattr(graphs, "_colored_pairs", refuse)
+        with pytest.raises(AssertionError, match="derived from rows"):
+            EdgeColoring.from_rows(1, {1: [2, 1]}).colors
+        inst = tmp_path / "inst"
+        assert cli.main(["construct", "--s", "5", "--b", "3", "--t", "4", "--n", "64", "--k", "4",
+                         "--R", "5", "--seed", "7", "--out-dir", str(inst)]) == 0
+        monkeypatch.undo()
+        naive_write_coloring(tmp_path / "want.txt", eio.read_coloring(inst / "coloring.txt"))
+        assert (inst / "coloring.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
 
 # arbitrary files for the readers: short raw bytes, or a header (often with
 # the right edge count) over lines of small integers and junk.  Integers
@@ -542,9 +612,11 @@ class TestFileFormats:
             naive_write_graph(want, graph)
             assert got.read_bytes() == want.read_bytes()
             for coloring in colorings:
-                eio.write_coloring(got, coloring)
                 naive_write_coloring(want, coloring)
-                assert got.read_bytes() == want.read_bytes()
+                # also kept as rows, over two more vertices, which are isolated
+                for form in (coloring, rows_coloring(coloring, graph.n + 2)):
+                    eio.write_coloring(got, form)
+                    assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("graph", [
         Graph(0),
@@ -573,6 +645,17 @@ class TestFileFormats:
             EdgeColoring(4, dict(zip(edges, colors))),
             EdgeColoring(4, items),
         ])
+
+    def test_coloring_rows_above_the_mask_limit_are_not_written(self, tmp_path):
+        path = tmp_path / "coloring.txt"
+        with pytest.raises(GraphError, match="coloring rows would take"):
+            eio.write_coloring(path, EdgeColoring(1, {(0, 1 << 40): 1}))
+        # the rows' list slots count too: 8 bytes for each of 2^21 vertices
+        with pytest.raises(GraphError, match="coloring rows would take"):
+            eio.write_coloring(path, EdgeColoring(1, {(0, 1 << 21): 1}))
+        with pytest.raises(GraphError, match="negative vertex"):
+            eio.write_coloring(path, EdgeColoring(1, {(-1, 1): 1}))
+        assert not path.exists()
 
     @given(st.integers(0, 12), st.data())
     @settings(max_examples=40, deadline=None)
