@@ -308,7 +308,7 @@ def recursive_free_subset(
     seed: int = 0,
 ) -> ExtractionResult:
     """K_s-free subset via the recursive dichotomy: look for an (i-1)-tuple
-    whose common neighborhood (restricted to edge sets showing >= g(i)
+    whose common neighborhood (limited to edge sets showing >= g(i)
     distinct colors) is large, fix the most frequent color pattern and
     recurse on the survivors with g(i) fewer colors; otherwise run the
     alteration sampler on the K_s-copy hypergraph.
@@ -361,11 +361,8 @@ def _recursive_step(graph, coloring, s, t, scan_budget, seed, depth) -> Extracti
         best_pat = min(patterns, key=lambda p: (-len(patterns[p]), p))
         survivors = patterns[best_pat]
         sub, old_ids = graph.induced(survivors)
-        sub_coloring = coloring.restrict(survivors).relabel(
-            {v: idx for idx, v in enumerate(old_ids)}
-        )
         inner = _recursive_step(
-            sub, sub_coloring, s, t - gi, scan_budget - scanned, seed, depth + 1
+            sub, coloring.induced(survivors), s, t - gi, scan_budget - scanned, seed, depth + 1
         )
         verts = tuple(sorted(old_ids[v] for v in inner.vertices))
         path = [

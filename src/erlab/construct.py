@@ -8,18 +8,17 @@ certificate material.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from .freeness import (
     UnsupportedParametersError,
-    _coloring_mismatch,
-    _first_mono_clique,
     default_table,
+    find_mono_clique,
     mono_free_pattern,
 )
 from .graphs import (
+    MASK_BYTES_LIMIT,
     CliqueCover,
     EdgeColoring,
     Graph,
@@ -29,7 +28,6 @@ from .graphs import (
     NonLinearError,
     validate_hypergraph,
 )
-from .io import MASK_BYTES_LIMIT
 from .util import derive_seed, iter_bits, make_rng
 
 
@@ -95,7 +93,7 @@ def build_linear_tf_hypergraph(n: int, R: int, seed: int) -> tuple[LinearHypergr
     Start vertices are ``getrandbits(n.bit_length())`` until below n, and
     members come from ``_random_member``: ``randrange``'s draws on CPython
     3.10-3.13.  Raises GraphError if the n compat rows of n bits would
-    exceed ``io.MASK_BYTES_LIMIT`` bytes.
+    exceed ``graphs.MASK_BYTES_LIMIT`` bytes.
     """
     if R < 3:
         raise GraphError(f"uniformity must be at least 3, got {R}")
@@ -307,7 +305,7 @@ def sparsify(
             rows = [0] * graph.n
             for v in clique_ids:
                 for pm in part_masks[v]:
-                    others = member_masks[v] & ~pm
+                    others = member_masks[v] ^ pm
                     for u in iter_bits(pm):
                         rows[u] |= others
             certificate = {
@@ -368,7 +366,7 @@ def overlay_and_retain(
     """Apply an independent uniform random permutation to each of ``copies``
     copies of ``graph``, union the edge sets, then keep each vertex
     independently with probability ``retention_p`` and return the induced
-    subgraph (vertices relabeled in increasing union-id order)."""
+    subgraph (vertices renumbered in increasing union-id order)."""
     if copies < 1:
         raise GraphError("need at least one copy")
     if not 0.0 <= retention_p <= 1.0:
@@ -481,9 +479,10 @@ def construct_upper_bound_instance(
     retain) and color each copy with its own disjoint ell-color palette via
     a fixed monochromatic-K_b-free pattern on part indices; joint edges take
     the lowest contributing copy's color.  The coloring is assembled as
-    per-color adjacency bit rows, whose union must be the final graph's rows
-    (else GraphError), certified from them, and kept in the bundle's
-    ``EdgeColoring.from_rows`` coloring.  The certificate bundle
+    per-color adjacency bit rows and kept in the bundle's
+    ``EdgeColoring.from_rows`` coloring; ``find_mono_clique`` checks that
+    their union is the final graph's rows (else GraphError) and searches
+    them.  The certificate bundle
     carries the per-color mono-clique search, the palette checks, the
     sparsification record, and all stage reports.
     """
@@ -519,7 +518,8 @@ def construct_upper_bound_instance(
     # hold keeps the lowest one's color.  color_rows[c - 1]: color c's rows
     N, ell = final.n, params.ell
     index = {x: a for a, x in enumerate(overlay.retained)}
-    pattern_pairs = [(i, j, pattern.color_of(i, j)) for i, j in itertools.combinations(range(s), 2)]
+    pattern_pairs = [(i, i + 1 + off, c) for c, rows in pattern.rows.items()
+                     for i, row in enumerate(rows) for off in iter_bits(row >> (i + 1))]
     color_rows = [[0] * N for _ in range((params.beta + 1) * ell)]
     done = [0] * N
     for copy_idx, perm in enumerate(overlay.permutations):
@@ -547,11 +547,7 @@ def construct_upper_bound_instance(
     used = [c for c, rows in enumerate(color_rows, 1) if any(rows)]
     by_color = {c: color_rows[c - 1] for c in used}
     coloring = EdgeColoring.from_rows(t, by_color)
-    # done is now the union of the color rows, which must be final's rows
-    if done != final._rows:
-        raise _coloring_mismatch(final, coloring)
-
-    mono = _first_mono_clique(by_color, N, b)
+    mono = find_mono_clique(final, coloring, b)
     palettes = {i: list(range(i * ell + 1, (i + 1) * ell + 1)) for i in range(params.beta + 1)}
     over = next((c for c in used if c > t), None)
 
@@ -603,16 +599,22 @@ def construct_upper_bound_instance(
 
 
 def _check_complete_s_partite(sparsified: SparsifiedIncidence) -> dict:
-    """Within every K_v the kept edges must be exactly the cross-part pairs."""
+    """Within every K_v the kept edges must be exactly the cross-part pairs.
+    The witness is the first wrong pair (a, b), a < b, of the first failing
+    clique: the least of its parts' first ones."""
     g = sparsified.graph
     for v, masks in sorted(sparsified.part_masks.items()):
         members = sum(masks)  # the parts are disjoint
-        for a in iter_bits(members):
-            same = next(pm for pm in masks if pm >> a & 1)
-            wrong = ((g.row(a) ^ ~same) & members) >> (a + 1)
-            if wrong:
-                b = a + (wrong & -wrong).bit_length()
-                return {"pass": False, "witness": {"clique": v, "edge": [a, b]}}
+        firsts = []
+        for pm in masks:
+            cross = members ^ pm  # the members a member of this part sees
+            for a in iter_bits(pm):
+                wrong = ((g.row(a) ^ cross) & members) >> (a + 1)
+                if wrong:
+                    firsts.append((a, a + (wrong & -wrong).bit_length()))
+                    break
+        if firsts:
+            return {"pass": False, "witness": {"clique": v, "edge": list(min(firsts))}}
     return {"pass": True, "witness": None}
 
 

@@ -28,17 +28,20 @@ from .alpha import (
 from .bounds import default_g_table, exponent_lower, exponent_upper, order_vertices
 from .checkers import check_ordering
 from .construct import (
+    CertificationError,
     ConstructionParams,
     certificate_passes,
     construct_upper_bound_instance,
 )
 from .freeness import (
     VERIFIED,
+    UnresolvedRamseyError,
+    UnsupportedParametersError,
     find_mono_clique,
     greenwood_gleason_coloring,
     ramsey_oracle,
 )
-from .graphs import EdgeColoring, Graph
+from .graphs import EdgeColoring, Graph, GraphError
 from .io import FormatError
 from .util import derive_seed
 
@@ -184,7 +187,8 @@ def _measure_row(config: ExperimentConfig, n: int, seed: int) -> RunRow:
             seed=derive_seed(seed, n, "experiment"),
         )
         bundle = construct_upper_bound_instance(params, n)
-    except Exception as exc:  # noqa: BLE001 - row is flagged, not lost
+    except (GraphError, UnsupportedParametersError, UnresolvedRamseyError,
+            CertificationError) as exc:  # the row is flagged, not lost
         ms = int((time.monotonic() - t0) * 1000)
         return RunRow(n, seed, config.s, config.b, config.t, 0, 0, False, False, ms,
                       note=f"construction failed: {exc}")
@@ -233,7 +237,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             fit["theoretical_upper"] = str(
                 exponent_upper(config.s, config.b, config.t).value
             )
-        except Exception as exc:  # noqa: BLE001
+        except (GraphError, UnresolvedRamseyError) as exc:
             fit["theoretical_note"] = str(exc)
     return RunReport(rows=rows, fit=fit, config=asdict(config))
 

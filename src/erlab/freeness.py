@@ -32,40 +32,31 @@ class UnresolvedRamseyError(LookupError):
 
 
 def find_mono_clique(graph: Graph, coloring: EdgeColoring, b: int):
-    """First monochromatic b-clique in canonical order, or None.
+    """First monochromatic b-clique in canonical order, as (color, clique),
+    or None.
 
     Canonical order: colors ascending, then lexicographic on the sorted
     clique.  The coloring must cover E(graph) exactly: the union of its
-    per-color rows must be the graph's rows.
+    per-color rows must be the graph's rows, else GraphError names
+    ``coloring_covers``'s witness.
     """
     if b < 2:
         raise GraphError("forbidden clique order must be at least 2")
     n = graph.n
-    by_color = coloring.color_rows(n)
-    union = None
-    if by_color is not None:
-        union = [0] * n
-        for rows in by_color.values():
-            union = [a | r for a, r in zip(union, rows)]
+    by_color = sorted(coloring.rows.items())
+    union = [0] * n
+    for _, rows in by_color:
+        # the rows are symmetric: a pair (u, v), v >= n, sets row v
+        if any(rows[n:]):
+            union = None
+            break
+        union[:len(rows)] = [a | r for a, r in zip(union, rows)]
     if union != graph._rows:
-        raise _coloring_mismatch(graph, coloring)
-    return _first_mono_clique(by_color, n, b)
-
-
-def _coloring_mismatch(graph: Graph, coloring: EdgeColoring) -> GraphError:
-    """The error for a coloring that does not cover E(graph) exactly, naming
-    ``coloring_covers``'s witness."""
-    kind, edge = coloring_covers(graph, coloring)
-    return GraphError(f"coloring does not match graph: {kind} edge {edge}")
-
-
-def _first_mono_clique(by_color: dict[int, list[int]], n: int, b: int):
-    """First (color, b-clique) over the colors of ``by_color`` ascending,
-    each clique lexicographically first among that color's adjacency bit
-    rows over 0..n-1; None when no color holds a b-clique."""
-    full = (1 << n) - 1
-    for c in sorted(by_color):
-        clique = first_clique(by_color[c], full, b)
+        kind, edge = coloring_covers(graph, coloring)
+        raise GraphError(f"coloring does not match graph: {kind} edge {edge}")
+    for c, rows in by_color:
+        # rows beyond n are empty, and rows short of n leave the rest isolated
+        clique = first_clique(rows, (1 << min(n, len(rows))) - 1, b)
         if clique is not None:
             return (c, clique)
     return None
@@ -350,8 +341,8 @@ def search_free_coloring(
 
     if status != FOUND:
         return SearchResult(status, None, nodes)
-    assignment = [step[0] for step in undo]
-    coloring = EdgeColoring(t if t is not None else max(assignment), dict(zip(edges, assignment)))
+    coloring = EdgeColoring.from_rows(t if t is not None else len(rows_by_color),
+                                      dict(enumerate(rows_by_color, 1)))
     # round-trip soundness: a returned witness is always re-checked
     assert find_mono_clique(graph, coloring, b) is None
     if local_bound is not None:

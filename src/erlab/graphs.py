@@ -6,11 +6,10 @@ vertex; ``util.iter_bits`` lists a row's neighbours in ascending order.
 All enumeration is canonical (lexicographic on sorted vertex ids) so
 witnesses and tests are deterministic.
 
-An ``EdgeColoring`` has one of two origins.  Built from (pair, color) items,
-it keeps the normalized map ``colors``.  Built by ``EdgeColoring.from_rows``,
-as a construction builds its coloring, it keeps per-color adjacency bit rows
-and derives ``colors`` only when it is first read.  Its one rows accessor,
-``color_rows(n)``, hands out the kept rows, or rows built from ``colors``.
+An ``EdgeColoring`` keeps its colors only as per-color adjacency bit rows,
+``rows``, whether it was built from (pair, color) items or by
+``EdgeColoring.from_rows``, as a construction builds its coloring.  Its map
+``colors`` is derived from them when it is first read.
 """
 
 from __future__ import annotations
@@ -158,29 +157,62 @@ class CliqueCover:
         return m
 
 
+# most bytes the adjacency bit rows that no header bounds may take: a graph
+# file's, a coloring's and a structure.json's part masks
+MASK_BYTES_LIMIT = 1 << 24
+
+
+def mask_bytes(pairs) -> int:
+    """Bytes the adjacency bit rows of ``pairs`` take: ceil((t + 1) / 8) for
+    each vertex, t its largest neighbour."""
+    top: dict[int, int] = {}
+    for u, v in pairs:
+        if top.get(u, -1) < v:
+            top[u] = v
+        if top.get(v, -1) < u:
+            top[v] = u
+    return sum(t // 8 + 1 for t in top.values())
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """Map from edges (sorted pairs) to colors in 1..t.
 
-    A coloring has one of two origins.  Built from pairs, it normalizes
-    them into ``colors`` at once and keeps no rows.  Built by ``from_rows``,
-    it keeps per-color adjacency bit rows and derives ``colors`` on its first
-    read.  Either way ``color_rows(n)`` is the one way to its rows, and two
+    A coloring keeps only ``rows``, {color: its adjacency bit rows over the
+    same vertices}, and derives ``colors`` from them on its first read.  Two
     colorings are equal iff they have the same ``t`` and ``colors``."""
 
     t: int
     colors: dict[tuple[int, int], int]
 
     def __init__(self, t: int, colors):
+        """From (pair, color) items or a {pair: color} map, its rows over
+        0..max vertex.  GraphError for a loop, a negative vertex, or rows
+        whose masks and row slots would exceed ``MASK_BYTES_LIMIT`` bytes,
+        before any row is built."""
         # a later entry for the same edge, in either order, wins
         items = colors.items() if isinstance(colors, dict) else colors
         norm = {e if e[0] < e[1] else (e[1], e[0]): c for e, c in items}
         loop = next((e for e in norm if e[0] == e[1]), None)
         if loop is not None:
             raise GraphError(f"loop edge ({loop[0]},{loop[1]}) in coloring")
+        if any(u < 0 for u, _ in norm):
+            raise GraphError("coloring has a negative vertex")
+        n = max((v for _, v in norm), default=-1) + 1
+        need = mask_bytes(norm) + 8 * n * len(set(norm.values()))
+        if need > MASK_BYTES_LIMIT:
+            raise GraphError(
+                f"coloring rows would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
+            )
+        rows_by_color: dict[int, list[int]] = {}
+        for (u, v), c in norm.items():
+            rows = rows_by_color.get(c)
+            if rows is None:
+                rows = rows_by_color[c] = [0] * n
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "colors", norm)
-        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "rows", rows_by_color)
 
     @classmethod
     def from_rows(cls, t: int, rows_by_color: dict[int, list[int]]) -> "EdgeColoring":
@@ -189,47 +221,16 @@ class EdgeColoring:
         symmetric and irreflexive, and no pair may have two colors."""
         col = cls.__new__(cls)
         object.__setattr__(col, "t", t)
-        object.__setattr__(col, "_rows", dict(rows_by_color))
+        object.__setattr__(col, "rows", dict(rows_by_color))
         return col
 
     def __getattr__(self, name):
-        # runs only for a missing attribute: ``colors`` of a coloring built
-        # from rows, derived on its first read and then kept
+        # runs only for a missing attribute: ``colors``, derived on its first
+        # read and then kept
         if name != "colors":
             raise AttributeError(name)
-        object.__setattr__(self, "colors", _colored_pairs(self._rows))
+        object.__setattr__(self, "colors", _colored_pairs(self.rows))
         return self.colors
-
-    @property
-    def kept_span(self) -> int | None:
-        """How many vertices the kept rows span; None when built from pairs."""
-        if self._rows is None:
-            return None
-        return max(map(len, self._rows.values()), default=0)
-
-    def color_rows(self, n: int) -> dict[int, list[int]] | None:
-        """{color: its adjacency bit rows over vertices 0..n-1}, in new
-        lists, or None when a colored pair falls outside 0..n-1.  Kept rows
-        are cut or padded with zero rows to n; without them the rows are
-        built from ``colors``."""
-        if self._rows is not None:
-            # the rows are symmetric: a pair (u, v), v >= n, sets row v
-            if any(any(rows[n:]) for rows in self._rows.values()):
-                return None
-            return {c: rows[:n] + [0] * (n - len(rows)) for c, rows in self._rows.items()}
-        out = {}
-        try:
-            for (u, v), c in self.colors.items():
-                rows = out.get(c)
-                if rows is None:
-                    rows = out[c] = [0] * n
-                # v > u, so a pair beyond n fails here before any shift, and
-                # a negative u fails in the shift
-                rows[v] |= 1 << u
-                rows[u] |= 1 << v
-        except (IndexError, ValueError):
-            return None
-        return out
 
     def color_of(self, u: int, v: int) -> int:
         return self.colors[(min(u, v), max(u, v))]
@@ -244,16 +245,21 @@ class EdgeColoring:
             counts[c] = counts.get(c, 0) + 1
         return sorted(((k, c) for c, k in counts.items()), key=lambda kc: (-kc[0], kc[1]))
 
-    def restrict(self, vertices) -> "EdgeColoring":
-        keep = set(vertices)
-        return EdgeColoring(
-            self.t, {e: c for e, c in self.colors.items() if e[0] in keep and e[1] in keep}
-        )
-
-    def relabel(self, mapping: dict[int, int]) -> "EdgeColoring":
-        return EdgeColoring(
-            self.t, {(mapping[u], mapping[v]): c for (u, v), c in self.colors.items()}
-        )
+    def induced(self, vertices) -> "EdgeColoring":
+        """The coloring of the pairs within ``vertices``, renumbered as
+        ``Graph.induced`` renumbers them: new vertex i is the i-th smallest
+        old id.  A vertex beyond the rows has no colored pair."""
+        keep = sorted(set(vertices))
+        index = {v: i for i, v in enumerate(keep)}
+        keep_mask = sum(1 << v for v in keep)
+        out = {}
+        for c, rows in self.rows.items():
+            span = len(rows)
+            sub = [sum(1 << index[w] for w in iter_bits(rows[v] & keep_mask)) if v < span else 0
+                   for v in keep]
+            if any(sub):
+                out[c] = sub
+        return EdgeColoring.from_rows(self.t, out)
 
 
 def _colored_pairs(rows_by_color: dict[int, list[int]]) -> dict[tuple[int, int], int]:
@@ -276,7 +282,7 @@ def coloring_covers(graph: Graph, coloring: EdgeColoring):
         if e not in coloring.colors:
             return ("missing", e)
     for e in sorted(coloring.colors):
-        if e[0] < 0 or e[1] >= graph.n or not graph.has_edge(*e):
+        if e[1] >= graph.n or not graph.has_edge(*e):
             return ("extra", e)
     return None
 

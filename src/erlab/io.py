@@ -17,7 +17,15 @@ import itertools
 import json
 from pathlib import Path
 
-from .graphs import EdgeColoring, Graph, GraphError, LinearHypergraph, check_hypergraph_shape
+from .graphs import (
+    MASK_BYTES_LIMIT,
+    EdgeColoring,
+    Graph,
+    GraphError,
+    LinearHypergraph,
+    check_hypergraph_shape,
+    mask_bytes,
+)
 from .util import iter_bits
 
 
@@ -28,9 +36,6 @@ class FormatError(ValueError):
 # largest n (and R) a header may declare; the readers size their
 # structures by it before any edge line is read
 HEADER_LIMIT = 1 << 20
-# most bytes a graph file's adjacency masks may take; a header below the
-# limit does not bound them, since each row is sized by its largest neighbour
-MASK_BYTES_LIMIT = 1 << 24
 
 
 def write_lines(path, lines) -> None:
@@ -109,18 +114,6 @@ def _edge_lines(path, lines, count: int, width: int) -> list[list[int]]:
     return rows
 
 
-def _mask_bytes(pairs) -> int:
-    """Bytes the adjacency bit rows of ``pairs`` take: ceil((t + 1) / 8) for
-    each vertex, t its largest neighbour."""
-    top: dict[int, int] = {}
-    for u, v in pairs:
-        if top.get(u, -1) < v:
-            top[u] = v
-        if top.get(v, -1) < u:
-            top[v] = u
-    return sum(t // 8 + 1 for t in top.values())
-
-
 def read_graph(path) -> Graph:
     lines = _lines(path)
     n, _ = _header(path, lines, "graph <n> <m>")
@@ -129,7 +122,7 @@ def read_graph(path) -> Graph:
     for (i, _), (u, v) in zip(body, edges):
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"{path}:{i}: edge ({u},{v}) out of range for n={n}")
-    need = _mask_bytes(edges)
+    need = mask_bytes(edges)
     if need > MASK_BYTES_LIMIT:
         raise FormatError(
             f"{path}: adjacency masks would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
@@ -159,27 +152,13 @@ def read_hypergraph(path) -> LinearHypergraph:
 
 
 def write_coloring(path, coloring: EdgeColoring) -> None:
-    """Lines ``u v c`` in ascending (u, v), read from ``color_rows`` over the
-    vertices that kept rows span, else over 0..max vertex.  Rows built from
-    pairs raise GraphError first if their adjacency masks and row slots
-    would exceed ``MASK_BYTES_LIMIT`` bytes, since no header bounds them."""
-    n = coloring.kept_span
-    if n is None:
-        pairs = coloring.colors
-        n = max((v for _, v in pairs), default=-1) + 1
-        need = _mask_bytes(pairs) + 8 * n * len(set(pairs.values()))
-        if need > MASK_BYTES_LIMIT:
-            raise GraphError(
-                f"coloring rows would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
-            )
-    by_color = coloring.color_rows(n)
-    if by_color is None:
-        raise GraphError("coloring has a negative vertex")
-    labels = [(f" {c}", rows) for c, rows in sorted(by_color.items())]
+    """Lines ``u v c`` in ascending (u, v), merged from the coloring's
+    per-color rows, which share no pair."""
+    labels = [(f" {c}", rows) for c, rows in sorted(coloring.rows.items())]
+    n = max((len(rows) for _, rows in labels), default=0)
 
     def chunks():
-        # one chunk per smaller endpoint u: its lines "u v c" in ascending v,
-        # merged from the colors' rows, which share no pair
+        # one chunk per smaller endpoint u: its lines "u v c" in ascending v
         for u in range(n):
             higher = {}
             for label, rows in labels:

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks (the first-clique
 query, the hypergraph witnesses, the incidence graph, the cover check and
-the induced subgraph among them) go over all pairs and triples with
+the induced subgraph and coloring among them) go over all pairs and triples with
 itertools, the naive overlay maps one edge at a time, the naive writers
 write one line per edge, the row-kept colorings are filled in one pair at a
 time, the instance generators only rely on adjacency
@@ -367,6 +367,15 @@ def naive_induced(graph: Graph, vertices) -> tuple[list[tuple[int, int]], list[i
         if graph.has_edge(keep[i], keep[j])
     ]
     return edges, keep
+
+
+def naive_induced_coloring(coloring: EdgeColoring, vertices) -> dict[tuple[int, int], int]:
+    """The colour map of ``coloring`` restricted to the pairs within
+    ``vertices``, then relabeled by rank among the distinct vertices."""
+    keep = set(vertices)
+    rank = {v: i for i, v in enumerate(sorted(keep))}
+    return {(rank[u], rank[v]): c for (u, v), c in coloring.colors.items()
+            if u in keep and v in keep}
 
 
 def naive_write_graph(path, graph: Graph) -> None:

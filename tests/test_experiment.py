@@ -151,6 +151,15 @@ class TestRunExperiment:
         assert not row.cert_ok and not row.exact
         assert (row.alpha_lo, row.alpha_hi) == (0, 0)
 
+    def test_programming_error_in_construction_propagates(self, tmp_path, monkeypatch):
+        # only the typed construction errors become a flagged row
+        def broken(params, n):
+            raise TypeError("broken construction")
+
+        monkeypatch.setattr(experiment, "construct_upper_bound_instance", broken)
+        with pytest.raises(TypeError, match="broken construction"):
+            run_experiment(tiny_config(tmp_path, n_list=[8], seeds=[0]))
+
     def test_construction_over_budget_is_a_flagged_row(self, tmp_path):
         config = tiny_config(tmp_path, n_list=[24], seeds=[1],
                              budgets={"alpha_nodes": 50_000, "construct_ms": 0})

@@ -89,7 +89,14 @@ class TestFindMonoClique:
             colors[data.draw(st.sampled_from(absent))] = 1
         else:  # a pair with an end at or above n, possibly far above it
             u = data.draw(st.integers(0, n + 2))
-            colors[(u, data.draw(st.integers(max(u + 1, n), 1 << 40)))] = 2
+            v = data.draw(st.integers(max(u + 1, n), 1 << 16) | st.integers(1 << 21, 1 << 40))
+            colors[(u, v)] = 2
+            if v >= 1 << 21:
+                # rows over 0..v would take more than 8 bytes a slot times 2^21
+                # slots: the coloring is refused as it is built
+                with pytest.raises(GraphError, match="above the limit"):
+                    EdgeColoring(2, colors)
+                return
         g, col = Graph(n, edges), EdgeColoring(2, colors)
         problem = coloring_covers(g, col)
         assert problem is not None and problem[0] == ("extra" if kind == "beyond" else kind)
@@ -98,11 +105,9 @@ class TestFindMonoClique:
         assert str(exc.value) == f"coloring does not match graph: {problem[0]} edge {problem[1]}"
 
     def test_negative_vertex_is_an_extra_pair(self):
-        # row -1 would alias row 2, which holds the edge (1, 2)
-        g, col = Graph(3, [(1, 2)]), EdgeColoring(1, {(-1, 1): 1, (1, 2): 1})
-        assert coloring_covers(g, col) == ("extra", (-1, 1))
-        with pytest.raises(GraphError, match=r"extra edge \(-1, 1\)"):
-            find_mono_clique(g, col, 3)
+        # no row holds vertex -1: the coloring is refused as it is built
+        with pytest.raises(GraphError, match="^coloring has a negative vertex$"):
+            EdgeColoring(1, {(-1, 1): 1, (1, 2): 1})
 
 
 class TestSearchFreeColoring:

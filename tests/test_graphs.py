@@ -38,6 +38,7 @@ from oracles import (
     naive_hypergraph_witnesses,
     naive_incidence,
     naive_induced,
+    naive_induced_coloring,
     naive_write_coloring,
     naive_write_graph,
     random_graph,
@@ -341,11 +342,41 @@ class TestColoring:
         assert EdgeColoring(2, colors).colors == {(0, 1): 2}
 
     def test_restrict_and_relabel(self):
+        # ``induced`` keeps the pairs within the vertices and renumbers them by rank
         col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (0, 2): 1})
-        sub = col.restrict([0, 1])
-        assert sub.colors == {(0, 1): 1}
-        back = col.relabel({0: 5, 1: 4, 2: 3})
-        assert back.color_of(4, 5) == 1
+        assert col.induced([0, 1]).colors == {(0, 1): 1}
+        assert col.induced([2, 1]).color_of(0, 1) == 2
+        assert col.induced([5, 2, 0]).colors == {(0, 1): 1}
+
+    @given(st.integers(0, 9), st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_induced_matches_restrict_then_relabel(self, n, t, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        col = EdgeColoring(t, {e: data.draw(st.integers(1, t)) for e in sorted(edges)})
+        if data.draw(st.booleans()):
+            col = rows_coloring(col, n + data.draw(st.integers(0, 2)))
+        # unsorted, with repeats, and some at or beyond n
+        vertices = data.draw(st.lists(st.integers(0, n + 2), max_size=n + 4))
+        sub = col.induced(vertices)
+        assert sub == EdgeColoring(t, naive_induced_coloring(col, vertices))
+        assert sub.t == t
+        assert all(len(rows) == len(set(vertices)) for rows in sub.rows.values())
+        # it colors exactly the induced subgraph
+        graph, _ = Graph(n + 3, edges).induced(vertices)
+        assert coloring_covers(graph, sub) is None
+
+    def test_pairs_built_coloring_pickles_copies_and_compares(self):
+        import copy
+        import pickle
+
+        col = EdgeColoring(3, [((2, 0), 1), ((1, 2), 3), ((0, 2), 2)])
+        for other in (pickle.loads(pickle.dumps(col)), copy.deepcopy(col), copy.copy(col)):
+            assert other == col and other.t == 3
+            assert other.colors == {(0, 2): 2, (1, 2): 3}
+            assert other.rows == col.rows
+        assert col != EdgeColoring(4, col.colors)
+        assert col != EdgeColoring(3, {(0, 2): 1, (1, 2): 3})
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
