@@ -354,12 +354,18 @@ def _recursive_step(graph, coloring, s, t, scan_budget, seed, depth) -> Extracti
         if hit is None:
             continue
         anchors, candidates = hit
-        patterns: dict[tuple[int, ...], list[int]] = {}
-        for u in candidates:
-            pat = tuple(coloring.color_of(u, v) for v in anchors)
-            patterns.setdefault(pat, []).append(u)
-        best_pat = min(patterns, key=lambda p: (-len(patterns[p]), p))
-        survivors = patterns[best_pat]
+        # group the candidates by their colors to the anchors: split each
+        # group's mask by every color's row at the next anchor
+        patterns = {(): candidates}
+        for v in anchors:
+            patterns = {
+                pat + (c,): part
+                for pat, mask in patterns.items()
+                for c, rows in coloring.rows.items()
+                if v < len(rows) and (part := mask & rows[v])
+            }
+        best_pat = min(patterns, key=lambda p: (-patterns[p].bit_count(), p))
+        survivors = list(iter_bits(patterns[best_pat]))
         sub, old_ids = graph.induced(survivors)
         inner = _recursive_step(
             sub, coloring.induced(survivors), s, t - gi, scan_budget - scanned, seed, depth + 1
@@ -378,12 +384,14 @@ def _recursive_step(graph, coloring, s, t, scan_budget, seed, depth) -> Extracti
 
 def _scan_tuples(graph, coloring, i, gi, need, scan_budget):
     """First (i-1)-tuple (lexicographic) whose qualified common neighborhood
-    reaches ``need``; the qualification asks >= gi distinct edge colors.
+    reaches ``need``; the qualification asks >= gi distinct edge colors, the
+    colors whose row at u meets the anchors.
 
-    Returns ``((anchors, qualified) or None, tuples scanned)``."""
+    Returns ``((anchors, qualified mask) or None, tuples scanned)``."""
     n = graph.n
     rows = graph._rows
     full = (1 << n) - 1
+    by_color = list(coloring.rows.values())
     scanned = 0
     for anchors in itertools.combinations(range(n), i - 1):
         scanned += 1
@@ -396,12 +404,13 @@ def _scan_tuples(graph, coloring, i, gi, need, scan_budget):
                 break
         if common.bit_count() < need:
             continue
-        qualified = []
+        anchor_mask = sum(1 << v for v in anchors)
+        qualified = 0
         for u in iter_bits(common):
-            colors = {coloring.color_of(u, v) for v in anchors}
-            if len(colors) >= gi:
-                qualified.append(u)
-        if len(qualified) >= need:
+            seen = sum(1 for c_rows in by_color if u < len(c_rows) and c_rows[u] & anchor_mask)
+            if seen >= gi:
+                qualified |= 1 << u
+        if qualified.bit_count() >= need:
             return (anchors, qualified), scanned
     return None, scanned
 
@@ -450,7 +459,7 @@ def lay3_free_subset(
     threshold = THRESHOLD_SCALE * n ** float(beta)
 
     if driver >= threshold and any(xis):
-        verts, info = _pigeonhole_pair(graph, coloring, tallies)
+        verts, info = _pigeonhole_pair(coloring, tallies)
         if not is_free_set(graph, verts, s):
             raise ExtractionError(
                 "pigeonhole branch output contains a clique; the call is outside "
@@ -477,11 +486,12 @@ def lay3_free_subset(
     )
 
 
-def _pigeonhole_pair(graph: Graph, coloring: EdgeColoring, tallies):
+def _pigeonhole_pair(coloring: EdgeColoring, tallies):
     """Most frequent ordered color pair over paths y-x-z with differing
     colors, then the best (y, z); returns the common set and a description.
     ``tallies[x]`` is ``coloring.tally`` of x's edges: x is the middle of
-    count(c1) * count(c2) paths colored (c1, c2)."""
+    count(c1) * count(c2) paths colored (c1, c2).  The (y, z) counts and the
+    common set read colors c1's and c2's rows."""
     pair_counts: dict[tuple[int, int], int] = {}
     for tally in tallies:
         for k1, c1 in tally:
@@ -491,18 +501,14 @@ def _pigeonhole_pair(graph: Graph, coloring: EdgeColoring, tallies):
     if not pair_counts:
         raise ExtractionError("no bicolored cherry exists")
     c1, c2 = min(pair_counts, key=lambda p: (-pair_counts[p], p))
+    rows1, rows2 = coloring.rows[c1], coloring.rows[c2]
     anchor_counts: dict[tuple[int, int], int] = {}
-    for x in range(graph.n):
-        nbrs = list(iter_bits(graph.row(x)))
-        ys = [y for y in nbrs if coloring.color_of(x, y) == c1]
-        zs = [z for z in nbrs if coloring.color_of(x, z) == c2]
-        for y in ys:
+    # the rows may stop short of the graph when its top vertices are isolated
+    for row1, row2 in zip(rows1, rows2):
+        zs = list(iter_bits(row2))
+        for y in iter_bits(row1):
             for z in zs:
                 anchor_counts[(y, z)] = anchor_counts.get((y, z), 0) + 1
     y, z = min(anchor_counts, key=lambda p: (-anchor_counts[p], p))
-    members = tuple(
-        x
-        for x in iter_bits(graph.row(y) & graph.row(z))
-        if coloring.color_of(x, y) == c1 and coloring.color_of(x, z) == c2
-    )
+    members = tuple(iter_bits(rows1[y] & rows2[z]))
     return members, {"colors": (c1, c2), "anchors": (y, z)}

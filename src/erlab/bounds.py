@@ -266,13 +266,9 @@ def half_sequence(k: int, coloring: EdgeColoring) -> tuple[int, ...]:
                     return [w2, w1] + V[: len(V) - 1]
 
         # all of W shares one color toward V, so no W-internal edge uses it;
-        # the ordering lemma on W gives two colors at every later position
-        induced = {
-            (i, j): coloring.color_of(W[i], W[j])
-            for i in range(len(W))
-            for j in range(i + 1, len(W))
-        }
-        ordering = order_vertices(len(W), EdgeColoring(coloring.t, induced))
+        # the ordering lemma on W gives two colors at every later position;
+        # W is sorted, so the induced coloring's vertex i is W[i]
+        ordering = order_vertices(len(W), coloring.induced(W))
         return [W[i] for i in ordering.pi]
 
     seq = solve(tuple(range(k)))

@@ -4,6 +4,7 @@ exponents / order / halfseq / experiment / verify."""
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -162,8 +163,6 @@ def _cmd_ramsey(args) -> int:
         raise GraphError(f"--nmax {args.nmax}: {exc}") from exc
     except GraphError as exc:
         raise GraphError(f"--param {args.param!r}: {exc}") from exc
-    import hashlib
-
     digest = hashlib.sha256(
         json.dumps(entry.transcript, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]

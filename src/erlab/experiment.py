@@ -37,13 +37,14 @@ from .freeness import (
     VERIFIED,
     UnresolvedRamseyError,
     UnsupportedParametersError,
+    double_c5_coloring,
     find_mono_clique,
     greenwood_gleason_coloring,
     ramsey_oracle,
 )
 from .graphs import EdgeColoring, Graph, GraphError
 from .io import FormatError
-from .util import derive_seed
+from .util import derive_seed, make_rng
 
 ASYMPTOTIC_LABEL = "asymptotic — reported, not asserted"
 BUDGET_KEYS = ("alpha_nodes", "construct_ms")
@@ -397,8 +398,6 @@ def verify_suite(level: str) -> list[CheckOutcome]:
     ok = True
     details = []
     for n, s, seed in rng_graphs:
-        from .util import make_rng
-
         rng = make_rng(seed, "verify-alpha")
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         g = Graph(n, edges)
@@ -447,8 +446,6 @@ def verify_suite(level: str) -> list[CheckOutcome]:
 
         # negative control: a corrupted coloring must be caught with a witness
         base = Graph.complete(5)
-        from .freeness import double_c5_coloring
-
         good = double_c5_coloring()
         bad = dict(good.colors)
         bad[(0, 2)] = 1  # edges (0,1),(1,2),(0,2) now share color 1

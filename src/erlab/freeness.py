@@ -36,25 +36,17 @@ def find_mono_clique(graph: Graph, coloring: EdgeColoring, b: int):
     or None.
 
     Canonical order: colors ascending, then lexicographic on the sorted
-    clique.  The coloring must cover E(graph) exactly: the union of its
-    per-color rows must be the graph's rows, else GraphError names
-    ``coloring_covers``'s witness.
+    clique.  The coloring must cover E(graph) exactly, else GraphError
+    names ``coloring_covers``'s witness.
     """
     if b < 2:
         raise GraphError("forbidden clique order must be at least 2")
-    n = graph.n
-    by_color = sorted(coloring.rows.items())
-    union = [0] * n
-    for _, rows in by_color:
-        # the rows are symmetric: a pair (u, v), v >= n, sets row v
-        if any(rows[n:]):
-            union = None
-            break
-        union[:len(rows)] = [a | r for a, r in zip(union, rows)]
-    if union != graph._rows:
-        kind, edge = coloring_covers(graph, coloring)
+    mismatch = coloring_covers(graph, coloring)
+    if mismatch is not None:
+        kind, edge = mismatch
         raise GraphError(f"coloring does not match graph: {kind} edge {edge}")
-    for c, rows in by_color:
+    n = graph.n
+    for c, rows in sorted(coloring.rows.items()):
         # rows beyond n are empty, and rows short of n leave the rest isolated
         clique = first_clique(rows, (1 << min(n, len(rows))) - 1, b)
         if clique is not None:

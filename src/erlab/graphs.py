@@ -8,8 +8,10 @@ witnesses and tests are deterministic.
 
 An ``EdgeColoring`` keeps its colors only as per-color adjacency bit rows,
 ``rows``, whether it was built from (pair, color) items or by
-``EdgeColoring.from_rows``, as a construction builds its coloring.  Its map
-``colors`` is derived from them when it is first read.
+``EdgeColoring.from_rows``, as a construction builds its coloring.  The
+rows answer the coverage (``coloring_covers``) and color-class queries; the
+map ``colors`` is a view derived from them on its first read, for
+``color_of``'s single-pair lookups.
 """
 
 from __future__ import annotations
@@ -236,14 +238,14 @@ class EdgeColoring:
         return self.colors[(min(u, v), max(u, v))]
 
     def tally(self, x: int, ys) -> list[tuple[int, int]]:
-        """(count, color) for each color on the edges from x to the vertices
+        """(count, color) for each color on the pairs from x to the vertices
         ``ys``, most frequent first: by descending count, then ascending
-        color."""
-        counts: dict[int, int] = {}
-        for y in ys:
-            c = self.colors[(x, y) if x < y else (y, x)]
-            counts[c] = counts.get(c, 0) + 1
-        return sorted(((k, c) for c, k in counts.items()), key=lambda kc: (-kc[0], kc[1]))
+        color.  A count is the popcount of the color's row at x within
+        ``ys``; a y with no colored pair to x counts nowhere."""
+        mask = functools.reduce(operator.or_, (1 << y for y in ys), 0)
+        counts = [(k, c) for c, rows in self.rows.items()
+                  if x < len(rows) and (k := (rows[x] & mask).bit_count())]
+        return sorted(counts, key=lambda kc: (-kc[0], kc[1]))
 
     def induced(self, vertices) -> "EdgeColoring":
         """The coloring of the pairs within ``vertices``, renumbered as
@@ -276,15 +278,19 @@ def _colored_pairs(rows_by_color: dict[int, list[int]]) -> dict[tuple[int, int],
 
 
 def coloring_covers(graph: Graph, coloring: EdgeColoring):
-    """First edge of ``graph`` missing from ``coloring``, or an extra colored
-    pair that is not an edge; None when they match exactly."""
-    for e in graph.edges():
-        if e not in coloring.colors:
-            return ("missing", e)
-    for e in sorted(coloring.colors):
-        if e[1] >= graph.n or not graph.has_edge(*e):
-            return ("extra", e)
-    return None
+    """First edge of ``graph`` missing from ``coloring``, or else the first
+    extra colored pair, in lexicographic order; None when they match.  Both
+    are read from the union of the per-color rows, whose rows at or beyond
+    ``graph.n`` are extra in full."""
+    rows = graph._rows
+    union = [0] * max([graph.n] + [len(r) for r in coloring.rows.values()])
+    for color_rows in coloring.rows.values():
+        union[:len(color_rows)] = [a | r for a, r in zip(union, color_rows)]
+    missing = _first_pair(g & ~u for g, u in zip(rows, union))
+    if missing is not None:
+        return ("missing", missing)
+    extra = _first_pair(u & ~g for u, g in itertools.zip_longest(union, rows, fillvalue=0))
+    return None if extra is None else ("extra", extra)
 
 
 def _cliques(rows: list[int], cand: int, need: int, prefix: tuple[int, ...]):
@@ -386,8 +392,9 @@ def _meets(cliques, n: int) -> tuple[list[int], list[int]]:
     return once, twice
 
 
-def _first_pair(rows: list[int]):
-    """Lexicographically first pair i < j with bit j set in ``rows[i]``, or None."""
+def _first_pair(rows):
+    """Lexicographically first pair i < j with bit j set in the i-th of
+    ``rows`` (any iterable of bit rows), or None."""
     for i, row in enumerate(rows):
         high = row >> (i + 1)
         if high:

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own algorithms: the DP
 works over all 2^n subsets with numpy, the naive checks (the first-clique
-query, the hypergraph witnesses, the incidence graph, the cover check and
-the induced subgraph and coloring among them) go over all pairs and triples with
+query, the hypergraph witnesses, the incidence graph, the cover check, a
+coloring's coverage of a graph and the induced subgraph and coloring among
+them) go over all pairs and triples with
 itertools, the naive overlay maps one edge at a time, the naive writers
 write one line per edge, the row-kept colorings are filled in one pair at a
 time, the instance generators only rely on adjacency
@@ -123,6 +124,19 @@ def naive_first_clique(rows: list[int], mask: int, s: int):
     for combo in itertools.combinations(members, s):
         if all((rows[a] >> b) & 1 for a, b in itertools.combinations(combo, 2)):
             return combo
+    return None
+
+
+def naive_coloring_covers(graph: Graph, coloring: EdgeColoring):
+    """``graphs.coloring_covers`` over the coloring's pair map: the first
+    edge of ``graph`` with no color, else the first colored pair (in sorted
+    order) that is not an edge; None when they match exactly."""
+    for e in graph.edges():
+        if e not in coloring.colors:
+            return ("missing", e)
+    for e in sorted(coloring.colors):
+        if e[1] >= graph.n or not graph.has_edge(*e):
+            return ("extra", e)
     return None
 
 

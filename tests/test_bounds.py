@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erlab import bounds
 from erlab.bounds import (
     HALF,
     LAY3,
@@ -22,7 +23,7 @@ from erlab.checkers import check_half_sequence, check_ordering
 from erlab.freeness import UnresolvedRamseyError, default_table, find_mono_clique
 from erlab.graphs import EdgeColoring, Graph, GraphError
 
-from oracles import reference_exponent_lower, sample_mono_free_coloring
+from oracles import naive_induced_coloring, reference_exponent_lower, sample_mono_free_coloring
 
 
 class TestExponentLower:
@@ -185,6 +186,23 @@ class TestHalfSequence:
     def test_precondition(self):
         with pytest.raises(GraphError):
             half_sequence(3, coloring_of(3, [2, 2, 2], 2))
+
+    def test_orders_a_complement_that_shares_one_color(self, monkeypatch):
+        # at k = 7 each w outside the shorter sequence sees only its most
+        # frequent color toward it, the same for all, so the ordering lemma
+        # runs on the coloring induced on them
+        col = coloring_of(7, [2, 3, 3, 3, 1, 1, 3, 3, 3, 2, 1, 1, 2, 1, 3, 2, 3, 1, 3, 1, 3], 3)
+        calls = []
+
+        def record(k, coloring):
+            calls.append((k, coloring))
+            return order_vertices(k, coloring)
+
+        monkeypatch.setattr(bounds, "order_vertices", record)
+        seq = half_sequence(7, col)
+        assert calls == [(3, EdgeColoring(3, naive_induced_coloring(col, [2, 3, 4])))]
+        assert seq == (4, 3, 2, 5)
+        assert check_half_sequence(7, col, seq) is None
 
     @given(st.integers(0, 400), st.integers(4, 7))
     @settings(max_examples=80, deadline=None)

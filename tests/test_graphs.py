@@ -33,12 +33,14 @@ from erlab.util import iter_bits
 
 from oracles import (
     naive_cliques,
+    naive_coloring_covers,
     naive_cover_failure,
     naive_first_clique,
     naive_hypergraph_witnesses,
     naive_incidence,
     naive_induced,
     naive_induced_coloring,
+    naive_mono_clique,
     naive_write_coloring,
     naive_write_graph,
     random_graph,
@@ -435,6 +437,30 @@ class TestColoring:
         got = self._mono_outcome(g, rows_coloring(col, span), b)
         assert got == self._mono_outcome(g, col, b)
         assert isinstance(got, str) == (coloring_covers(g, col) is not None)
+
+    @given(st.integers(0, 8), st.integers(1, 3), st.booleans(), st.integers(-3, 3), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_coloring_covers_matches_the_pair_oracle(self, n, t, as_rows, top, data):
+        # the graph's edges, some dropped, plus some non-edges, up to 2 beyond n
+        pairs = list(itertools.combinations(range(n + 3), 2))
+        inside = [e for e in pairs if e[1] < n]
+        edges = data.draw(st.sets(st.sampled_from(inside)) if inside else st.just(set()))
+        drop = data.draw(st.sets(st.sampled_from(sorted(edges)), max_size=2)
+                         if edges else st.just(set()))
+        add = data.draw(st.sets(st.sampled_from([e for e in pairs if e not in edges]),
+                                max_size=2))
+        colors = {e: data.draw(st.integers(1, t)) for e in sorted((edges - drop) | add)}
+        g, col = Graph(n, edges), EdgeColoring(t, colors)
+        if as_rows:
+            # rows shorter than n when the top vertices have no colored pair
+            col = rows_coloring(col, max([n + top, 0] + [v + 1 for _, v in colors]))
+        want = naive_coloring_covers(g, col)
+        assert coloring_covers(g, col) == want
+        got = self._mono_outcome(g, col, 3)
+        if want is None:
+            assert got == naive_mono_clique(g, col, 3)
+        else:
+            assert got == f"coloring does not match graph: {want[0]} edge {want[1]}"
 
     def test_kept_rows_longer_or_shorter_than_the_graph(self):
         triangle = {(0, 1): 1, (1, 2): 1, (0, 2): 1, (2, 3): 2}
