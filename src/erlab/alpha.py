@@ -417,14 +417,28 @@ def _scan_tuples(graph, coloring, i, gi, need, scan_budget):
 
 def _ordering_satisfies(coloring, x, clique, most_freq):
     """Does some ordering (x, v_2, ..) of ``clique`` meet the two-color
-    conditions, with the first edge off ``most_freq`` unless it is None?"""
-    rest = [v for v in clique if v != x]
-    for perm in itertools.permutations(rest):
-        if coloring.color_of(x, perm[0]) == most_freq:
+    conditions, with the first edge off ``most_freq`` unless it is None?
+
+    v_i meets them when its edges back to the vertices before it have two
+    colors, which stays so as vertices are put before it.  So with x and
+    v_2 first, an ordering exists iff putting next, again and again, every
+    vertex that meets them reaches the whole clique.  The colors are read
+    from the rows."""
+    color_rows = list(coloring.rows.values())
+    avoid = coloring.rows[most_freq][x] if most_freq is not None else 0
+    full = sum(1 << v for v in clique)
+    for v2 in clique:
+        if v2 == x or avoid >> v2 & 1:
             continue
-        seq = (x,) + perm
-        if all(len({coloring.color_of(seq[i], seq[j]) for j in range(i)}) >= 2
-               for i in range(2, len(seq))):
+        before = 1 << x | 1 << v2
+        while before != full:
+            fits = [v for v in clique if not before >> v & 1
+                    and sum(1 for rows in color_rows if rows[v] & before) >= 2]
+            if not fits:
+                break
+            for v in fits:
+                before |= 1 << v
+        else:
             return True
     return False
 

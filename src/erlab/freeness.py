@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .graphs import EdgeColoring, Graph, GraphError, coloring_covers, first_clique
+from .util import iter_bits
 
 FOUND = "found"
 NONE = "none"
@@ -61,27 +62,33 @@ class SearchResult:
     nodes: int
 
 
-def _edge_order(graph: Graph) -> tuple[list[tuple[int, int]], int, int]:
-    """The search's edge order, the last vertex w that has an edge, and the
-    index where w's edges start: they are the trailing deg(w) edges.
+def _edge_order(graph: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The search's edge order and its last two blocks, the last first, as
+    (vertex w, index where w's edges start).
 
     Vertex-by-vertex completion with a degree-based vertex order, so each
-    prefix induces a colored subgraph on an initial vertex segment.  With no
-    edge, w is -1.
+    prefix induces a colored subgraph on an initial vertex segment; a
+    vertex's block is its edges to earlier vertices.  The search counts
+    visits to these two blocks in bulk: on the K_11 sweeps a third gains
+    nothing, and four or more are 4 to 20 times slower, as deeper visits
+    more often end in a coloring, whose bulk count is thrown away.
     """
     verts = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
     pos = {v: i for i, v in enumerate(verts)}
     edges = graph.edges()
     edges.sort(key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]])))
-    if not edges:
-        return edges, -1, 0
-    u, v = edges[-1]
-    last = u if pos[u] > pos[v] else v
-    return edges, last, len(edges) - graph.degree(last)
+    blocks: list[tuple[int, int]] = []
+    end = len(edges)
+    while end and len(blocks) < 2:
+        w = max(edges[end - 1], key=pos.__getitem__)
+        end -= sum(pos[x] < pos[w] for x in iter_bits(graph.row(w)))
+        blocks.append((w, end))
+    return edges, blocks
 
 
 class _LastVertexFrontier:
-    """The breadth-first count of visits to the last vertex w's edges, kept
+    """The breadth-first count of visits to a vertex w's edges, which run to
+    the end of the edge order or, chained, on into the next frontier's, kept
     between the visits of one search.
 
     ``count`` returns the colors a failing visit tries; None once the count
@@ -100,6 +107,11 @@ class _LastVertexFrontier:
     the layer entering each position and the colors tried before it, and a
     visit recounts only from the first position whose inputs changed.
     ``expanded`` counts the states of the layers it has counted from.
+
+    Chained, it hands each state that passes w's last edge to ``next``,
+    whose count of the visit then following is added in.  That count reads
+    inputs beyond this frontier's keys, so a chained frontier recounts its
+    last position on every visit.
     """
 
     def __init__(self, others: list[int], palette_cap: int, local_bound: int | None,
@@ -117,6 +129,37 @@ class _LastVertexFrontier:
         self.layers: list[dict[tuple[int, int], list[int]]] = [{}]  # entering each position
         self.tries = [0]  # the colors tried before each position
         self.expanded = 0
+        # when chained: w, and the frontier of the edges just after w's
+        self.vertex = -1
+        self.next: _LastVertexFrontier | None = None
+
+    def _leaf(self, state: int, sw: int, in_play: int, rows_by_color: list[list[int]],
+              seen: list[int], limit: int) -> int | None:
+        """The next frontier's count with w's edges colored as ``state``, w's
+        colors ``sw`` and ``in_play`` colors in play; the rows and colors are
+        left as they were.  w has no colored edge before the visit."""
+        w, n, others = self.vertex, self.n, self.others
+        bw = 1 << w
+        fresh = in_play - len(rows_by_color)
+        rows_by_color.extend([0] * n for _ in range(fresh))
+        saved = [seen[x] for x in others]
+        full = (1 << n) - 1
+        for c, rows in enumerate(rows_by_color, 1):
+            rows[w] = state >> (c - 1) * n & full
+            for x in iter_bits(rows[w]):
+                rows[x] |= bw
+                seen[x] |= 1 << c
+        seen[w] = sw
+        tries = self.next.count(rows_by_color, seen, in_play, limit)
+        for rows in rows_by_color:
+            for x in iter_bits(rows[w]):
+                rows[x] ^= bw
+            rows[w] = 0
+        for x, sx in zip(others, saved):
+            seen[x] = sx
+        seen[w] = 0
+        del rows_by_color[len(rows_by_color) - fresh:]
+        return tries
 
     def count(self, rows_by_color: list[list[int]], seen: list[int], used: int,
               limit: int) -> int | None:
@@ -125,9 +168,12 @@ class _LastVertexFrontier:
         keys = [([rows[x] & pre for rows in rows_by_color],
                  seen[x] if local_bound is not None else 0)
                 for x, pre in zip(others, self.prefix)]
+        final = len(others) - 1
+        # a chained count's last position reads more than its keys
+        reuse = final if self.next else final + 1
         i = 0
         if used == self.used:
-            while i < len(layers) - 1 and keys[i] == self.keys[i]:
+            while i < len(layers) - 1 and i < reuse and keys[i] == self.keys[i]:
                 i += 1
         else:  # every layer holds the colors in play
             self.used = used
@@ -138,7 +184,6 @@ class _LastVertexFrontier:
         if tries >= limit:
             return None
         layer = layers[i]
-        final = len(others) - 1
         while layer:
             x = others[i]
             rows_x, sx = keys[i]
@@ -168,11 +213,18 @@ class _LastVertexFrontier:
                                     or first_clique(rows, (s & mask) >> off, b - 2) is None]
                         if not kids:
                             continue
-                    if i == final:
-                        return None
                     add = 1 << (x + off)
                     group = (sw | bit, c if c > in_play else in_play)
-                    after.setdefault(group, []).extend([s | add for s in kids])
+                    if i < final:
+                        after.setdefault(group, []).extend([s | add for s in kids])
+                        continue
+                    if self.next is None:
+                        return None
+                    for s in kids:
+                        leaf = self._leaf(s | add, *group, rows_by_color, seen, limit - tries)
+                        if leaf is None:
+                            return None
+                        tries += leaf
             layers.append(after)
             tries_at.append(tries)
             layer = after
@@ -209,11 +261,14 @@ def search_free_coloring(
     entering a depth with ``nodes >= node_budget``, on trying a color past
     it, or on reading a clock past the deadline, which it does every 1024 nodes.
 
-    Most nodes of a large search lie on the last vertex's edges, which end
-    the order.  Each fresh visit to them is first expanded breadth-first,
-    counting exactly the colors the loop would try there; the expansion is
-    kept between visits and recounted from the first edge whose inputs
-    changed.  When no coloring of them passes, the search adds that count
+    Nearly all nodes of a large search lie on the edges of the last two
+    vertices, which end the order (over 99% on K_11).  Each fresh visit to
+    either vertex's edges is first expanded breadth-first, counting exactly
+    the colors the loop would try there, and each coloring of the earlier
+    vertex's edges that passes is handed on to the count of the visit to
+    the last vertex's edges that follows it.  The expansions are kept
+    between visits and recounted from the first edge whose inputs changed.
+    When no coloring of a visit's edges passes, the search adds its count
     to its nodes, reading the clock at each multiple of 1024 it passes, and
     backtracks.  The loop runs the visit itself when a coloring passes, so
     the witness is the loop's, or when the count would reach
@@ -221,7 +276,7 @@ def search_free_coloring(
     thus the loop's alone, node for node.
     """
     _check_search_parameters(t, b, local_bound)
-    edges, last, start = _edge_order(graph)
+    edges, blocks = _edge_order(graph)
     n_edges = len(edges)
     palette_cap = t if local_bound is None else max(n_edges, 1)
 
@@ -232,8 +287,16 @@ def search_free_coloring(
         return SearchResult(NONE, None, 0)
 
     steps = [(u, v, 1 << u, 1 << v) for u, v in edges]
-    frontier = _LastVertexFrontier([u if v == last else v for u, v in edges[start:]],
-                                   palette_cap, local_bound, b, graph.n)
+    # per depth, the frontier that counts a fresh visit from it in bulk
+    bulk: list[_LastVertexFrontier | None] = [None] * n_edges
+    stop, after = n_edges, None
+    for w, start in blocks:  # the last block first
+        frontier = _LastVertexFrontier([u if v == w else v for u, v in edges[start:stop]],
+                                       palette_cap, local_bound, b, graph.n)
+        if after is not None:
+            frontier.vertex, frontier.next = w, after
+        bulk[start] = after = frontier
+        stop = start
     rows_by_color: list[list[int]] = []
     seen = [0] * graph.n  # per vertex, bit c is set when an edge of color c meets it
     # per depth: (its color, colors in play on entry, seen[u] and seen[v] before)
@@ -258,10 +321,10 @@ def search_free_coloring(
         su = seen[u]
         sv = seen[v]
         top = used + 1 if used < palette_cap else palette_cap
-        if idx == start and not c:
-            # a fresh visit to the last vertex's edges: count it in bulk if it
-            # fails before the budget
-            tries = frontier.count(rows_by_color, seen, used, budget - nodes)
+        if not c and bulk[idx] is not None:
+            # a fresh visit to one of the last two vertices' edges: count it
+            # in bulk if it fails before the budget
+            tries = bulk[idx].count(rows_by_color, seen, used, budget - nodes)
             if tries is not None:
                 # read the clock at each multiple of 1024 the count passes
                 end = nodes + tries

@@ -195,26 +195,8 @@ class EdgeColoring:
         # a later entry for the same edge, in either order, wins
         items = colors.items() if isinstance(colors, dict) else colors
         norm = {e if e[0] < e[1] else (e[1], e[0]): c for e, c in items}
-        loop = next((e for e in norm if e[0] == e[1]), None)
-        if loop is not None:
-            raise GraphError(f"loop edge ({loop[0]},{loop[1]}) in coloring")
-        if any(u < 0 for u, _ in norm):
-            raise GraphError("coloring has a negative vertex")
-        n = max((v for _, v in norm), default=-1) + 1
-        need = mask_bytes(norm) + 8 * n * len(set(norm.values()))
-        if need > MASK_BYTES_LIMIT:
-            raise GraphError(
-                f"coloring rows would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
-            )
-        rows_by_color: dict[int, list[int]] = {}
-        for (u, v), c in norm.items():
-            rows = rows_by_color.get(c)
-            if rows is None:
-                rows = rows_by_color[c] = [0] * n
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "rows", rows_by_color)
+        object.__setattr__(self, "rows", coloring_rows([(u, v, c) for (u, v), c in norm.items()]))
 
     @classmethod
     def from_rows(cls, t: int, rows_by_color: dict[int, list[int]]) -> "EdgeColoring":
@@ -262,6 +244,43 @@ class EdgeColoring:
             if any(sub):
                 out[c] = sub
         return EdgeColoring.from_rows(self.t, out)
+
+
+def coloring_rows(triples) -> dict[int, list[int]]:
+    """{color: its adjacency bit rows over 0..max vertex} of ``triples``,
+    (u, v, color) in which each pair appears once, in either order.
+    GraphError for a loop (the first in order), a negative vertex, or rows
+    whose masks (as ``mask_bytes`` counts them) and row slots would exceed
+    ``MASK_BYTES_LIMIT`` bytes, before any row is built."""
+    top: dict[int, int] = {}  # each vertex's largest neighbour
+    colors = set()
+    loop = None
+    for u, v, c in triples:
+        if u == v and loop is None:
+            loop = u
+        if top.get(u, -1) < v:
+            top[u] = v
+        if top.get(v, -1) < u:
+            top[v] = u
+        colors.add(c)
+    if loop is not None:
+        raise GraphError(f"loop edge ({loop},{loop}) in coloring")
+    if min(top, default=0) < 0:
+        raise GraphError("coloring has a negative vertex")
+    n = max(top, default=-1) + 1
+    need = sum(t // 8 + 1 for t in top.values()) + 8 * n * len(colors)
+    if need > MASK_BYTES_LIMIT:
+        raise GraphError(
+            f"coloring rows would take {need} bytes, above the limit {MASK_BYTES_LIMIT}"
+        )
+    rows_by_color: dict[int, list[int]] = {}
+    for u, v, c in triples:
+        rows = rows_by_color.get(c)
+        if rows is None:
+            rows = rows_by_color[c] = [0] * n
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows_by_color
 
 
 def _colored_pairs(rows_by_color: dict[int, list[int]]) -> dict[tuple[int, int], int]:

@@ -24,6 +24,7 @@ from .graphs import (
     GraphError,
     LinearHypergraph,
     check_hypergraph_shape,
+    coloring_rows,
     mask_bytes,
 )
 from .util import iter_bits
@@ -173,20 +174,21 @@ def write_coloring(path, coloring: EdgeColoring) -> None:
 
 
 def read_coloring(path, t: int | None = None) -> EdgeColoring:
-    colors = {}
+    """The coloring of lines ``u v c``, its rows filled from the lines once
+    every line has passed its checks."""
     lines = _lines(path)
-    for (i, _), (u, v, c) in zip(lines, _edge_lines(path, lines, 3, 2)):
+    triples = _edge_lines(path, lines, 3, 2)
+    for (i, _), (u, v, c) in zip(lines, triples):
         if u < 0 or v < 0:
             raise FormatError(f"{path}:{i}: negative vertex in edge {u} {v}")
         if c < 1 or (t is not None and c > t):
             raise FormatError(f"{path}:{i}: color {c} out of range 1..t (t={t})")
-        colors[(u, v)] = c
-    if t is None:
-        t = max(colors.values(), default=0)
     try:
-        return EdgeColoring(t, colors)
+        rows_by_color = coloring_rows(triples)
     except GraphError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    return EdgeColoring.from_rows(t if t is not None else max(rows_by_color, default=0),
+                                  rows_by_color)
 
 
 def _json_safe(value):

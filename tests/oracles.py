@@ -739,6 +739,73 @@ def naive_last_vertex_tries(others, rows_by_color, seen, used, palette_cap, loca
     return None if visit(0, {}, used) else tries
 
 
+def naive_ordering_satisfies(coloring, x, clique, most_freq):
+    """``alpha._ordering_satisfies`` by trying every ordering (x, v_2, ..)
+    of ``clique``: the first edge's color is not ``most_freq``, and each
+    later vertex's pairs back have two colors, each read by ``color_of``."""
+    for perm in itertools.permutations([v for v in clique if v != x]):
+        seq = (x,) + perm
+        if coloring.color_of(x, seq[1]) != most_freq and all(
+            len({coloring.color_of(seq[i], seq[j]) for j in range(i)}) >= 2
+            for i in range(2, len(seq))
+        ):
+            return True
+    return False
+
+
+def naive_chained_tries(before, others, rows_by_color, seen, used, palette_cap, local_bound, b):
+    """Colors tried by a depth-first visit to the edges (x, v) for x in
+    ``before[1]``, v being ``before[0]``, then (x, w) for x in ``others``,
+    w being ``len(seen) - 1``; neither v nor w has a colored edge yet.  None
+    when some coloring of them all passes.  Color sets and per-color
+    neighbour sets per vertex, and ``naive_first_clique`` for the K_b
+    check."""
+    v, others_v = before
+    n = len(seen)
+    w = n - 1
+    edges = [(x, v) for x in others_v] + [(x, w) for x in others]
+    colors = [{c for c in range(1, used + 1) if (s >> c) & 1} for s in seen]
+    nbrs = collections.defaultdict(lambda: [set() for _ in range(n)])
+    for c, rows in enumerate(rows_by_color, 1):
+        for x, y in itertools.combinations(range(n), 2):
+            if (rows[x] >> y) & 1:
+                nbrs[c][x].add(y)
+                nbrs[c][y].add(x)
+    tries = 0
+
+    def visit(i, in_play):
+        nonlocal tries
+        if i == len(edges):
+            return True
+        x, y = edges[i]
+        for c in range(1, min(in_play + 1, palette_cap) + 1):
+            tries += 1
+            if local_bound is not None and any(
+                c not in colors[z] and len(colors[z]) >= local_bound for z in (x, y)
+            ):
+                continue
+            adj = nbrs[c]
+            common = sum(1 << z for z in adj[x] & adj[y])
+            rows = [sum(1 << z for z in adj[u]) for u in range(n)]
+            if common and naive_first_clique(rows, common, b - 2) is not None:
+                continue
+            new = [z for z in (x, y) if c not in colors[z]]
+            for z in new:
+                colors[z].add(c)
+            adj[x].add(y)
+            adj[y].add(x)
+            found = visit(i + 1, max(in_play, c))
+            adj[x].discard(y)
+            adj[y].discard(x)
+            for z in new:
+                colors[z].discard(c)
+            if found:
+                return True
+        return False
+
+    return None if visit(0, used) else tries
+
+
 def reference_exponent_lower(s: int, t: int) -> tuple:
     """(value, regime, trace) of the lower exponent by direct recursion on
     a(t), one Python frame per color count."""

@@ -36,6 +36,7 @@ from oracles import (
     mono_free_colored_graph,
     naive_cliques,
     naive_is_free,
+    naive_ordering_satisfies,
     random_graph,
     reference_alpha_exact,
     reference_count_free_subsets,
@@ -441,6 +442,31 @@ class TestLay3Extractor:
             g, col = mono_free_colored_graph(n, 3, rng.uniform(0.1, 0.5), seed)
             res = lay3_free_subset(g, col, 5, seed=seed)
             assert is_free_set(g, res.vertices, 5)
+
+    def test_families_branch_never_lists_the_pairs_of_its_rows(self, monkeypatch):
+        # the families filter reads the colors of each clique's pairs from
+        # the rows, on the (5,3,4) k=4 n=64 instance at seed 1
+        inst = construct_upper_bound_instance(
+            ConstructionParams.derive(5, 3, 4, 64, k=4, R=5, seed=1), 64)
+
+        def refuse(rows_by_color):
+            raise AssertionError("colored pairs derived from rows")
+
+        monkeypatch.setattr(graphs, "_colored_pairs", refuse)
+        res = lay3_free_subset(inst.final, inst.coloring, 5)
+        assert res.path[0].startswith("families") and "|F|=0 |G|=0" not in res.path[0]
+        assert is_free_set(inst.final, res.vertices, 5)
+
+    @given(st.integers(2, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ordering_condition_matches_every_permutation(self, k, t, data):
+        clique = tuple(sorted(data.draw(st.sets(st.integers(0, 9), min_size=k, max_size=k))))
+        col = EdgeColoring(t, {e: data.draw(st.integers(1, t))
+                               for e in itertools.combinations(clique, 2)})
+        x = data.draw(st.sampled_from(clique))
+        most_freq = data.draw(st.none() | st.sampled_from(sorted(col.rows)))
+        assert (alpha._ordering_satisfies(col, x, clique, most_freq)
+                == naive_ordering_satisfies(col, x, clique, most_freq))
 
     def test_s_below_3_rejected(self):
         g, col = mono_free_colored_graph(10, 2, 0.3, seed=1)

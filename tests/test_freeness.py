@@ -29,6 +29,7 @@ from erlab.freeness import (
 from erlab.graphs import EdgeColoring, Graph, GraphError, coloring_covers
 
 from oracles import (
+    naive_chained_tries,
     naive_last_vertex_tries,
     naive_mono_clique,
     random_graph,
@@ -276,10 +277,90 @@ class TestSearchFreeColoring:
         (3, [], -1, 0),
     ])
     def test_edge_order_names_the_last_vertex(self, n, edges, last, start):
-        order, got_last, got_start = freeness._edge_order(Graph(n, edges))
+        order, blocks = freeness._edge_order(Graph(n, edges))
+        got_last, got_start = blocks[0] if blocks else (-1, 0)
         assert (got_last, got_start) == (last, start)
         assert all(last in e for e in order[start:])
         assert not any(last in e for e in order[:start])
+
+    @pytest.mark.parametrize("n, edges, blocks", [
+        (2, [(0, 1)], [(1, 0)]),  # one block
+        (5, [(3, 4)], [(4, 0)]),
+        (6, [(0, 1), (0, 2), (1, 2), (2, 3)], [(3, 3), (1, 1)]),
+        # 3 is not adjacent to the pendant 4 that ends the order
+        (5, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 4)], [(4, 4), (3, 3)]),
+        (4, list(itertools.combinations(range(4), 2)), [(3, 3), (2, 1)]),
+        # 3 lies between the last two blocks' vertices and has no block
+        (5, [(0, 1), (0, 2), (1, 2), (3, 4)], [(4, 3), (2, 1)]),
+        (3, [], []),
+    ])
+    def test_edge_order_names_the_last_two_blocks(self, n, edges, blocks):
+        order, got = freeness._edge_order(Graph(n, edges))
+        assert got == blocks
+        end = len(order)
+        for w, start in got:
+            assert all(w in e for e in order[start:end])
+            assert not any(w in e for e in order[:start])
+            end = start
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_chained_count_matches_depth_first(self, data):
+        # a frontier for v's edges chained to one for w's, v and w the two
+        # top vertices, counts a sequence of visits; between visits the
+        # colors of some vertices' pairs and their color sets are redrawn
+        n = data.draw(st.integers(3, 7), label="n")
+        v, w = n - 2, n - 1
+        others_v = data.draw(st.permutations(range(v)), label="others of v")
+        others_v = others_v[:data.draw(st.integers(1, min(v, 4)), label="degree of v")]
+        others = data.draw(st.permutations(range(v)), label="others of w")
+        others = others[:data.draw(st.integers(0, min(v, 4)), label="other degree of w")]
+        if data.draw(st.booleans(), label="v adjacent to w") or not others:
+            others.insert(data.draw(st.integers(0, len(others)), label="v's place"), v)
+        local_bound = data.draw(st.sampled_from([None, 1, 2, 3]), label="local bound")
+        b = data.draw(st.sampled_from([3, 4]), label="b")
+        palette_cap = data.draw(st.integers(1, 4), label="palette cap")
+        last = freeness._LastVertexFrontier(others, palette_cap, local_bound, b, n)
+        chained = freeness._LastVertexFrontier(others_v, palette_cap, local_bound, b, n)
+        chained.vertex, chained.next = v, last
+        pair_colors = {}
+        seen = [0] * n
+        redraw = range(v)
+        for visit in range(data.draw(st.integers(1, 8), label="visits")):
+            if visit == 0 or data.draw(st.integers(0, 3), label=f"new palette {visit}") == 0:
+                # colors new in v's block when fewer than the cap are in play
+                used = data.draw(st.integers(max(palette_cap - 1, 0), palette_cap),
+                                 label=f"in play {visit}")
+            for x in redraw:
+                for y in range(v):
+                    if y != x:
+                        pair_colors[min(x, y), max(x, y)] = data.draw(st.integers(1, 4))
+                seen[x] = data.draw(st.integers(0, 31)) & ~1
+            rows_by_color = [[0] * n for _ in range(used)]
+            for (x, y), c in pair_colors.items():
+                if 1 <= c <= used:
+                    rows_by_color[c - 1][x] |= 1 << y
+                    rows_by_color[c - 1][y] |= 1 << x
+            seen_now = [s & ((1 << (used + 1)) - 2) for s in seen]
+            want = naive_chained_tries((v, others_v), others, rows_by_color, seen_now, used,
+                                       palette_cap, local_bound, b)
+            if want is None:
+                limit = data.draw(st.sampled_from([1, 1 << 62]), label=f"limit {visit}")
+            else:
+                # a limit of want or less stops the count, often inside a
+                # count of w's edges
+                limit = data.draw(st.just(1 << 62) | st.sampled_from([want, want + 1])
+                                  | st.integers(1, want), label=f"limit {visit}")
+            inputs = repr((rows_by_color, seen_now))
+            got = chained.count(rows_by_color, seen_now, used, limit)
+            assert got == (want if want is not None and want < limit else None)
+            assert repr((rows_by_color, seen_now)) == inputs  # left as they were
+            # next, redraw a vertex that w's edges reach and v's do not, whose
+            # change only the count of w's edges sees, or up to two vertices
+            outside = [x for x in others if x != v and x not in others_v] or list(range(v))
+            redraw = data.draw(st.lists(st.sampled_from(outside), min_size=1, max_size=1)
+                               | st.lists(st.sampled_from(range(v)), max_size=2),
+                               label=f"redrawn {visit}")
 
     def test_first_edge_symmetry_breaking(self):
         res = search_free_coloring(Graph.complete(4), 3, 3)
@@ -302,17 +383,19 @@ class TestSearchFreeColoring:
         assert find_mono_clique(g, swapped, 3) is None
 
 
-def bulk_counts(monkeypatch) -> list:
-    """The answers of every last-vertex frontier count made from now on."""
-    results = []
+def bulk_counts(monkeypatch) -> tuple[list, list]:
+    """The answers of every frontier count made from now on: the last
+    vertex's, and the chained ones of the vertex before it."""
+    last, chained = [], []
     count = freeness._LastVertexFrontier.count
 
     def counted(self, *args):
+        results = chained if self.next else last
         results.append(count(self, *args))
         return results[-1]
 
     monkeypatch.setattr(freeness._LastVertexFrontier, "count", counted)
-    return results
+    return last, chained
 
 
 class TestSearchEquivalence:
@@ -356,20 +439,39 @@ class TestSearchEquivalence:
         got = search_free_coloring(g, t, b, bound, budget)
         assert got == reference_search_free_coloring(g, t, b, bound, budget)
 
+    @pytest.mark.parametrize("budget, nodes", [
+        (108_107, 108_108),  # runs out trying a color at depth 43
+        (125_328, 125_328),  # runs out on entering depth 39
+    ])
+    def test_k11_budget_stops_on_the_second_to_last_vertex_edges(self, monkeypatch, budget,
+                                                                  nodes):
+        # The local K_11 search runs out on the second-to-last vertex's 9
+        # edges (depths 36..44), in a visit whose chained count would pass
+        # the budget: the count answers None, and the loop runs the visit.
+        last, chained = bulk_counts(monkeypatch)
+        got = search_free_coloring(Graph.complete(11), None, 3, 3, budget)
+        assert (got.status, got.nodes) == (INCONCLUSIVE, nodes)
+        assert got == reference_search_free_coloring(Graph.complete(11), None, 3, 3, budget)
+        assert chained[-1] is None
+
     @pytest.mark.parametrize("kind, parameter, nodes", [
         ("multicolor", (3, 3), 1_254_438),
         ("local", 3, 1_672_550),
     ])
     def test_k11_last_vertex_counted_in_bulk(self, monkeypatch, kind, parameter, nodes):
-        # On K_11 over 90% of the loop's visits are to the last vertex's 10
-        # edges: every visit but the one that completes a coloring is counted
-        # breadth-first, with the loop's node counts unchanged.
-        results = bulk_counts(monkeypatch)
+        # On K_11 over 99% of the search's nodes lie on the last two
+        # vertices' 19 edges: every visit but those that complete a coloring
+        # is counted breadth-first, with the loop's node counts unchanged.
+        last, chained = bulk_counts(monkeypatch)
         entry = ramsey_oracle(kind, parameter, 11)
         assert entry.transcript["per_n"][11] == {"status": FOUND, "nodes": nodes}
-        # one visit per n = 2..11 finds a coloring and is run by the loop
-        assert len(results) == 877
-        assert results.count(None) == 10
+        # The last vertex's edges get the loop's 877 visits, 10 of which (one
+        # per n = 2..11) find a coloring.  One visit to the second-to-last
+        # vertex's edges per n = 3..11 finds one too: its chained count stops
+        # (None) at the count that finds it, 13 counts in all for the 9, and
+        # the loop runs the visit again.
+        assert (len(chained), chained.count(None)) == (98, 9)
+        assert (len(last), last.count(None)) == (890, 19)
 
     @pytest.mark.parametrize("kind, parameter, nodes", [
         ("multicolor", (3, 3), 1_254_438),
@@ -377,22 +479,23 @@ class TestSearchEquivalence:
     ])
     def test_k11_budgeted_sweep_counted_in_bulk(self, monkeypatch, kind, parameter, nodes):
         # Under a time budget the bulk count reads the clock at each multiple
-        # of 1024 it passes, so the loop runs the same 10 visits as without.
-        results = bulk_counts(monkeypatch)
+        # of 1024 it passes, so the loop runs the same visits as without.
+        last, chained = bulk_counts(monkeypatch)
         entry = ramsey_oracle(kind, parameter, 11, time_budget_ms=10**6)
         assert entry.transcript["per_n"][11] == {"status": FOUND, "nodes": nodes}
-        assert len(results) == 877
-        assert results.count(None) == 10
+        assert (len(chained), chained.count(None)) == (98, 9)
+        assert (len(last), last.count(None)) == (890, 19)
 
     @pytest.mark.parametrize("kind, parameter, expanded", [
-        ("multicolor", (3, 3), 18_090),
-        ("local", 3, 18_243),
+        ("multicolor", (3, 3), (18_598, 4_973)),
+        ("local", 3, (18_892, 5_126)),
     ])
     def test_k11_frontier_recounts_only_what_changed(self, monkeypatch, kind, parameter,
                                                       expanded):
         # Consecutive visits mostly differ in the last position's inputs, so
-        # the frontier expands some 18k states per sweep; a recount of every
-        # layer on each visit expands 381 126 (multicolor) and 381 279 (local).
+        # the last vertex's frontier expands some 19k states per sweep and
+        # the chained one some 5k; a recount of every layer on each visit
+        # expands 384 658 and 38 681 (multicolor), 384 986 and 38 834 (local).
         frontiers = []
         init = freeness._LastVertexFrontier.__init__
 
@@ -402,8 +505,10 @@ class TestSearchEquivalence:
 
         monkeypatch.setattr(freeness._LastVertexFrontier, "__init__", kept)
         ramsey_oracle(kind, parameter, 11)
-        assert len(frontiers) == 10  # one per search, n = 2..11
-        assert sum(f.expanded for f in frontiers) == expanded
+        # one for the search at n = 2, two for each of n = 3..11
+        assert len(frontiers) == 19
+        assert sum(f.expanded for f in frontiers if not f.next) == expanded[0]
+        assert sum(f.expanded for f in frontiers if f.next) == expanded[1]
 
     @pytest.mark.parametrize("kind, parameter", [("multicolor", (3, 3)), ("local", 3)])
     def test_oracle_transcripts_match(self, monkeypatch, kind, parameter):
